@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 LADDER = (50.0, 90.0, 99.0, 99.9, 99.99, 99.999)
 MIN_BEYOND = 10
 
+# The open-loop client sleeps until SPIN_S before the next due time and
+# polls from there; the first event is due LEAD_S after the start.
+SPIN_S = 0.002
+LEAD_S = 0.005
+
 SWEEP_HEADER = ("app,policy,load,seed,bound_ms,tail_ms,tail_over_bound,"
                 "energy_mj_per_req,savings_vs_fixed,mean_freq_ghz,"
                 "mean_power_w,transitions")
@@ -51,10 +56,9 @@ def tail_percentile(samples):
 
 def window_tails(samples, window):
     """Split `samples` (in arrival order) into whole windows of `window`
-    samples and return each window's (median, tail_percentile)."""
-    return [(median(part), tail_percentile(part))
-            for part in (samples[i:i + window] for i in
-                         range(0, len(samples) - window + 1, window))]
+    samples and return each window's tail_percentile."""
+    return [tail_percentile(samples[i:i + window])
+            for i in range(0, len(samples) - window + 1, window)]
 
 
 def median(values):
@@ -138,29 +142,29 @@ class OpenLoopResult:
     wall_s: float      # first due time to last reply
 
 
-def open_loop(sock, events, timeout_s=5.0, spin_s=0.002,
-              clock=time.perf_counter, lead_s=0.005):
+def open_loop(sock, events, timeout_s=5.0):
     """Send `events` (sorted (due_s, line bytes) pairs) over a connected
     stream socket on their own schedule, whatever the replies do: an
     open loop. Each reply (one line per request, in order) is timed
     from its request's due time, so a server stall is charged to every
-    request queued behind it. The loop sleeps until `spin_s` before the
-    next due time and polls from there. It gives up once replies are
-    outstanding and none has come for `timeout_s`."""
+    request queued behind it. It gives up once replies are outstanding
+    and none has come for `timeout_s`. The socket's own timeout is
+    restored on return."""
+    saved_timeout = sock.gettimeout()
     sock.setblocking(False)
     sel = selectors.DefaultSelector()
     sel.register(sock, selectors.EVENT_READ)
     n = len(events)
-    start = clock() + lead_s
+    start = time.perf_counter() + LEAD_S
     due = [start + d for d, _ in events]
     pending = bytearray()
     inbuf = b""
     replies, latency, late = [], [], []
     sent = 0
-    last_progress = clock()
+    last_progress = time.perf_counter()
     try:
         while len(replies) < n:
-            now = clock()
+            now = time.perf_counter()
             while sent < n and due[sent] <= now:
                 pending += events[sent][1]
                 late.append(now - due[sent])
@@ -177,13 +181,13 @@ def open_loop(sock, events, timeout_s=5.0, spin_s=0.002,
             if pending:
                 wait = 0.0
             elif sent < n:
-                wait = max(0.0, due[sent] - clock() - spin_s)
+                wait = max(0.0, due[sent] - time.perf_counter() - SPIN_S)
             else:
                 wait = timeout_s
             if not sel.select(wait):
                 continue
             data = sock.recv(1 << 16)
-            received = clock()
+            received = time.perf_counter()
             if not data:
                 break
             inbuf += data
@@ -194,7 +198,7 @@ def open_loop(sock, events, timeout_s=5.0, spin_s=0.002,
             last_progress = received
     finally:
         sel.close()
-        sock.setblocking(True)
+        sock.settimeout(saved_timeout)
     last = len(latency) - 1
     wall = due[last] + latency[last] - start if latency else 0.0
     return OpenLoopResult(replies, latency, late, wall)

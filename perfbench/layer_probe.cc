@@ -1,9 +1,9 @@
 /**
  * layer_probe: the benchmark's traced driver and stream tools.
  *
- *   layer_probe sweep --spec F --jobs N --rows OUT
- *       Runs the spec's grid in-process the way `rubik_cli sweep` does
- *       (same three phases, same worker count, same row bytes), timing
+ *   layer_probe sweep --spec F --rows OUT
+ *       Runs the spec's grid in-process the way `rubik_cli sweep --jobs 4`
+ *       does (same three phases, same worker count, same row bytes), timing
  *       each call into a layer: generateLoadTrace (workloads), the
  *       replays and oracles behind runPolicy (policies), simulate (sim)
  *       and, through a DvfsPolicy decorator, RubikController's hooks
@@ -20,7 +20,16 @@
  *       Feeds the stream through an in-process ServeEngine configured
  *       like `rubik_cli serve --bound-ms MS`: untimed passes for the
  *       engine's cost per event, then timed passes that time every
- *       onArrival/onCompletion call. Prints JSON to stdout.
+ *       onArrival/onCompletion call. Wall times are the fastest of the R
+ *       passes of each kind. Prints JSON to stdout.
+ *
+ *   layer_probe exec USAGE PROGRAM ARGS...
+ *       Runs PROGRAM as a child, writes the CPU time (user + system) and
+ *       peak RSS of the child and its reaped descendants to USAGE as
+ *       JSON, and exits with the child's status. A child's peak RSS as
+ *       wait4 reports it includes the RSS of the process it was forked
+ *       from, so the benchmark forks the measured program from this small
+ *       process rather than from its Python driver.
  *
  * Every timing is host steady_clock time; nothing here changes what the
  * library computes, which is why the sweep rows must match the
@@ -28,6 +37,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -46,6 +56,10 @@
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/rubik_controller.h"
 #include "policies/pegasus.h"
@@ -67,6 +81,10 @@ using namespace rubik;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Worker threads of a traced sweep: the `--jobs` the benchmark gives
+/// the untraced `rubik_cli sweep` it is compared with.
+constexpr int kSweepWorkers = 4;
 
 double
 since(Clock::time_point t0)
@@ -267,7 +285,6 @@ sweepMain(int argc, char **argv)
 {
     const SweepSpec spec =
         SweepSpec::parseFile(requireArg(argc, argv, "--spec"));
-    const int jobs = std::atoi(requireArg(argc, argv, "--jobs").c_str());
     const std::string rows_path = requireArg(argc, argv, "--rows");
     spec.validate();
 
@@ -277,7 +294,7 @@ sweepMain(int argc, char **argv)
     const double nominal = dvfs.nominalFrequency();
     const int n = spec.effectiveRequests();
     const SimOptions options;
-    ExperimentRunner runner(jobs);
+    ExperimentRunner runner(kSweepWorkers);
 
     std::vector<JobTrace> traces; // every job's spans, merged at the end
     using TraceKey = std::tuple<std::string, double, uint64_t>;
@@ -657,11 +674,11 @@ engineMain(int argc, char **argv)
             timed = std::move(jt);
         }
     }
-    std::sort(plain_wall.begin(), plain_wall.end());
-    std::sort(timed_wall.begin(), timed_wall.end());
     std::sort(timed.rebuildMs.begin(), timed.rebuildMs.end());
-    const double plain = plain_wall[plain_wall.size() / 2];
-    const double traced = timed_wall[timed_wall.size() / 2];
+    const double plain =
+        *std::min_element(plain_wall.begin(), plain_wall.end());
+    const double traced =
+        *std::min_element(timed_wall.begin(), timed_wall.end());
     const std::vector<double> &rb = timed.rebuildMs;
 
     std::printf("{\"events\":%zu,\"decisions\":%" PRIu64
@@ -681,6 +698,41 @@ engineMain(int argc, char **argv)
     return 0;
 }
 
+// ----------------------------------------------------------------- exec
+
+int
+execMain(int argc, char **argv)
+{
+    if (argc < 4)
+        throw std::runtime_error("exec wants USAGE PROGRAM [ARGS...]");
+    const pid_t pid = fork();
+    if (pid < 0)
+        throw std::runtime_error("fork failed");
+    if (pid == 0) {
+        execv(argv[3], argv + 3);
+        std::perror("layer_probe exec");
+        _exit(127);
+    }
+    int status = 0;
+    struct rusage ru;
+    while (wait4(pid, &status, 0, &ru) < 0) {
+        if (errno != EINTR)
+            throw std::runtime_error("wait4 failed");
+    }
+    auto seconds = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6;
+    };
+    std::FILE *usage = std::fopen(argv[2], "w");
+    if (!usage)
+        throw std::runtime_error(std::string("cannot write ") + argv[2]);
+    std::fprintf(usage, "{\"cpu_s\":%.9g,\"peak_rss_kb\":%ld}\n",
+                 seconds(ru.ru_utime) + seconds(ru.ru_stime), ru.ru_maxrss);
+    std::fclose(usage);
+    if (WIFEXITED(status))
+        return WEXITSTATUS(status);
+    return 128 + WTERMSIG(status);
+}
+
 } // anonymous namespace
 
 int
@@ -694,10 +746,13 @@ main(int argc, char **argv)
             return streamMain(argc, argv);
         if (cmd == "engine")
             return engineMain(argc, argv);
+        if (cmd == "exec")
+            return execMain(argc, argv);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "layer_probe %s: %s\n", cmd.c_str(), e.what());
         return 1;
     }
-    std::fprintf(stderr, "usage: layer_probe sweep|stream|engine ...\n");
+    std::fprintf(stderr,
+                 "usage: layer_probe sweep|stream|engine|exec ...\n");
     return 2;
 }
