@@ -16,12 +16,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/convolution_plan.h"
 #include "core/distribution.h"
 #include "core/profiler.h"
 #include "core/rubik_controller.h"
 #include "core/target_tail_table.h"
-#include "policies/distilled.h"
 #include "sim/simulation.h"
 #include "util/fft.h"
 #include "util/rng.h"
@@ -71,40 +69,6 @@ BM_TableRebuildNonConservative(benchmark::State &state)
 BENCHMARK(BM_TableRebuildNonConservative);
 
 void
-BM_TableRebuildWarmPlan(benchmark::State &state)
-{
-    // Steady-state controller shape: the ConvolutionPlan persists across
-    // rebuilds, so every mixing-distribution spectrum is a cache hit.
-    const auto compute = lognormalDist(13.0, 0.3, 1);
-    const auto memory = lognormalDist(-9.0, 0.3, 2);
-    TailTableConfig cfg;
-    cfg.rows = static_cast<std::size_t>(state.range(0));
-    ConvolutionPlan plan;
-    for (auto _ : state) {
-        auto table = TargetTailTable::build(compute, memory, cfg, &plan);
-        benchmark::DoNotOptimize(table);
-    }
-}
-BENCHMARK(BM_TableRebuildWarmPlan)->Arg(8)->Arg(16);
-
-void
-BM_TableRebuildPackedFft(benchmark::State &state)
-{
-    // The flagged packed real-input transform (one forward FFT per
-    // convolution with no spectrum cache; ~1e-12 from the exact path).
-    const auto compute = lognormalDist(13.0, 0.3, 1);
-    const auto memory = lognormalDist(-9.0, 0.3, 2);
-    TailTableConfig cfg;
-    cfg.rows = static_cast<std::size_t>(state.range(0));
-    cfg.packedRealFft = true;
-    for (auto _ : state) {
-        auto table = TargetTailTable::build(compute, memory, cfg);
-        benchmark::DoNotOptimize(table);
-    }
-}
-BENCHMARK(BM_TableRebuildPackedFft)->Arg(16);
-
-void
 BM_FrequencyDecision(benchmark::State &state)
 {
     // A warm Rubik controller deciding over a queue of `range` requests.
@@ -139,75 +103,6 @@ BM_FrequencyDecision(benchmark::State &state)
 }
 BENCHMARK(BM_FrequencyDecision)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
-/// Warm a controller exactly like BM_FrequencyDecision and enqueue
-/// `depth` requests, so the distilled benches measure the same decision
-/// problem the exact bench does.
-RubikController
-warmController(const DvfsModel &dvfs, CoreEngine &core, int depth)
-{
-    RubikConfig cfg;
-    cfg.latencyBound = 1.0 * kMs;
-    cfg.warmupSamples = 16;
-    RubikController rubik(dvfs, cfg);
-    Rng rng(3);
-    for (int i = 0; i < 64; ++i) {
-        CompletedRequest done;
-        done.computeCycles = rng.lognormal(13.0, 0.3);
-        done.memoryTime = rng.lognormal(-9.0, 0.3);
-        done.completionTime = i * 1e-4;
-        rubik.onCompletion(done, core.view());
-    }
-    rubik.periodicUpdate(core.view()); // builds the table
-    for (int i = 0; i < depth; ++i) {
-        Request r;
-        r.arrivalTime = core.now();
-        r.computeCycles = 5e5;
-        r.memoryTime = 1e-4;
-        core.enqueue(r);
-    }
-    return rubik;
-}
-
-void
-BM_DistilledDecision(benchmark::State &state)
-{
-    // The distilled LUT answering the same queue BM_FrequencyDecision
-    // answers exactly — the serve daemon's per-event hot path (view
-    // already materialized, decide() straight into the table).
-    const DvfsModel dvfs = DvfsModel::haswell();
-    const PowerModel pm(dvfs);
-    CoreEngine core(dvfs, pm);
-    RubikController rubik =
-        warmController(dvfs, core, static_cast<int>(state.range(0)));
-    const DistilledModel model =
-        DistilledModel::distill(rubik, dvfs, DistilledConfig{});
-    const CoreView view = core.view();
-    bool needExact = false;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(model.decide(view, &needExact));
-}
-BENCHMARK(BM_DistilledDecision)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
-
-void
-BM_DistilledPolicyDecision(benchmark::State &state)
-{
-    // Same decision through the full DvfsPolicy interface (view fill,
-    // power-cap ceiling, exact fallback wiring) — the overhead a
-    // simulator-driven DistilledPolicy pays on top of decide().
-    const DvfsModel dvfs = DvfsModel::haswell();
-    const PowerModel pm(dvfs);
-    CoreEngine core(dvfs, pm);
-    RubikController rubik =
-        warmController(dvfs, core, static_cast<int>(state.range(0)));
-    DistilledModel model =
-        DistilledModel::distill(rubik, dvfs, DistilledConfig{});
-    DistilledPolicy policy(std::move(model), rubik, dvfs,
-                           /*autoRetrain=*/false);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(policy.selectFrequency(core.view()));
-}
-BENCHMARK(BM_DistilledPolicyDecision)->Arg(4)->Arg(64);
-
 void
 BM_ConvolveFft(benchmark::State &state)
 {
@@ -231,18 +126,6 @@ BM_ConvolveDirect(benchmark::State &state)
         benchmark::DoNotOptimize(a.convolveWith(b, opts));
 }
 BENCHMARK(BM_ConvolveDirect);
-
-void
-BM_ConvolvePacked(benchmark::State &state)
-{
-    const auto a = lognormalDist(13.0, 0.3, 4);
-    const auto b = lognormalDist(13.0, 0.4, 5);
-    ConvolveOptions opts;
-    opts.packedReal = true;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(a.convolveWith(b, opts, nullptr));
-}
-BENCHMARK(BM_ConvolvePacked);
 
 void
 BM_FftPlanned(benchmark::State &state)

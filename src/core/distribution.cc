@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/convolution_plan.h"
 #include "util/error.h"
 #include "util/fft.h"
 #include "util/simd.h"
@@ -238,35 +237,18 @@ DiscreteDistribution::rebin(double new_width, std::size_t new_buckets) const
 }
 
 DiscreteDistribution
-DiscreteDistribution::convolveWith(const DiscreteDistribution &other) const
-{
-    return convolveWith(other, ConvolveOptions(), nullptr);
-}
-
-DiscreteDistribution
 DiscreteDistribution::convolveWith(const DiscreteDistribution &other,
-                                   bool use_fft) const
+                                   const ConvolveOptions &opts) const
 {
-    ConvolveOptions opts;
-    opts.useFft = use_fft;
-    return convolveWith(other, opts, nullptr);
-}
-
-DiscreteDistribution
-DiscreteDistribution::convolveWith(const DiscreteDistribution &other,
-                                   const ConvolveOptions &opts,
-                                   ConvolutionPlan *plan) const
-{
-    ConvolutionPlan &ws = plan ? *plan : ConvolutionPlan::threadLocal();
-
-    // Whole-result memoization: periodic table rebuilds re-convolve the
-    // same chains whenever the profiled distributions have stopped
-    // changing between rebuilds. A hit replays a result computed from
-    // bitwise-identical inputs on the same numeric path, so it cannot
-    // change a single bit of output.
-    if (const ConvolutionPlan::ConvResult *hit =
-            ws.findResult(*this, other, opts.useFft, opts.packedReal))
-        return DiscreteDistribution(hit->masses, hit->width);
+    // Scratch reused across calls: the FFT buffers, the raw convolution
+    // and the edge-split arena. Thread-local so ExperimentRunner jobs
+    // never share mutable state.
+    struct Scratch
+    {
+        FftScratch fft;
+        std::vector<double> raw, conv;
+    };
+    static thread_local Scratch ws;
 
     // Bring both operands to a common bucket width. Crucially, rebin the
     // narrower operand into only as many buckets as its support needs:
@@ -286,30 +268,18 @@ DiscreteDistribution::convolveWith(const DiscreteDistribution &other,
         lhs_storage = rebin(common, compact_len(*this));
         lhs = &lhs_storage;
     }
-    const std::size_t rhs_len =
-        other.width_ == common ? other.p_.size() : compact_len(other);
-    const std::size_t out_size = lhs->p_.size() + rhs_len - 1;
-
-    std::vector<double> &raw = ws.raw_;
-    if (opts.useFft && !opts.packedReal) {
-        // Exact FFT path: the rhs spectrum comes from the plan's cache,
-        // so a chain against a fixed mixing distribution transforms it
-        // once, not once per position.
-        const std::vector<std::complex<double>> &spec = ws.spectrumFor(
-            other, common, rhs_len, fftConvolveSize(out_size));
-        fftConvolveSpectrum(lhs->p_, spec, out_size, ws.scratch_, raw);
-    } else {
-        const DiscreteDistribution *rhs = &other;
-        DiscreteDistribution rhs_storage;
-        if (other.width_ != common) {
-            rhs_storage = other.rebin(common, rhs_len);
-            rhs = &rhs_storage;
-        }
-        if (!opts.useFft)
-            raw = directConvolve(lhs->p_, rhs->p_);
-        else
-            fftConvolvePacked(lhs->p_, rhs->p_, ws.scratch_, raw);
+    const DiscreteDistribution *rhs = &other;
+    DiscreteDistribution rhs_storage;
+    if (other.width_ != common) {
+        rhs_storage = other.rebin(common, compact_len(other));
+        rhs = &rhs_storage;
     }
+
+    std::vector<double> &raw = ws.raw;
+    if (opts.useFft)
+        fftConvolvePlanned(lhs->p_, rhs->p_, ws.fft, raw);
+    else
+        raw = directConvolve(lhs->p_, rhs->p_);
 
     // Index-domain convolution places the sum of two bucket midpoints,
     // (i+0.5)w + (j+0.5)w = (i+j+1)w, exactly on the edge between output
@@ -317,7 +287,7 @@ DiscreteDistribution::convolveWith(const DiscreteDistribution &other,
     // exactly (no half-bucket drift across chained convolutions).
     // conv[k] = 0.5*raw[k-1] + 0.5*raw[k], added low-index-first — the
     // same sums, in the same order, as the old accumulate-in-place loop.
-    std::vector<double> &conv = ws.conv_;
+    std::vector<double> &conv = ws.conv;
     conv.resize(raw.size() + 1);
     conv[0] = 0.5 * raw[0];
     simdKernels().edgeSplitAll(raw.data(), conv.data(), raw.size());
@@ -333,11 +303,8 @@ DiscreteDistribution::convolveWith(const DiscreteDistribution &other,
     const std::size_t n = p_.size();
     const double support = common * static_cast<double>(conv_len);
     const double new_width = support / static_cast<double>(n);
-    ConvolutionPlan::ConvResult result;
-    result.masses = rebinMasses(conv.data(), conv_len, common, new_width, n);
-    result.width = new_width;
-    ws.storeResult(*this, other, opts.useFft, opts.packedReal, result);
-    return DiscreteDistribution(std::move(result.masses), result.width);
+    return DiscreteDistribution(
+        rebinMasses(conv.data(), conv_len, common, new_width, n), new_width);
 }
 
 } // namespace rubik

@@ -22,9 +22,8 @@
  * Every distribution carries its CDF (prefix sums built with the same
  * accumulation order as the linear scans they replaced), so quantile()
  * and quantileUpper() are binary searches with bitwise-identical results.
- * Convolutions route through a ConvolutionPlan workspace — an explicit
- * one when the caller is running a chain, a per-thread fallback
- * otherwise — for plan-cached, allocation-free FFTs.
+ * Convolutions run planned FFTs in per-thread scratch buffers, so a
+ * chain allocates nothing beyond its results.
  */
 
 #include <cstddef>
@@ -34,8 +33,6 @@
 
 namespace rubik {
 
-class ConvolutionPlan;
-
 /// Convolution variant selection. The defaults are the exact path whose
 /// results every golden CSV pins down.
 struct ConvolveOptions
@@ -43,10 +40,6 @@ struct ConvolveOptions
     /// FFT path (paper's choice); the direct path is exact and used for
     /// testing.
     bool useFft = true;
-    /// Pack both real operands into a single forward transform. Agrees
-    /// with the exact FFT path to ~1e-12 but is NOT bitwise identical;
-    /// strictly opt-in (TailTableConfig::packedRealFft).
-    bool packedReal = false;
 };
 
 /**
@@ -106,34 +99,12 @@ class DiscreteDistribution
 
     /**
      * Convolution with another distribution (sum of independent draws),
-     * rebinned back to this distribution's bucket count. Uses the
-     * default (exact FFT) path; equivalent to passing a
-     * default-constructed ConvolveOptions.
+     * rebinned back to this distribution's bucket count. The default
+     * options take the exact FFT path.
      */
     DiscreteDistribution convolveWith(
-        const DiscreteDistribution &other) const;
-
-    /**
-     * @deprecated Loose boolean overload; numerics knobs are collected
-     * in ConvolveOptions (and surfaced through SimOptions::numerics at
-     * the API level) so every deviation from the default path is named
-     * at the call site. Use convolveWith(other, opts, plan).
-     */
-    [[deprecated("pass ConvolveOptions (see sim/sim_options.h) instead "
-                 "of a bare use_fft flag")]]
-    DiscreteDistribution convolveWith(const DiscreteDistribution &other,
-                                      bool use_fft) const;
-
-    /**
-     * Convolution with explicit options and an optional reusable
-     * workspace. Chains (tailChain, table builds) pass a plan so the
-     * mixing distribution's spectrum is computed once per chain and the
-     * temporaries live in one arena; with opts at defaults the result is
-     * bitwise identical to convolveWith(other).
-     */
-    DiscreteDistribution convolveWith(
-        const DiscreteDistribution &other, const ConvolveOptions &opts,
-        ConvolutionPlan *plan = nullptr) const;
+        const DiscreteDistribution &other,
+        const ConvolveOptions &opts = {}) const;
 
     /// Rebin to a new bucket width/count (mass split proportionally).
     DiscreteDistribution rebin(double new_width,
@@ -147,8 +118,6 @@ class DiscreteDistribution
     }
 
   private:
-    friend class ConvolutionPlan;
-
     DiscreteDistribution() = default;
 
     void normalize();

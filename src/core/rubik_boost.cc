@@ -35,7 +35,6 @@ RubikBoostController::reset()
     mixTable_.reset();
     for (auto &t : classTables_)
         t.reset();
-    convPlan_.clear();
     internalTarget_ = cfg_.base.latencyBound;
     measured_ = RollingTail(cfg_.base.feedbackWindow);
     pi_.reset(1.0);
@@ -126,8 +125,7 @@ RubikBoostController::periodicUpdate(const CoreView &core)
         const DiscreteDistribution mix_m =
             mixProfiler_.memoryDistribution();
         // One fused pass builds the mixture table plus every warm
-        // class table, sharing the mixture moments and the plan's
-        // cached spectra across the whole batch.
+        // class table, sharing the mixture moments across the batch.
         std::vector<DiscreteDistribution> class_c, class_m;
         std::vector<const DiscreteDistribution *> cc(cfg_.numClasses,
                                                      nullptr);
@@ -146,7 +144,7 @@ RubikBoostController::periodicUpdate(const CoreView &core)
             cm[k] = &class_m.back();
         }
         auto tables = TargetTailTable::buildBatch(
-            mix_c, mix_m, cc, cm, cfg_.base.table, &convPlan_);
+            mix_c, mix_m, cc, cm, cfg_.base.table);
         mixTable_ = std::move(tables[0]);
         for (int k = 0; k < cfg_.numClasses; ++k) {
             if (tables[1 + k])

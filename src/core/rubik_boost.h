@@ -28,7 +28,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/convolution_plan.h"
 #include "core/pi_controller.h"
 #include "core/profiler.h"
 #include "core/rubik_controller.h"
@@ -79,9 +78,6 @@ class RubikBoostController : public DvfsPolicy
     std::vector<Profiler> classProfilers_;
     std::optional<TargetTailTable> mixTable_;
     std::vector<std::optional<TargetTailTable>> classTables_;
-    /// Reused across periodic rebuilds (all class tables share the
-    /// mixture distributions, so its spectrum cache carries across).
-    ConvolutionPlan convPlan_;
 
     double internalTarget_;
     RollingTail measured_;

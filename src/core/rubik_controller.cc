@@ -25,7 +25,6 @@ RubikController::reset()
 {
     profiler_.clear();
     table_.reset();
-    convPlan_.clear();
     internalTarget_ = cfg_.latencyBound;
     measured_ = RollingTail(cfg_.feedbackWindow);
     pi_.reset(1.0);
@@ -112,7 +111,7 @@ RubikController::periodicUpdate(const CoreView &core)
     if (profiler_.numSamples() >= cfg_.warmupSamples && enough_new) {
         table_ = TargetTailTable::build(profiler_.computeDistribution(),
                                         profiler_.memoryDistribution(),
-                                        cfg_.table, &convPlan_);
+                                        cfg_.table);
         ++tableRebuilds_;
         completionsAtLastBuild_ = completionsSeen_;
     }

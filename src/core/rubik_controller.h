@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/convolution_plan.h"
 #include "core/pi_controller.h"
 #include "core/profiler.h"
 #include "core/target_tail_table.h"
@@ -88,7 +87,6 @@ class RubikController : public DvfsPolicy
     double internalTarget() const { return internalTarget_; }
     const RubikConfig &config() const { return cfg_; }
     uint64_t tableRebuilds() const { return tableRebuilds_; }
-    const ConvolutionPlan &convolutionPlan() const { return convPlan_; }
     /// @}
 
   private:
@@ -99,11 +97,6 @@ class RubikController : public DvfsPolicy
     RubikConfig cfg_;
     Profiler profiler_;
     std::optional<TargetTailTable> table_;
-    /// Convolution workspace reused across the periodic table rebuilds;
-    /// its spectrum cache makes each rebuild transform the (slowly
-    /// drifting) mixing distributions once per chain step, and the
-    /// arenas drop the rebuild's allocation churn.
-    ConvolutionPlan convPlan_;
     double internalTarget_;
     RollingTail measured_;
     PiController pi_;

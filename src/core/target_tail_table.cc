@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/convolution_plan.h"
 #include "stats/percentile.h"
 #include "util/error.h"
 
@@ -13,17 +12,14 @@ namespace {
 
 /**
  * Compute one row's exact tails: percentiles of the convolution chain
- * S_0 ⊛ S^(⊛i) for i = 0..positions-1. The plan carries the FFT scratch
- * and the cached spectrum of `s` across positions (and across the rows
- * of a build), so each step pays one forward transform, not two.
+ * S_0 ⊛ S^(⊛i) for i = 0..positions-1.
  */
 std::vector<double>
 tailChain(const DiscreteDistribution &s0, const DiscreteDistribution &s,
-          const TailTableConfig &cfg, ConvolutionPlan &plan)
+          const TailTableConfig &cfg)
 {
     ConvolveOptions opts;
     opts.useFft = cfg.useFft;
-    opts.packedReal = cfg.packedRealFft;
 
     std::vector<double> tails;
     tails.reserve(cfg.positions);
@@ -37,7 +33,7 @@ tailChain(const DiscreteDistribution &s0, const DiscreteDistribution &s,
             tail = std::max(tail, tails.back());
         tails.push_back(tail);
         if (i + 1 < cfg.positions)
-            cur = cur.convolveWith(s, opts, &plan);
+            cur = cur.convolveWith(s, opts);
     }
     return tails;
 }
@@ -47,10 +43,9 @@ tailChain(const DiscreteDistribution &s0, const DiscreteDistribution &s,
 TargetTailTable
 TargetTailTable::build(const DiscreteDistribution &compute,
                        const DiscreteDistribution &memory,
-                       const TailTableConfig &config,
-                       ConvolutionPlan *plan)
+                       const TailTableConfig &config)
 {
-    return build(compute, memory, compute, memory, config, plan);
+    return build(compute, memory, compute, memory, config);
 }
 
 TargetTailTable::MixTerms
@@ -76,18 +71,10 @@ TargetTailTable::build(const DiscreteDistribution &s0_compute,
                        const DiscreteDistribution &s0_memory,
                        const DiscreteDistribution &mix_compute,
                        const DiscreteDistribution &mix_memory,
-                       const TailTableConfig &config,
-                       ConvolutionPlan *plan)
+                       const TailTableConfig &config)
 {
-    // Plan-less builds share the thread's fallback plan (the same one
-    // convolveWith uses), so periodic rebuilds against slowly-drifting
-    // profiles reuse cached spectra instead of re-transforming the
-    // mixing distribution cold on every build. Cached replays are
-    // bitwise identical by construction (exact-content keys).
-    ConvolutionPlan &ws = plan ? *plan : ConvolutionPlan::threadLocal();
     return buildImpl(s0_compute, s0_memory, mix_compute, mix_memory,
-                     config, mixTerms(mix_compute, mix_memory, config),
-                     ws);
+                     config, mixTerms(mix_compute, mix_memory, config));
 }
 
 std::vector<std::optional<TargetTailTable>>
@@ -96,17 +83,16 @@ TargetTailTable::buildBatch(
     const DiscreteDistribution &mix_memory,
     const std::vector<const DiscreteDistribution *> &class_compute,
     const std::vector<const DiscreteDistribution *> &class_memory,
-    const TailTableConfig &config, ConvolutionPlan *plan)
+    const TailTableConfig &config)
 {
     RUBIK_ASSERT(class_compute.size() == class_memory.size(),
                  "class compute/memory lists must match");
-    ConvolutionPlan &ws = plan ? *plan : ConvolutionPlan::threadLocal();
     const MixTerms terms = mixTerms(mix_compute, mix_memory, config);
 
     std::vector<std::optional<TargetTailTable>> out;
     out.reserve(1 + class_compute.size());
     out.emplace_back(buildImpl(mix_compute, mix_memory, mix_compute,
-                               mix_memory, config, terms, ws));
+                               mix_memory, config, terms));
     for (std::size_t k = 0; k < class_compute.size(); ++k) {
         if (!class_compute[k] && !class_memory[k]) {
             out.emplace_back(std::nullopt);
@@ -116,7 +102,7 @@ TargetTailTable::buildBatch(
                      "class compute/memory must be paired");
         out.emplace_back(buildImpl(*class_compute[k], *class_memory[k],
                                    mix_compute, mix_memory, config,
-                                   terms, ws));
+                                   terms));
     }
     return out;
 }
@@ -127,7 +113,7 @@ TargetTailTable::buildImpl(const DiscreteDistribution &s0_compute,
                            const DiscreteDistribution &mix_compute,
                            const DiscreteDistribution &mix_memory,
                            const TailTableConfig &config,
-                           const MixTerms &terms, ConvolutionPlan &ws)
+                           const MixTerms &terms)
 {
     const DiscreteDistribution &compute = mix_compute;
     const DiscreteDistribution &memory = mix_memory;
@@ -177,8 +163,8 @@ TargetTailTable::buildImpl(const DiscreteDistribution &s0_compute,
         const double m = b == 0 ? 0.0 : s0_memory.quantile(q);
         const DiscreteDistribution s0 = s0_compute.conditionalOnElapsed(w);
         const DiscreteDistribution m0 = s0_memory.conditionalOnElapsed(m);
-        bounds[b].cyc = tailChain(s0, compute, config, ws);
-        bounds[b].mem = tailChain(m0, memory, config, ws);
+        bounds[b].cyc = tailChain(s0, compute, config);
+        bounds[b].mem = tailChain(m0, memory, config);
         bounds[b].meanC = s0.mean();
         bounds[b].varC = s0.variance();
         bounds[b].meanM = m0.mean();

@@ -28,8 +28,6 @@
 
 namespace rubik {
 
-class ConvolutionPlan;
-
 /// Table shape and numerical options.
 struct TailTableConfig
 {
@@ -38,10 +36,6 @@ struct TailTableConfig
     double percentile = 0.95;    ///< Target tail percentile.
     std::size_t buckets = 128;   ///< Distribution resolution.
     bool useFft = true;          ///< FFT-accelerated convolutions.
-    /// Pack each convolution's two real operands into a single forward
-    /// transform. Off by default: it agrees with the exact FFT path only
-    /// to ~1e-12, and every golden CSV pins the exact path's bits.
-    bool packedRealFft = false;
     /// Evaluate each row's conditional at both row boundaries and keep the
     /// larger tail (guards against rows where conditioning on more elapsed
     /// work lengthens the remaining-work tail, e.g. heavy-tailed apps).
@@ -62,14 +56,11 @@ class TargetTailTable
     /**
      * Build the tables from the profiled compute-cycle distribution
      * (values in cycles) and memory-time distribution (values in
-     * seconds). Passing a ConvolutionPlan reuses its FFT scratch,
-     * temporaries, and cached mixing-distribution spectra across rows
-     * and across rebuilds; results are identical with or without one.
+     * seconds).
      */
     static TargetTailTable build(const DiscreteDistribution &compute,
                                  const DiscreteDistribution &memory,
-                                 const TailTableConfig &config,
-                                 ConvolutionPlan *plan = nullptr);
+                                 const TailTableConfig &config);
 
     /**
      * Class-aware build (the Rubik+Adrenaline hybrid, Sec. 5.2's
@@ -81,19 +72,17 @@ class TargetTailTable
                                  const DiscreteDistribution &s0_memory,
                                  const DiscreteDistribution &mix_compute,
                                  const DiscreteDistribution &mix_memory,
-                                 const TailTableConfig &config,
-                                 ConvolutionPlan *plan = nullptr);
+                                 const TailTableConfig &config);
 
     /**
      * Fused batch build: the mixture table plus one class-conditioned
      * table per non-null (class_compute[k], class_memory[k]) pair, all
-     * in one pass. The mixture moments, the percentile quantile, and
-     * the convolution plan (and with it the mixing distribution's
-     * cached FFT spectra) are computed once and shared across every
-     * member instead of once per build() call. Slot 0 of the result is
-     * the mixture table; slot 1+k the class-k table, disengaged where
-     * the inputs were null. Each table is bitwise identical to the
-     * equivalent individual build() call.
+     * in one pass. The mixture moments and the percentile quantile are
+     * computed once and shared across every member instead of once per
+     * build() call. Slot 0 of the result is the mixture table; slot
+     * 1+k the class-k table, disengaged where the inputs were null.
+     * Each table is bitwise identical to the equivalent individual
+     * build() call.
      */
     static std::vector<std::optional<TargetTailTable>>
     buildBatch(const DiscreteDistribution &mix_compute,
@@ -102,8 +91,7 @@ class TargetTailTable
                    &class_compute,
                const std::vector<const DiscreteDistribution *>
                    &class_memory,
-               const TailTableConfig &config,
-               ConvolutionPlan *plan = nullptr);
+               const TailTableConfig &config);
 
     /// Row for a request that has executed `omega` cycles so far.
     std::size_t rowForElapsed(double omega) const;
@@ -150,8 +138,7 @@ class TargetTailTable
               const DiscreteDistribution &s0_memory,
               const DiscreteDistribution &mix_compute,
               const DiscreteDistribution &mix_memory,
-              const TailTableConfig &config, const MixTerms &terms,
-              ConvolutionPlan &plan);
+              const TailTableConfig &config, const MixTerms &terms);
 
     TailTableConfig config_;
     std::vector<double> rowBounds_;

@@ -11,7 +11,6 @@
 #include "core/rubik_boost.h"
 #include "core/rubik_controller.h"
 #include "policies/adrenaline.h"
-#include "policies/distilled.h"
 #include "policies/dynamic_oracle.h"
 #include "policies/pegasus.h"
 #include "policies/replay.h"
@@ -89,9 +88,8 @@ const std::vector<std::string> &
 knownPolicyNames()
 {
     static const std::vector<std::string> names = {
-        "fixed",     "static", "dynamic",    "adrenaline",
-        "pegasus",   "rubik",  "rubik-nofb", "boost",
-        "distilled", "rubik-thermal"};
+        "fixed", "static",     "dynamic", "adrenaline",   "pegasus",
+        "rubik", "rubik-nofb", "boost",   "rubik-thermal"};
     return names;
 }
 
@@ -239,19 +237,6 @@ runPolicy(const std::string &policy, const PolicyRunRequest &request)
         cfg.base.table = request.options.tableConfig();
         cfg.thermal = request.options.thermal.params;
         RubikThermalController scheme(dvfs, power, cfg);
-        adopt(run_capped(scheme));
-    } else if (policy == "distilled") {
-        // Rubik with the distilled LUT as the fast path and the exact
-        // controller as fallback + trainer. Feedback is off so the
-        // internal target is constant between table rebuilds and each
-        // auto-retrained model stays faithful for its whole lifetime.
-        RubikConfig cfg;
-        cfg.latencyBound = bound;
-        cfg.feedback = false;
-        cfg.table = request.options.tableConfig();
-        RubikController exact(dvfs, cfg);
-        DistilledPolicy scheme(DistilledModel(), exact, dvfs,
-                               /*autoRetrain=*/true);
         adopt(run_capped(scheme));
     } else if (policy == "boost") {
         RubikBoostConfig cfg;

@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +23,10 @@
 namespace rubik {
 
 namespace {
+
+/// Longest unterminated request a client may buffer; past it the
+/// client gets `err line too long` and is dropped.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 volatile sig_atomic_t g_stop = 0;
 
@@ -145,6 +151,10 @@ handleLine(ServeEngine &engine, const DvfsModel &dvfs,
             (toks.size() > 2 && !parseDouble(toks[2], &elapsed)) ||
             (toks.size() > 3 && !parseDouble(toks[3], &hint)))
             return "err usage: a <t> [elapsed_cycles] [class_hint]";
+        // Range-check before the int cast (out of range is UB); NaN
+        // fails every comparison.
+        if (!(hint >= -1.0 && hint <= INT_MAX && hint == std::floor(hint)))
+            return "err class hint must be an integer in [-1, INT_MAX]";
         const ServeDecision d =
             engine.onArrival(t, elapsed, static_cast<int>(hint));
         if (!d.ok)
@@ -287,6 +297,10 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
                             "\n";
                         if (!writeAll(c.fd, reply))
                             drop = true;
+                    }
+                    if (!drop && c.inbuf.size() > kMaxLineBytes) {
+                        writeAll(c.fd, "err line too long\n");
+                        drop = true;
                     }
                 }
             }

@@ -20,7 +20,11 @@
  *   ping                                 ->  ok
  *   shutdown                             ->  ok (then exits cleanly)
  *
- * Errors reply "err <message>". SIGTERM/SIGINT stop the poll loop,
+ * Errors reply "err <message>": among them a non-finite or negative
+ * value, a timestamp before the engine clock, and a class hint that is
+ * not an integer in [-1, INT_MAX]. A client whose unterminated line
+ * passes 64 KiB gets "err line too long" and is dropped. SIGTERM/SIGINT
+ * stop the poll loop,
  * close every client, and unlink the socket file. A stale socket left
  * by a killed daemon is detected with a connect() probe and replaced;
  * a live one refuses startup.

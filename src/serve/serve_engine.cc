@@ -1,6 +1,7 @@
 #include "serve/serve_engine.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <ctime>
 
@@ -37,19 +38,8 @@ ServeEngine::ServeEngine(const DvfsModel &dvfs, const ServeConfig &config)
     rc.feedback = cfg_.feedback;
     rc.table = cfg_.table;
     exact_ = std::make_unique<RubikController>(dvfs_, rc);
-
-    if (cfg_.distill || !cfg_.modelPath.empty()) {
-        DistilledModel model; // untrained: every decision falls back
-        if (!cfg_.modelPath.empty())
-            model = DistilledModel::load(cfg_.modelPath);
-        distilled_ = std::make_unique<DistilledPolicy>(
-            std::move(model), *exact_, dvfs_,
-            /*autoRetrain=*/cfg_.distill);
-    }
-    DvfsPolicy &active =
-        distilled_ ? static_cast<DvfsPolicy &>(*distilled_) : *exact_;
     log_.latency = cfg_.timeDecisions ? &latency_ : nullptr;
-    recorder_ = std::make_unique<DecisionRecordingPolicy>(active, log_);
+    recorder_ = std::make_unique<DecisionRecordingPolicy>(*exact_, log_);
 
     frequency_ = dvfs_.maxFrequency(); // conservative until warm
     arrivals_.reserve(1024);
@@ -57,6 +47,21 @@ ServeEngine::ServeEngine(const DvfsModel &dvfs, const ServeConfig &config)
 }
 
 ServeEngine::~ServeEngine() = default;
+
+const char *
+ServeEngine::invalidEvent(double t, double a, double b) const
+{
+    // Checked before any state changes: an infinite t would spin the
+    // periodic catch-up loop in advanceTo forever, and a NaN or a
+    // negative amount of work would poison the profiler.
+    if (!std::isfinite(t) || !std::isfinite(a) || !std::isfinite(b))
+        return "non-finite value";
+    if (a < 0.0 || b < 0.0)
+        return "negative cycles or time";
+    if (t < now_)
+        return "timestamp before engine clock";
+    return nullptr;
+}
 
 CoreView
 ServeEngine::view(double now) const
@@ -82,8 +87,7 @@ ServeEngine::advanceTo(double t)
     // scheduled instants — the same ordering the simulator enforces.
     while (recorder_->nextPeriodicUpdate() <= t)
         recorder_->periodicUpdate(view(recorder_->nextPeriodicUpdate()));
-    if (t > now_)
-        now_ = t;
+    now_ = t; // invalidEvent() already rejected t < now_
 }
 
 double
@@ -100,10 +104,13 @@ ServeDecision
 ServeEngine::onArrival(double t, double elapsedCycles, int classHint)
 {
     ServeDecision d;
-    if (queueDepth() >= cfg_.maxQueue) {
+    d.error = invalidEvent(t, elapsedCycles, 0.0);
+    if (!d.error && queueDepth() >= cfg_.maxQueue) {
         ++rejected_;
-        d.ok = false;
         d.error = "queue full";
+    }
+    if (d.error) {
+        d.ok = false;
         d.frequency = frequency_;
         return d;
     }
@@ -133,9 +140,11 @@ ServeEngine::onCompletion(double t, double computeCycles,
                           double memoryTime)
 {
     ServeDecision d;
-    if (queueDepth() == 0) {
-        d.ok = false;
+    d.error = invalidEvent(t, computeCycles, memoryTime);
+    if (!d.error && queueDepth() == 0)
         d.error = "completion with empty queue";
+    if (d.error) {
+        d.ok = false;
         d.frequency = frequency_;
         return d;
     }
@@ -162,14 +171,6 @@ ServeEngine::statsJson() const
     const double wallS = static_cast<double>(wallNs) * 1e-9;
     const double rate =
         wallS > 0.0 ? static_cast<double>(log_.count) / wallS : 0.0;
-    const uint64_t fast = distilled_ ? distilled_->fastDecisions() : 0;
-    const uint64_t fallback =
-        distilled_ ? distilled_->fallbackDecisions() : 0;
-    const double hitRate =
-        fast + fallback > 0
-            ? static_cast<double>(fast) /
-                  static_cast<double>(fast + fallback)
-            : 0.0;
     const std::size_t window = exact_->config().profileWindow;
     const uint64_t occupancy =
         completionsSeen_ < window ? completionsSeen_ : window;
@@ -186,22 +187,13 @@ ServeEngine::statsJson() const
         "\"transitions\":%" PRIu64 ",\"arrivals\":%" PRIu64 ","
         "\"completions\":%" PRIu64 ",\"rejected\":%" PRIu64 ","
         "\"latency_ns\":{\"p50\":%.6g,\"p99\":%.6g,\"max\":%" PRIu64
-        ",\"mean\":%.6g},"
-        "\"distilled\":{\"enabled\":%s,\"trained\":%s,"
-        "\"fast_decisions\":%" PRIu64 ",\"fallback_decisions\":%" PRIu64
-        ",\"fast_hit_rate\":%.6g,\"retrains\":%" PRIu64
-        ",\"lut_bytes\":%zu}}",
+        ",\"mean\":%.6g}}",
         exact_->tableRebuilds(), exact_->warm() ? "true" : "false",
         exact_->internalTarget() * 1e3, window, occupancy, queueDepth(),
         frequency_ * 1e-9, log_.count, rate, log_.hash, transitions_,
         arrivalsSeen_, completionsSeen_, rejected_,
         latency_.percentileNs(0.5), latency_.percentileNs(0.99),
-        latency_.maxNs(), latency_.meanNs(),
-        distilled_ ? "true" : "false",
-        distilled_ && distilled_->model().trained() ? "true" : "false",
-        fast, fallback, hitRate,
-        distilled_ ? distilled_->retrains() : 0,
-        distilled_ ? distilled_->model().lutBytes() : 0);
+        latency_.maxNs(), latency_.meanNs());
     return buf;
 }
 

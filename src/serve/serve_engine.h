@@ -12,8 +12,9 @@
  * queue in a compacting arrival-lane ring (bounded memory no matter
  * how long it runs), feeds completions to the exact Rubik profiler,
  * rebuilds tail tables on the controller's own periodic path, and
- * answers every event with a frequency decision — optionally via the
- * distilled LUT fast path with exact fallback and auto-retrain.
+ * answers every event with the exact controller's frequency decision.
+ * Events with non-finite or negative values, or with a timestamp
+ * before the engine clock, are rejected before they touch any state.
  *
  * Every decision flows through a DecisionRecordingPolicy, so the
  * engine's stream carries the same (count, chained-hash) identity and
@@ -24,12 +25,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/rubik_controller.h"
-#include "policies/distilled.h"
 #include "power/dvfs_model.h"
 #include "sim/decision_log.h"
 #include "stats/latency_histogram.h"
@@ -47,20 +46,13 @@ struct ServeConfig
     double updatePeriod = 100e-3;
     /**
      * PI feedback on the measured tail. Off by default in serve mode:
-     * feedback moves the internal target every period, which forces a
-     * re-distillation each time to keep the fast path faithful.
+     * the internal target stays at the bound, and the decision hashes
+     * recorded for existing streams were taken that way (turning it on
+     * changes them).
      */
     bool feedback = false;
     /// Table shape (rows, positions, buckets...).
     TailTableConfig table;
-    /// Serve decisions from a distilled LUT (trained automatically
-    /// after each table rebuild) with exact fallback.
-    bool distill = false;
-    /// Distillation shape for the auto-trained models.
-    DistilledConfig distillConfig;
-    /// Optional pre-trained model file (rubik_cli distill) to serve
-    /// from before the first in-daemon training.
-    std::string modelPath;
     /// Reject arrivals beyond this many in-flight requests (bounded
     /// memory; a real server sheds load long before this).
     std::size_t maxQueue = 1 << 16;
@@ -88,10 +80,10 @@ class ServeEngine
     ~ServeEngine();
 
     /**
-     * Request arrival at time `t` (seconds, monotone per stream).
-     * `elapsedCycles` optionally reports the running request's
-     * executed cycles at `t` (0 when unknown); `classHint` is the
-     * Adrenaline-style class (-1: none). Returns the frequency
+     * Request arrival at time `t` (seconds, non-decreasing per
+     * stream). `elapsedCycles` optionally reports the running
+     * request's executed cycles at `t` (0 when unknown); `classHint`
+     * is the Adrenaline-style class (-1: none). Returns the frequency
      * decision.
      */
     ServeDecision onArrival(double t, double elapsedCycles = 0.0,
@@ -118,11 +110,13 @@ class ServeEngine
     bool warm() const { return exact_->warm(); }
     double frequency() const { return frequency_; }
     const RubikController &controller() const { return *exact_; }
-    const DistilledPolicy *distilled() const { return distilled_.get(); }
     const ServeConfig &config() const { return cfg_; }
     /// @}
 
   private:
+    /// Static error for an event time or value the engine must not
+    /// consume; nullptr when every value is acceptable.
+    const char *invalidEvent(double t, double a, double b) const;
     CoreView view(double now) const;
     /// Run due periodic updates, then advance the stream clock.
     void advanceTo(double t);
@@ -143,7 +137,6 @@ class ServeEngine
     double frequency_ = 0.0;
 
     std::unique_ptr<RubikController> exact_;
-    std::unique_ptr<DistilledPolicy> distilled_;
     std::unique_ptr<DecisionRecordingPolicy> recorder_;
 
     DecisionLog log_;

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/distribution.h"
-
 namespace rubik {
 
 void
@@ -28,23 +26,6 @@ SimOptions::validate() const
             "SimOptions: table.buckets must be >= 2");
     if (thermal.enabled)
         thermal.params.validate();
-}
-
-TailTableConfig
-SimOptions::tableConfig() const
-{
-    TailTableConfig cfg = table;
-    cfg.packedRealFft = numerics.packedRealFft;
-    return cfg;
-}
-
-ConvolveOptions
-SimOptions::convolveOptions() const
-{
-    ConvolveOptions opts;
-    opts.useFft = table.useFft;
-    opts.packedReal = numerics.packedRealFft;
-    return opts;
 }
 
 bool

@@ -7,30 +7,20 @@
  *
  * The simulator grew knobs in several places — engine behavior in
  * SimConfig/CoreEngineConfig, tail-table shape in TailTableConfig,
- * convolution numerics in ConvolveOptions, SIMD dispatch in the
- * RUBIK_SIMD environment variable — and callers (CLI one-shot, sweep
- * cells, the fleet coordinator, benches) each assembled their own
- * subset. SimOptions collects them into one validated hierarchy that
- * PolicyRunRequest carries, so a new knob lands in exactly one struct
- * and flows to every entry point.
+ * SIMD dispatch in the RUBIK_SIMD environment variable — and callers
+ * (CLI one-shot, sweep cells, the fleet coordinator, benches) each
+ * assembled their own subset. SimOptions collects them into one
+ * validated hierarchy that PolicyRunRequest carries, so a new knob
+ * lands in exactly one struct and flows to every entry point.
  *
  * Numerics policy: everything in SimOptions defaults to the exact
- * reference path — the one the golden CSVs pin byte-for-byte. The only
- * opt-in deviations live in NumericsOptions, which is the single place
- * such paths are declared:
+ * reference path — the one the golden CSVs pin byte-for-byte.
+ * NumericsOptions is the single place that selects alternative
+ * arithmetic implementations:
  *
  *   - `simd`: runtime kernel dispatch (util/simd.h). All vector kernels
  *     are pinned bitwise-identical to scalar, so this is a speed knob,
- *     not an accuracy knob; it is grouped here because it selects
- *     alternative arithmetic implementations.
- *   - `packedRealFft`: UNSAFE — packs both real convolution operands
- *     into one forward transform. Agrees with the exact path only to
- *     ~1e-12, so outputs are no longer bitwise reproducible across the
- *     packed/unpacked choice.
- *
- * The loose per-call overloads these structs replace (e.g. the bare
- * `use_fft` boolean on DiscreteDistribution::convolveWith) are
- * deprecated; new code names its numerics through this hierarchy.
+ *     not an accuracy knob.
  */
 
 #include "core/target_tail_table.h"
@@ -39,8 +29,6 @@
 #include "util/simd.h"
 
 namespace rubik {
-
-struct ConvolveOptions;
 
 /**
  * The single declaration point for numerics that select alternative
@@ -52,9 +40,6 @@ struct NumericsOptions
     /// Kernel dispatch (bitwise-pinned to scalar; Auto = best
     /// supported). Applied process-wide via applySimdMode().
     SimdMode simd = SimdMode::Auto;
-    /// UNSAFE opt-in: packed real-input FFT convolutions (~1e-12 from
-    /// the exact path; breaks byte-identity of outputs).
-    bool packedRealFft = false;
 };
 
 /// All options for one policy run, grouped by subsystem.
@@ -64,10 +49,9 @@ struct SimOptions
     /// wake latency, timeline recording).
     SimConfig engine;
     /// Tail-table shape (rows, positions, percentile, buckets,
-    /// conservative row bounds). The table's own numerics flags are
-    /// overridden from `numerics` — set them there, not here.
+    /// conservative row bounds).
     TailTableConfig table;
-    /// Opt-in numerics deviations; see NumericsOptions.
+    /// Kernel dispatch; see NumericsOptions.
     NumericsOptions numerics;
     /// Opt-in thermal RC network + temperature-dependent leakage
     /// (power/thermal_model.h). Disabled by default; a disabled run is
@@ -81,13 +65,8 @@ struct SimOptions
      */
     void validate() const;
 
-    /// Table config with the numerics opt-ins folded in — what policy
-    /// constructors should consume instead of reading `table` raw.
-    TailTableConfig tableConfig() const;
-
-    /// Convolution options implied by `numerics` (for direct
-    /// DiscreteDistribution::convolveWith callers).
-    ConvolveOptions convolveOptions() const;
+    /// Table config for policy constructors.
+    TailTableConfig tableConfig() const { return table; }
 
     /**
      * Apply `numerics.simd` process-wide (util/simd.h setSimdMode).

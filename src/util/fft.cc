@@ -31,6 +31,17 @@ loadRealPadded(const std::vector<double> &x, std::size_t n,
     std::fill(d + 2 * m, d + 2 * n, 0.0);
 }
 
+/// Smallest power of two >= out_size: the transform length of a linear
+/// convolution with that output size.
+std::size_t
+fftConvolveSize(std::size_t out_size)
+{
+    std::size_t n = 1;
+    while (n < out_size)
+        n <<= 1;
+    return n;
+}
+
 } // anonymous namespace
 
 void
@@ -164,24 +175,6 @@ FftPlan::run(std::vector<std::complex<double>> &a, bool invert) const
     run(a.data(), invert);
 }
 
-std::size_t
-fftConvolveSize(std::size_t out_size)
-{
-    std::size_t n = 1;
-    while (n < out_size)
-        n <<= 1;
-    return n;
-}
-
-void
-fftRealSpectrum(const std::vector<double> &x, std::size_t n,
-                std::vector<std::complex<double>> &spec)
-{
-    RUBIK_ASSERT(x.size() <= n, "sequence longer than transform");
-    loadRealPadded(x, n, spec);
-    FftPlan::forSize(n).run(spec.data(), false);
-}
-
 std::vector<double>
 fftConvolve(const std::vector<double> &a, const std::vector<double> &b)
 {
@@ -223,80 +216,20 @@ fftConvolvePlanned(const std::vector<double> &a,
     const std::size_t n = fftConvolveSize(out_size);
     const FftPlan &plan = FftPlan::forSize(n);
 
-    loadRealPadded(b, n, scratch.fb);
-    plan.run(scratch.fb.data(), false);
-
-    fftConvolveSpectrum(a, scratch.fb, out_size, scratch, out);
-}
-
-void
-fftConvolveSpectrum(const std::vector<double> &a,
-                    const std::vector<std::complex<double>> &b_spec,
-                    std::size_t out_size, FftScratch &scratch,
-                    std::vector<double> &out)
-{
-    const std::size_t n = b_spec.size();
-    RUBIK_ASSERT(n == fftConvolveSize(out_size),
-                 "spectrum length does not match output size");
-    const FftPlan &plan = FftPlan::forSize(n);
-
     loadRealPadded(a, n, scratch.fa);
     plan.run(scratch.fa.data(), false);
+    loadRealPadded(b, n, scratch.fb);
+    plan.run(scratch.fb.data(), false);
     // Pointwise product on raw doubles: same ops (rounded identically)
     // as the std::complex multiply, minus the NaN-recovery checks.
     const SimdKernels &kern = simdKernels();
     double *fa = reinterpret_cast<double *>(scratch.fa.data());
-    const double *bs = reinterpret_cast<const double *>(b_spec.data());
-    kern.complexMulAll(fa, bs, n);
+    const double *fb = reinterpret_cast<const double *>(scratch.fb.data());
+    kern.complexMulAll(fa, fb, n);
     plan.run(scratch.fa.data(), true);
 
     out.resize(out_size);
     kern.clampRealAll(fa, out.data(), out_size);
-}
-
-void
-fftConvolvePacked(const std::vector<double> &a,
-                  const std::vector<double> &b, FftScratch &scratch,
-                  std::vector<double> &out)
-{
-    if (a.empty() || b.empty()) {
-        out.clear();
-        return;
-    }
-    const std::size_t out_size = a.size() + b.size() - 1;
-    const std::size_t n = fftConvolveSize(out_size);
-    const FftPlan &plan = FftPlan::forSize(n);
-
-    // z = a + i*b in one buffer; one forward transform carries both.
-    scratch.fa.assign(n, std::complex<double>());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        scratch.fa[i] = a[i];
-    for (std::size_t i = 0; i < b.size(); ++i)
-        scratch.fa[i] += std::complex<double>(0.0, b[i]);
-    plan.run(scratch.fa.data(), false);
-
-    // Split Z into the spectra of the even (a) and odd (b) lanes and
-    // multiply: A = (Z[k] + conj(Z[-k]))/2, B = (Z[k] - conj(Z[-k]))/(2i).
-    // The product spectrum is Hermitian (real result), so compute the
-    // first half and mirror.
-    scratch.fb.resize(n);
-    const std::size_t mask = n - 1;
-    for (std::size_t k = 0; k <= n / 2; ++k) {
-        const std::complex<double> z = scratch.fa[k];
-        const std::complex<double> zr =
-            std::conj(scratch.fa[(n - k) & mask]);
-        const std::complex<double> sa = 0.5 * (z + zr);
-        const std::complex<double> sb =
-            (z - zr) * std::complex<double>(0.0, -0.5);
-        scratch.fb[k] = sa * sb;
-        if (k != 0 && k != n - k)
-            scratch.fb[n - k] = std::conj(scratch.fb[k]);
-    }
-    plan.run(scratch.fb.data(), true);
-
-    out.resize(out_size);
-    for (std::size_t i = 0; i < out_size; ++i)
-        out[i] = std::max(0.0, scratch.fb[i].real());
 }
 
 std::vector<double>

@@ -16,10 +16,7 @@
  * generated by the same incremental recurrence as the unplanned fft(), so
  * planned transforms are bitwise identical to it — the plan only removes
  * the per-call trigonometry, the twiddle-update multiply chain, and (via
- * FftScratch) all per-call allocation. fftConvolvePacked additionally
- * halves the forward-transform count by packing both real inputs into one
- * complex transform; that changes rounding, so it sits behind an explicit
- * opt-in (TailTableConfig::packedRealFft) and is never the default.
+ * FftScratch) all per-call allocation.
  */
 
 #include <complex>
@@ -83,18 +80,6 @@ struct FftScratch
     std::vector<std::complex<double>> fb;
 };
 
-/// Smallest power of two >= out_size (the planned transform length used
-/// for a linear convolution with that output size).
-std::size_t fftConvolveSize(std::size_t out_size);
-
-/**
- * Forward transform of a real sequence zero-padded to length n, written
- * to `spec` (resized to n). Uses the cached plan; bitwise identical to
- * the padding + fft(spec, false) the unplanned path performs.
- */
-void fftRealSpectrum(const std::vector<double> &x, std::size_t n,
-                     std::vector<std::complex<double>> &spec);
-
 /**
  * Linear convolution of two real sequences via FFT.
  * Result has size a.size() + b.size() - 1.
@@ -110,32 +95,6 @@ std::vector<double> fftConvolve(const std::vector<double> &a,
 void fftConvolvePlanned(const std::vector<double> &a,
                         const std::vector<double> &b, FftScratch &scratch,
                         std::vector<double> &out);
-
-/**
- * Planned convolution against a precomputed spectrum of the second
- * operand (from fftRealSpectrum with the same transform length). This is
- * how a convolution chain against a fixed mixing distribution pays one
- * forward transform per step instead of two; the result is bitwise
- * identical to fftConvolve on the original operands.
- *
- * @param out_size a.size() + b_len - 1 where b_len is the length of the
- *                 sequence b_spec was computed from.
- */
-void fftConvolveSpectrum(const std::vector<double> &a,
-                         const std::vector<std::complex<double>> &b_spec,
-                         std::size_t out_size, FftScratch &scratch,
-                         std::vector<double> &out);
-
-/**
- * Packed real-input convolution: both sequences ride one complex forward
- * transform (a in the real lane, b in the imaginary lane), so the whole
- * convolution costs one forward + one inverse transform with no spectrum
- * cache. Agrees with fftConvolve to ~1e-12 but is NOT bitwise identical;
- * callers must opt in explicitly.
- */
-void fftConvolvePacked(const std::vector<double> &a,
-                       const std::vector<double> &b, FftScratch &scratch,
-                       std::vector<double> &out);
 
 /**
  * Direct O(n*m) linear convolution of two real sequences.

@@ -1,8 +1,8 @@
 /**
  * @file
  * FFT plan-cache tests: bitwise identity of planned transforms and
- * planned/spectrum-cached convolutions against the unplanned reference,
- * packed real-input accuracy, edge sizes, and thread safety of the
+ * planned convolutions against the unplanned reference, edge sizes,
+ * reuse of the per-thread convolution scratch, and thread safety of the
  * global plan table (sweeps run convolutions from many ExperimentRunner
  * jobs concurrently).
  */
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/convolution_plan.h"
 #include "core/distribution.h"
 #include "core/target_tail_table.h"
 #include "stats/histogram.h"
@@ -106,39 +105,6 @@ TEST(FftPlan, ConvolvePlannedBitwiseIdentical)
     }
 }
 
-TEST(FftPlan, ConvolveWithSpectrumBitwiseIdentical)
-{
-    FftScratch scratch;
-    std::vector<double> out;
-    const auto a = randomReal(128, 3);
-    const auto b = randomReal(77, 4);
-    const std::size_t out_size = a.size() + b.size() - 1;
-
-    std::vector<std::complex<double>> b_spec;
-    fftRealSpectrum(b, fftConvolveSize(out_size), b_spec);
-    fftConvolveSpectrum(a, b_spec, out_size, scratch, out);
-
-    EXPECT_TRUE(bitwiseEqual(fftConvolve(a, b), out));
-}
-
-TEST(FftPlan, ConvolvePackedMatchesExactClosely)
-{
-    FftScratch scratch;
-    std::vector<double> out;
-    for (const auto &[na, nb] :
-         {std::pair<std::size_t, std::size_t>{1, 1},
-          std::pair<std::size_t, std::size_t>{128, 128},
-          std::pair<std::size_t, std::size_t>{200, 33}}) {
-        const auto a = randomReal(na, na + 11);
-        const auto b = randomReal(nb, nb + 12);
-        const auto reference = fftConvolve(a, b);
-        fftConvolvePacked(a, b, scratch, out);
-        ASSERT_EQ(reference.size(), out.size());
-        for (std::size_t i = 0; i < out.size(); ++i)
-            EXPECT_NEAR(out[i], reference[i], 1e-9);
-    }
-}
-
 TEST(FftPlan, PointMassConvolution)
 {
     // delta * delta = delta, at the summed offset.
@@ -204,60 +170,66 @@ lognormalDist(double mu, double sigma, uint64_t seed)
     return DiscreteDistribution::fromHistogram(h, 128);
 }
 
-TEST(ConvolutionPlan, PlanAndNoPlanProduceIdenticalDistributions)
+/// Bitwise equality of two distributions' widths and masses.
+bool
+sameDistribution(const DiscreteDistribution &a,
+                 const DiscreteDistribution &b)
+{
+    if (a.numBuckets() != b.numBuckets() ||
+        a.bucketWidth() != b.bucketWidth())
+        return false;
+    for (std::size_t i = 0; i < a.numBuckets(); ++i) {
+        if (a.mass(i) != b.mass(i))
+            return false;
+    }
+    return true;
+}
+
+/// Every tail of a table, row by row, including the Gaussian extension.
+std::vector<double>
+tableTails(const TargetTailTable &t, const TailTableConfig &cfg)
+{
+    std::vector<double> out;
+    for (std::size_t r = 0; r < cfg.rows; ++r) {
+        for (std::size_t i = 0; i < cfg.positions + 4; ++i) {
+            out.push_back(t.tailCycles(r, i));
+            out.push_back(t.tailMemTime(r, i));
+        }
+    }
+    return out;
+}
+
+// convolveWith keeps its FFT buffers and arenas in per-thread scratch;
+// reusing that scratch must not leak state from one call into the next.
+TEST(ConvolveScratch, RepeatedConvolveWithIsBitwiseStable)
 {
     const auto a = lognormalDist(13.0, 0.3, 1);
     const auto b = lognormalDist(13.0, 0.4, 2);
-
-    const auto no_plan = a.convolveWith(b);
-
-    ConvolutionPlan plan;
-    ConvolveOptions opts;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto with_plan = a.convolveWith(b, opts, &plan);
-        ASSERT_EQ(no_plan.numBuckets(), with_plan.numBuckets());
-        EXPECT_EQ(no_plan.bucketWidth(), with_plan.bucketWidth());
-        for (std::size_t i = 0; i < no_plan.numBuckets(); ++i)
-            EXPECT_EQ(no_plan.mass(i), with_plan.mass(i)) << "bucket " << i;
-    }
-    // Three identical convolutions: the first computes (one rhs
-    // spectrum, one memoized result); the repeats replay the whole
-    // result without touching the spectrum cache.
-    EXPECT_EQ(plan.stats().spectrumMisses, 1u);
-    EXPECT_EQ(plan.stats().spectrumHits, 0u);
-    EXPECT_EQ(plan.stats().resultMisses, 1u);
-    EXPECT_EQ(plan.stats().resultHits, 2u);
+    const auto first = a.convolveWith(b);
+    for (int rep = 0; rep < 3; ++rep)
+        EXPECT_TRUE(sameDistribution(first, a.convolveWith(b)))
+            << "rep " << rep;
 }
 
-TEST(ConvolutionPlan, ChainReusesMixingSpectrumAcrossSteps)
+TEST(ConvolveScratch, RepeatedChainIsBitwiseStable)
 {
+    // The common bucket width grows along a chain, so consecutive
+    // steps reuse the same scratch at different operand geometries.
     const auto s0 = lognormalDist(13.0, 0.3, 3);
     const auto s = lognormalDist(13.0, 0.35, 4);
-
-    ConvolutionPlan plan;
-    ConvolveOptions opts;
-    DiscreteDistribution cur = s0;
-    for (int i = 0; i < 8; ++i)
-        cur = cur.convolveWith(s, opts, &plan);
-    const auto first = plan.stats();
-    // First pass: every step is new work — the common bucket width
-    // grows along the chain, so each step transforms the mixing
-    // distribution at fresh geometry and memoizes its result.
-    EXPECT_EQ(first.resultMisses, 8u);
-    EXPECT_EQ(first.resultHits, 0u);
-
-    // Re-running the same chain replays every step from the result
-    // cache without recomputing any transforms.
-    cur = s0;
-    for (int i = 0; i < 8; ++i)
-        cur = cur.convolveWith(s, opts, &plan);
-    EXPECT_EQ(plan.stats().spectrumMisses, first.spectrumMisses);
-    EXPECT_EQ(plan.stats().spectrumHits, first.spectrumHits);
-    EXPECT_EQ(plan.stats().resultMisses, first.resultMisses);
-    EXPECT_EQ(plan.stats().resultHits, first.resultHits + 8);
+    auto chain = [&] {
+        std::vector<DiscreteDistribution> steps{s0};
+        for (int i = 0; i < 8; ++i)
+            steps.push_back(steps.back().convolveWith(s));
+        return steps;
+    };
+    const auto first = chain();
+    const auto again = chain();
+    for (std::size_t i = 0; i < first.size(); ++i)
+        EXPECT_TRUE(sameDistribution(first[i], again[i])) << "step " << i;
 }
 
-TEST(ConvolutionPlan, TableBuildIdenticalWithSharedPlanAcrossBuilds)
+TEST(ConvolveScratch, RepeatedTableBuildsAreBitwiseStable)
 {
     const auto compute = lognormalDist(13.0, 0.3, 5);
     const auto memory = lognormalDist(-9.0, 0.3, 6);
@@ -265,44 +237,17 @@ TEST(ConvolutionPlan, TableBuildIdenticalWithSharedPlanAcrossBuilds)
     cfg.rows = 4;
     cfg.positions = 8;
 
-    const auto reference = TargetTailTable::build(compute, memory, cfg);
-    ConvolutionPlan plan;
+    const auto first =
+        tableTails(TargetTailTable::build(compute, memory, cfg), cfg);
     for (int rep = 0; rep < 2; ++rep) {
-        const auto t = TargetTailTable::build(compute, memory, cfg, &plan);
-        for (std::size_t r = 0; r < cfg.rows; ++r) {
-            for (std::size_t i = 0; i < cfg.positions + 4; ++i) {
-                EXPECT_EQ(reference.tailCycles(r, i), t.tailCycles(r, i));
-                EXPECT_EQ(reference.tailMemTime(r, i),
-                          t.tailMemTime(r, i));
-            }
-        }
+        EXPECT_TRUE(bitwiseEqual(
+            first,
+            tableTails(TargetTailTable::build(compute, memory, cfg), cfg)))
+            << "rep " << rep;
     }
 }
 
-TEST(ConvolutionPlan, PackedRealFftStaysWithinDiscretizationNoise)
-{
-    const auto compute = lognormalDist(13.0, 0.3, 7);
-    const auto memory = lognormalDist(-9.0, 0.3, 8);
-    TailTableConfig exact_cfg;
-    exact_cfg.rows = 4;
-    exact_cfg.positions = 8;
-    TailTableConfig packed_cfg = exact_cfg;
-    packed_cfg.packedRealFft = true;
-
-    const auto exact = TargetTailTable::build(compute, memory, exact_cfg);
-    const auto packed =
-        TargetTailTable::build(compute, memory, packed_cfg);
-    for (std::size_t r = 0; r < exact_cfg.rows; ++r) {
-        for (std::size_t i = 0; i < exact_cfg.positions; ++i) {
-            // Tails are bucket edges; packed rounding can move a value
-            // by at most one bucket.
-            const double c = exact.tailCycles(r, i);
-            EXPECT_NEAR(packed.tailCycles(r, i), c, c * 0.05 + 1e-9);
-        }
-    }
-}
-
-TEST(ConvolutionPlan, ConcurrentTableBuildsMatchSerial)
+TEST(ConvolveScratch, ConcurrentTableBuildsMatchSerial)
 {
     const auto compute = lognormalDist(13.0, 0.3, 9);
     const auto memory = lognormalDist(-9.0, 0.3, 10);
@@ -318,10 +263,9 @@ TEST(ConvolutionPlan, ConcurrentTableBuildsMatchSerial)
         threads.reserve(kThreads);
         for (int t = 0; t < kThreads; ++t) {
             threads.emplace_back([&, t] {
-                ConvolutionPlan plan;
                 for (int rep = 0; rep < 3; ++rep) {
-                    const auto table = TargetTailTable::build(
-                        compute, memory, cfg, &plan);
+                    const auto table =
+                        TargetTailTable::build(compute, memory, cfg);
                     for (std::size_t r = 0; r < cfg.rows; ++r) {
                         for (std::size_t i = 0; i < cfg.positions; ++i) {
                             if (table.tailCycles(r, i) !=
@@ -391,8 +335,6 @@ TEST(SimdDispatch, ConvolvePlannedBitwiseMatchesScalar)
         const auto a = randomReal(na, na * 3 + 21);
         const auto b = randomReal(nb, nb * 5 + 22);
         auto run = [&] {
-            // Fresh scratch per mode: spectra cached under one mode must
-            // not leak into the other run.
             FftScratch scratch;
             std::vector<double> out;
             fftConvolvePlanned(a, b, scratch, out);
@@ -413,9 +355,7 @@ TEST(SimdDispatch, DistributionConvolveAndQuantilesMatchScalar)
     const auto a = lognormalDist(13.0, 0.3, 21);
     const auto b = lognormalDist(13.0, 0.4, 22);
     auto run = [&] {
-        ConvolutionPlan plan;
-        ConvolveOptions opts;
-        const auto c = a.convolveWith(b, opts, &plan);
+        const auto c = a.convolveWith(b);
         std::vector<double> out;
         out.reserve(c.numBuckets() + 4);
         for (std::size_t i = 0; i < c.numBuckets(); ++i)
@@ -437,16 +377,7 @@ TEST(SimdDispatch, TableBuildBitwiseMatchesScalar)
     cfg.rows = 4;
     cfg.positions = 8;
     auto run = [&] {
-        ConvolutionPlan plan;
-        const auto t = TargetTailTable::build(compute, memory, cfg, &plan);
-        std::vector<double> out;
-        for (std::size_t r = 0; r < cfg.rows; ++r) {
-            for (std::size_t i = 0; i < cfg.positions + 4; ++i) {
-                out.push_back(t.tailCycles(r, i));
-                out.push_back(t.tailMemTime(r, i));
-            }
-        }
-        return out;
+        return tableTails(TargetTailTable::build(compute, memory, cfg), cfg);
     };
     const auto scalar = underSimdMode(SimdMode::Scalar, run);
     const auto dispatched = underSimdMode(SimdMode::Auto, run);

@@ -2,26 +2,32 @@
  * @file
  * Tests for the live serving stack: ServeEngine invariants (grid
  * decisions, warmup, bounded queue, error replies, stats JSON,
- * decision-log accounting), decision identity between the engine and a
+ * decision-log accounting), rejection of hostile events without any
+ * state change, decision identity between the engine and a
  * hand-driven exact controller fed the same event stream, the
  * LatencyHistogram, and — when RUBIK_CLI points at the built binary —
  * the daemon lifecycle end to end: start, ping, replay producing a
  * decision hash byte-identical to the one-shot CLI's, well-formed
- * --stats, and a SIGTERM shutdown that exits 0 and removes the socket.
+ * --stats, hostile protocol lines, and a SIGTERM shutdown that exits 0
+ * and removes the socket.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -240,7 +246,7 @@ TEST(ServeEngine, StatsJsonIsWellFormed)
          {"\"table_version\":", "\"warm\":", "\"internal_target_ms\":",
           "\"queue_depth\":", "\"frequency_ghz\":", "\"decisions\":",
           "\"decision_hash\":", "\"transitions\":", "\"latency_ns\":",
-          "\"distilled\":", "\"rejected\":"}) {
+          "\"rejected\":"}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
 }
@@ -322,31 +328,87 @@ TEST(ServeEngine, MatchesHandDrivenExactController)
     EXPECT_TRUE(engine.warm());
 }
 
-TEST(ServeEngine, DistilledModeTrainsAndServesFastPath)
-{
-    const DvfsModel dvfs = DvfsModel::haswell();
-    ServeConfig cfg = testConfig();
-    cfg.distill = true;
-    ServeEngine engine(dvfs, cfg);
-    ASSERT_NE(engine.distilled(), nullptr);
-    EXPECT_FALSE(engine.distilled()->model().trained());
+// ------------------------------------------------------------------
+// Hostile input: a rejected event must not move any engine state.
 
-    const std::vector<double> &grid = dvfs.frequencies();
-    for (const Event &e : makeStream(400, 9)) {
-        const ServeDecision d =
-            e.arrival ? engine.onArrival(e.t)
-                      : engine.onCompletion(e.t, e.cycles, e.mem);
-        ASSERT_TRUE(d.ok);
-        EXPECT_TRUE(std::find(grid.begin(), grid.end(), d.frequency) !=
-                    grid.end());
+class ServeEngineInput : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        // Half a stream, then one more arrival: a warm controller with
+        // at least one request in flight.
+        const std::vector<Event> events = makeStream(400, 9);
+        for (std::size_t i = 0; i < events.size() / 2; ++i) {
+            const Event &e = events[i];
+            ASSERT_TRUE((e.arrival ? engine.onArrival(e.t)
+                                   : engine.onCompletion(e.t, e.cycles,
+                                                         e.mem))
+                            .ok);
+            now = e.t;
+        }
+        ASSERT_TRUE(engine.onArrival(now).ok);
+        ASSERT_TRUE(engine.warm());
+        count = engine.decisionLog().count;
+        hash = engine.decisionLog().hash;
+        depth = engine.queueDepth();
+        rebuilds = engine.tableRebuilds();
     }
-    EXPECT_TRUE(engine.warm());
-    EXPECT_TRUE(engine.distilled()->model().trained());
-    EXPECT_GE(engine.distilled()->retrains(), 1u);
-    EXPECT_GT(engine.distilled()->fastDecisions(), 0u);
-    const std::string json = engine.statsJson();
-    EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
-    EXPECT_NE(json.find("\"trained\":true"), std::string::npos);
+
+    void expectRejected(const ServeDecision &d, const char *error)
+    {
+        EXPECT_FALSE(d.ok);
+        ASSERT_NE(d.error, nullptr);
+        EXPECT_STREQ(d.error, error);
+        EXPECT_EQ(engine.decisionLog().count, count);
+        EXPECT_EQ(engine.decisionLog().hash, hash);
+        EXPECT_EQ(engine.queueDepth(), depth);
+        EXPECT_EQ(engine.tableRebuilds(), rebuilds);
+    }
+
+    const DvfsModel dvfs = DvfsModel::haswell();
+    ServeEngine engine{dvfs, testConfig()};
+    double now = 0.0;
+    uint64_t count = 0, hash = 0, rebuilds = 0;
+    std::size_t depth = 0;
+};
+
+TEST_F(ServeEngineInput, InfiniteTimeIsRejected)
+{
+    // `a inf` used to spin the periodic catch-up loop forever.
+    const double inf = std::numeric_limits<double>::infinity();
+    expectRejected(engine.onArrival(inf), "non-finite value");
+    expectRejected(engine.onArrival(-inf), "non-finite value");
+    expectRejected(engine.onCompletion(inf, 1e5, 1e-5), "non-finite value");
+}
+
+TEST_F(ServeEngineInput, NanIsRejected)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    expectRejected(engine.onArrival(nan), "non-finite value");
+    expectRejected(engine.onArrival(now, nan), "non-finite value");
+    expectRejected(engine.onCompletion(now, nan, 1e-5), "non-finite value");
+    expectRejected(engine.onCompletion(now, 1e5, nan), "non-finite value");
+}
+
+TEST_F(ServeEngineInput, NegativeWorkIsRejected)
+{
+    expectRejected(engine.onArrival(now, -1.0), "negative cycles or time");
+    expectRejected(engine.onCompletion(now, -1.0, 1e-5),
+                   "negative cycles or time");
+    expectRejected(engine.onCompletion(now, 1e5, -1e-6),
+                   "negative cycles or time");
+}
+
+TEST_F(ServeEngineInput, TimestampGoingBackwardsIsRejected)
+{
+    expectRejected(engine.onArrival(now - 1e-6),
+                   "timestamp before engine clock");
+    expectRejected(engine.onCompletion(now - 1e-6, 1e5, 1e-5),
+                   "timestamp before engine clock");
+    // An equal timestamp is a valid non-decreasing stream.
+    EXPECT_TRUE(engine.onArrival(now).ok);
+    EXPECT_EQ(engine.decisionLog().count, count + 1);
 }
 
 // ------------------------------------------------------------------
@@ -539,7 +601,7 @@ TEST_F(ServeDaemonCli, ReplayMatchesOneShotAndShutsDownOnSigterm)
 
 TEST_F(ServeDaemonCli, ShutdownCommandExitsCleanly)
 {
-    startDaemon("--distill --age-buckets 512");
+    startDaemon("");
     EXPECT_EQ(serveQuery(socketPath, "shutdown"), "ok");
     int status = 0;
     ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
@@ -563,6 +625,81 @@ TEST_F(ServeDaemonCli, RefusesSecondDaemonOnLiveSocket)
     int status = 0;
     ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
     daemonPid = -1;
+}
+
+TEST_F(ServeDaemonCli, InfiniteArrivalIsRejectedAndDaemonKeepsServing)
+{
+    startDaemon("");
+    EXPECT_EQ(serveQuery(socketPath, "a inf", 10.0),
+              "err non-finite value");
+    EXPECT_EQ(serveQuery(socketPath, "a nan", 10.0),
+              "err non-finite value");
+    // Other clients are still served, and the clock did not move.
+    EXPECT_EQ(serveQuery(socketPath, "ping", 10.0), "ok");
+    EXPECT_EQ(serveQuery(socketPath, "a 0.001", 10.0).compare(0, 2, "f "),
+              0);
+}
+
+TEST_F(ServeDaemonCli, ClassHintOutsideIntRangeIsRejected)
+{
+    startDaemon("");
+    // 1e20 used to reach a double -> int cast (undefined behavior).
+    for (const char *hint : {"1e20", "-2", "0.5", "nan", "inf"}) {
+        EXPECT_EQ(serveQuery(socketPath, std::string("a 0.001 0 ") + hint,
+                             10.0),
+                  "err class hint must be an integer in [-1, INT_MAX]")
+            << hint;
+    }
+    EXPECT_EQ(serveQuery(socketPath, "a 0.001 0 1", 10.0).compare(0, 2, "f "),
+              0);
+    EXPECT_EQ(serveQuery(socketPath, "a 0.002 0 -1", 10.0).compare(0, 2, "f "),
+              0);
+}
+
+/// Send `bytes` verbatim (no newline added) on a fresh connection and
+/// return everything the daemon writes before it closes the connection
+/// (or a 10 s receive timeout expires).
+std::string
+sendRaw(const std::string &socketPath, const std::string &bytes)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return "socket failed";
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socketPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    timeval tv{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr)) {
+        ::close(fd);
+        return "connect failed";
+    }
+    for (std::size_t off = 0; off < bytes.size();) {
+        const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
+                                 MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        off += static_cast<std::size_t>(n);
+    }
+    std::string reply;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0)
+        reply.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+    return reply;
+}
+
+TEST_F(ServeDaemonCli, UnterminatedLongLineDropsTheClient)
+{
+    startDaemon("");
+    // One byte past the 64 KiB cap, with no newline: the daemon answers
+    // and closes instead of buffering without bound.
+    EXPECT_EQ(sendRaw(socketPath, std::string(64 * 1024 + 1, 'x')),
+              "err line too long\n");
+    EXPECT_EQ(serveQuery(socketPath, "ping", 10.0), "ok");
 }
 
 } // namespace

@@ -315,11 +315,11 @@ TEST(PolicyNames, KnownPolicyLookup)
     EXPECT_TRUE(isKnownPolicy("rubik"));
     EXPECT_TRUE(isKnownPolicy("rubik-nofb"));
     EXPECT_TRUE(isKnownPolicy("boost"));
-    EXPECT_TRUE(isKnownPolicy("distilled"));
     EXPECT_TRUE(isKnownPolicy("rubik-thermal"));
+    EXPECT_FALSE(isKnownPolicy("distilled"));
     EXPECT_FALSE(isKnownPolicy("Rubik"));
     EXPECT_FALSE(isKnownPolicy(""));
-    EXPECT_EQ(knownPolicyNames().size(), 10u);
+    EXPECT_EQ(knownPolicyNames().size(), 9u);
 }
 
 TEST(TraceStore, CountsHitsAndMisses)

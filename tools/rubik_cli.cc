@@ -64,7 +64,6 @@
 #include <vector>
 
 #include "fleet/fleet_sim.h"
-#include "policies/distilled.h"
 #include "policies/replay.h"
 #include "runner/backend.h"
 #include "runner/experiment_runner.h"
@@ -117,7 +116,7 @@ usage(const char *argv0)
         "  --jobs N           sweep worker threads (default: hardware)\n"
         "  --policy NAME      fixed|static|dynamic|adrenaline|pegasus|"
         "rubik|rubik-nofb|boost|\n"
-        "                     distilled|rubik-thermal (default rubik;\n"
+        "                     rubik-thermal (default rubik;\n"
         "                     rubik-thermal needs --thermal)\n"
         "  --requests N       trace length (default 9000)\n"
         "  --bound-ms MS      tail latency bound; 0 = auto from 50%% "
@@ -213,10 +212,8 @@ usage(const char *argv0)
         "LRU-evict to the cap\n"
         "                       stats   [--json]  aggregate totals\n"
         "  %s serve --socket PATH --bound-ms MS [--percentile P]\n"
-        "       [--update-ms MS] [--feedback] [--distill] "
-        "[--model FILE]\n"
-        "       [--leaves N] [--age-buckets N] [--max-positions N]\n"
-        "       [--fallback-band N] [--max-queue N] [--no-timing]\n"
+        "       [--update-ms MS] [--feedback] [--max-queue N] "
+        "[--no-timing]\n"
         "       [--transition-us US] [--simd MODE]\n"
         "                     run the live decision daemon on a Unix "
         "socket\n"
@@ -224,29 +221,11 @@ usage(const char *argv0)
         "arrival/\n"
         "                     completion events in, frequency decisions "
         "out.\n"
-        "                     --distill serves from an auto-retrained "
-        "LUT fast\n"
-        "                     path with exact fallback; --model seeds it "
-        "from a\n"
-        "                     distill file. Query a running daemon "
-        "with:\n"
+        "                     Query a running daemon with:\n"
         "  %s serve --socket PATH --stats | --shutdown\n"
         "                     print the daemon's one-line JSON stats / "
         "ask it\n"
         "                     to exit cleanly\n"
-        "  %s distill --out FILE [--app NAME] [--load F] "
-        "[--requests N]\n"
-        "       [--bound-ms MS] [--seed S] [--leaves N] "
-        "[--age-buckets N]\n"
-        "       [--max-positions N] [--fallback-band N] [--bursty]\n"
-        "       [--transition-us US]\n"
-        "                     warm the exact controller on a generated "
-        "trace,\n"
-        "                     train the distilled decision model "
-        "against it,\n"
-        "                     and write the versioned model file "
-        "(checksummed\n"
-        "                     like .rtrace)\n"
         "  %s trace gen --out FILE [--app NAME] [--load F] "
         "[--requests N]\n"
         "       [--seed S] [--bursty]\n"
@@ -268,8 +247,7 @@ usage(const char *argv0)
         "rejected with\n"
         "                     the offending line number "
         "(docs/thermal.md)\n",
-        argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-        argv0);
+        argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
     std::exit(0);
 }
 
@@ -1090,8 +1068,8 @@ fleetMain(int argc, char **argv)
     return 0;
 }
 
-/// Auto-bound shared by the one-shot, distill, and serve entry
-/// points: the fixed-frequency 95th-percentile tail at 50% load.
+/// The one-shot run's auto-bound: the fixed-frequency 95th-percentile
+/// tail at 50% load.
 double
 autoBound(const AppProfile &app, int requests, double nominal,
           uint64_t seed, const PowerModel &power)
@@ -1123,24 +1101,6 @@ serveMain(int argc, char **argv)
     parser.value("--update-ms",
                  [&](const char *v) { update_ms = std::atof(v); });
     parser.flag("--feedback", [&] { sc.feedback = true; });
-    parser.flag("--distill", [&] { sc.distill = true; });
-    parser.value("--model", [&](const char *v) { sc.modelPath = v; });
-    parser.value("--leaves", [&](const char *v) {
-        sc.distillConfig.leaves =
-            static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--age-buckets", [&](const char *v) {
-        sc.distillConfig.ageBuckets =
-            static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--max-positions", [&](const char *v) {
-        sc.distillConfig.maxPositions =
-            static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--fallback-band", [&](const char *v) {
-        sc.distillConfig.fallbackBand =
-            static_cast<std::size_t>(std::atoll(v));
-    });
     parser.value("--max-queue", [&](const char *v) {
         sc.maxQueue = static_cast<std::size_t>(std::atoll(v));
     });
@@ -1192,106 +1152,6 @@ serveMain(int argc, char **argv)
         std::fprintf(stderr, "serve: %s\n", e.what());
         return 1;
     }
-}
-
-/// `rubik_cli distill --out FILE ...`: warm the exact controller on a
-/// generated trace, then train and save the distilled model.
-int
-distillMain(int argc, char **argv)
-{
-    std::string app_name = "masstree", out_path;
-    double load = 0.4, bound_ms = 0.0, transition_us = 4.0;
-    bool bursty = false;
-    DistilledConfig dc;
-    CommonRunOptions run;
-    run.requests = 9000;
-    OptionsParser parser(argc, argv, 2);
-    parser.value("--app", [&](const char *v) { app_name = v; });
-    parser.value("--load", [&](const char *v) { load = std::atof(v); });
-    parser.value("--bound-ms",
-                 [&](const char *v) { bound_ms = std::atof(v); });
-    parser.value("--out", [&](const char *v) { out_path = v; });
-    parser.value("--leaves", [&](const char *v) {
-        dc.leaves = static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--age-buckets", [&](const char *v) {
-        dc.ageBuckets = static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--max-positions", [&](const char *v) {
-        dc.maxPositions = static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.value("--fallback-band", [&](const char *v) {
-        dc.fallbackBand = static_cast<std::size_t>(std::atoll(v));
-    });
-    parser.flag("--bursty", [&] { bursty = true; });
-    parser.value("--transition-us", [&](const char *v) {
-        transition_us = std::atof(v);
-    });
-    addRunFlags(parser, &run);
-    addSimdFlag(parser, &run);
-    parser.onUnknown([](const char *token) {
-        std::fprintf(stderr, "distill: unknown flag %s\n", token);
-        std::exit(1);
-    });
-    parser.run();
-    if (run.simdGiven)
-        applySimdSelection(run);
-    if (out_path.empty()) {
-        std::fprintf(stderr, "distill needs --out FILE\n");
-        return 1;
-    }
-
-    const DvfsModel dvfs = DvfsModel::haswell(transition_us * kUs);
-    const PowerModel power(dvfs);
-    const double nominal = dvfs.nominalFrequency();
-    const AppProfile app = makeApp(appByName(app_name));
-    try {
-        double bound = bound_ms * kMs;
-        if (bound <= 0.0)
-            bound = autoBound(app, run.requests, nominal, run.seed,
-                              power);
-        Trace trace =
-            bursty ? generateBurstyTrace(app, load, run.requests,
-                                         nominal, run.seed)
-                   : generateLoadTrace(app, load, run.requests,
-                                       nominal, run.seed);
-        annotateClasses(trace, 0.85, nominal);
-
-        // Feedback off: the internal target must be a constant for
-        // the trained thresholds to stay faithful (serve mode makes
-        // the same choice).
-        RubikConfig rc;
-        rc.latencyBound = bound;
-        rc.feedback = false;
-        RubikController exact(dvfs, rc);
-        simulate(trace, exact, dvfs, power);
-        if (!exact.warm()) {
-            std::fprintf(stderr,
-                         "distill: controller never warmed "
-                         "(need more --requests)\n");
-            return 1;
-        }
-        const DistilledModel model =
-            DistilledModel::distill(exact, dvfs, dc);
-        model.save(out_path);
-        std::printf("distilled %s/%s load %.2f -> %s\n",
-                    app_name.c_str(), "rubik", load, out_path.c_str());
-        std::printf("target      %.4f ms (internal, feedback off)\n",
-                    model.trainedTarget() / kMs);
-        std::printf("leaves      %zu frequencies\n",
-                    model.leafFrequencies().size());
-        std::printf("rows        %zu x %zu positions x %zu age "
-                    "buckets\n",
-                    model.rowBounds().size(), dc.maxPositions,
-                    dc.ageBuckets);
-        std::printf("lut         %zu bytes resident, %zu bytes on "
-                    "disk\n",
-                    model.lutBytes(), model.serialize().size());
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "distill: %s\n", e.what());
-        return 1;
-    }
-    return 0;
 }
 
 /// `rubik_cli trace import --in CSV --out FILE`: validate an external
@@ -1403,8 +1263,6 @@ main(int argc, char **argv)
         return fleetMain(argc, argv);
     if (argc > 1 && !std::strcmp(argv[1], "serve"))
         return serveMain(argc, argv);
-    if (argc > 1 && !std::strcmp(argv[1], "distill"))
-        return distillMain(argc, argv);
     if (argc > 1 && !std::strcmp(argv[1], "trace"))
         return traceMain(argc, argv);
 
