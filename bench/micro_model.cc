@@ -2,8 +2,8 @@
  * @file
  * Microbenchmarks of Rubik's runtime machinery (google-benchmark):
  *
- *  - target tail table rebuild (the paper reports 0.2 ms per rebuild at
- *    128 buckets / octile rows / 16 positions);
+ *  - a whole target tail table, every entry read (the paper reports
+ *    0.2 ms per rebuild at 128 buckets / octile rows / 16 positions);
  *  - the per-event frequency decision (must be a handful of table
  *    lookups and divides — "updates take negligible time", Sec. 4.2);
  *  - FFT vs direct convolution of 128-bucket distributions;
@@ -43,30 +43,23 @@ lognormalDist(double mu, double sigma, uint64_t seed,
 void
 BM_TableRebuild(benchmark::State &state)
 {
+    // A whole table: build() only snapshots its inputs and entries are
+    // computed on first read, so read every (row, position) entry.
     const auto compute = lognormalDist(13.0, 0.3, 1);
     const auto memory = lognormalDist(-9.0, 0.3, 2);
     TailTableConfig cfg;
     cfg.rows = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        auto table = TargetTailTable::build(compute, memory, cfg);
-        benchmark::DoNotOptimize(table);
+        const auto table = TargetTailTable::build(compute, memory, cfg);
+        for (std::size_t r = 0; r < cfg.rows; ++r) {
+            for (std::size_t i = 0; i < cfg.positions; ++i) {
+                benchmark::DoNotOptimize(table.tailCycles(r, i));
+                benchmark::DoNotOptimize(table.tailMemTime(r, i));
+            }
+        }
     }
 }
 BENCHMARK(BM_TableRebuild)->Arg(4)->Arg(8)->Arg(16);
-
-void
-BM_TableRebuildNonConservative(benchmark::State &state)
-{
-    const auto compute = lognormalDist(13.0, 0.3, 1);
-    const auto memory = lognormalDist(-9.0, 0.3, 2);
-    TailTableConfig cfg;
-    cfg.conservativeRowBounds = false;
-    for (auto _ : state) {
-        auto table = TargetTailTable::build(compute, memory, cfg);
-        benchmark::DoNotOptimize(table);
-    }
-}
-BENCHMARK(BM_TableRebuildNonConservative);
 
 void
 BM_FrequencyDecision(benchmark::State &state)

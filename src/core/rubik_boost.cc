@@ -124,31 +124,16 @@ RubikBoostController::periodicUpdate(const CoreView &core)
             mixProfiler_.computeDistribution();
         const DiscreteDistribution mix_m =
             mixProfiler_.memoryDistribution();
-        // One fused pass builds the mixture table plus every warm
-        // class table, sharing the mixture moments across the batch.
-        std::vector<DiscreteDistribution> class_c, class_m;
-        std::vector<const DiscreteDistribution *> cc(cfg_.numClasses,
-                                                     nullptr);
-        std::vector<const DiscreteDistribution *> cm(cfg_.numClasses,
-                                                     nullptr);
-        class_c.reserve(cfg_.numClasses);
-        class_m.reserve(cfg_.numClasses);
+        mixTable_ = TargetTailTable::build(mix_c, mix_m, cfg_.base.table);
+        // Every warm class gets a table whose S_0 is its own profile;
+        // a class still warming up keeps the table it had.
         for (int k = 0; k < cfg_.numClasses; ++k) {
-            if (classProfilers_[k].numSamples() <
-                cfg_.classWarmupSamples) {
+            const Profiler &p = classProfilers_[k];
+            if (p.numSamples() < cfg_.classWarmupSamples)
                 continue;
-            }
-            class_c.push_back(classProfilers_[k].computeDistribution());
-            class_m.push_back(classProfilers_[k].memoryDistribution());
-            cc[k] = &class_c.back();
-            cm[k] = &class_m.back();
-        }
-        auto tables = TargetTailTable::buildBatch(
-            mix_c, mix_m, cc, cm, cfg_.base.table);
-        mixTable_ = std::move(tables[0]);
-        for (int k = 0; k < cfg_.numClasses; ++k) {
-            if (tables[1 + k])
-                classTables_[k] = std::move(tables[1 + k]);
+            classTables_[k] = TargetTailTable::build(
+                p.computeDistribution(), p.memoryDistribution(), mix_c,
+                mix_m, cfg_.base.table);
         }
         completionsAtLastBuild_ = completionsSeen_;
     }

@@ -30,6 +30,7 @@ RubikController::reset()
     pi_.reset(1.0);
     nextUpdate_ = cfg_.updatePeriod;
     tableRebuilds_ = 0;
+    retiredConvolutions_ = 0;
     completionsSeen_ = 0;
     completionsAtLastBuild_ = 0;
 }
@@ -109,6 +110,8 @@ RubikController::periodicUpdate(const CoreView &core)
     const bool enough_new =
         !table_ || fresh >= cfg_.minNewSamplesPerRebuild;
     if (profiler_.numSamples() >= cfg_.warmupSamples && enough_new) {
+        if (table_)
+            retiredConvolutions_ += table_->convolutions();
         table_ = TargetTailTable::build(profiler_.computeDistribution(),
                                         profiler_.memoryDistribution(),
                                         cfg_.table);

@@ -87,6 +87,13 @@ class RubikController : public DvfsPolicy
     double internalTarget() const { return internalTarget_; }
     const RubikConfig &config() const { return cfg_; }
     uint64_t tableRebuilds() const { return tableRebuilds_; }
+    /// Convolution chain steps run by every table built so far; tables
+    /// compute entries on demand, so this counts the work decisions
+    /// actually pulled in.
+    uint64_t tableConvolutions() const
+    {
+        return retiredConvolutions_ + (table_ ? table_->convolutions() : 0);
+    }
     /// @}
 
   private:
@@ -102,6 +109,7 @@ class RubikController : public DvfsPolicy
     PiController pi_;
     double nextUpdate_;
     uint64_t tableRebuilds_ = 0;
+    uint64_t retiredConvolutions_ = 0; ///< Steps of replaced tables.
     uint64_t completionsSeen_ = 0;
     uint64_t completionsAtLastBuild_ = 0;
 };

@@ -5,7 +5,7 @@
  * @file
  * Target tail tables (Fig. 5 of the paper).
  *
- * The tables precompute, for each elapsed-work row ω and queue position i,
+ * The tables hold, for each elapsed-work row ω and queue position i,
  * the target-percentile tail of the completion distribution:
  *
  *   - tail compute cycles c_i: percentile of S_i = S_0|ω ⊛ S ⊛ ... ⊛ S,
@@ -18,9 +18,17 @@
  * (paper: 16), Lyapunov's CLT gives a Gaussian approximation:
  * mean E[S_0] + i*E[S], variance var[S_0] + i*var[S], so the tails come
  * from the precomputed normal quantile instead of long convolution chains.
+ *
+ * Entries are computed on demand. A decision reads one row, the
+ * in-flight request's, at positions 0 to queue depth - 1, so a table
+ * evaluates a row's convolution chain only as far as some query has
+ * reached, and never evaluates the rows nobody reads. Each entry comes
+ * from the same operations, in the same order, as a full eager build,
+ * so every value is bit-for-bit the one an eager table would hold.
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -46,17 +54,21 @@ struct TailTableConfig
 };
 
 /**
- * Precomputed c_i / m_i tails. Rebuilt periodically (every 100 ms) from
- * freshly profiled distributions; queried on every request arrival and
- * completion.
+ * c_i / m_i tails over a snapshot of freshly profiled distributions.
+ * Rebuilt periodically (every 100 ms); queried on every request arrival
+ * and completion.
+ *
+ * build() only takes the snapshot; tailCycles() and tailMemTime()
+ * compute an entry the first time it is read and memoize it in the
+ * table. A table may therefore be queried from only one thread at a
+ * time: each controller owns its own tables.
  */
 class TargetTailTable
 {
   public:
     /**
-     * Build the tables from the profiled compute-cycle distribution
-     * (values in cycles) and memory-time distribution (values in
-     * seconds).
+     * Snapshot the profiled compute-cycle distribution (values in
+     * cycles) and memory-time distribution (values in seconds).
      */
     static TargetTailTable build(const DiscreteDistribution &compute,
                                  const DiscreteDistribution &memory,
@@ -73,25 +85,6 @@ class TargetTailTable
                                  const DiscreteDistribution &mix_compute,
                                  const DiscreteDistribution &mix_memory,
                                  const TailTableConfig &config);
-
-    /**
-     * Fused batch build: the mixture table plus one class-conditioned
-     * table per non-null (class_compute[k], class_memory[k]) pair, all
-     * in one pass. The mixture moments and the percentile quantile are
-     * computed once and shared across every member instead of once per
-     * build() call. Slot 0 of the result is the mixture table; slot
-     * 1+k the class-k table, disengaged where the inputs were null.
-     * Each table is bitwise identical to the equivalent individual
-     * build() call.
-     */
-    static std::vector<std::optional<TargetTailTable>>
-    buildBatch(const DiscreteDistribution &mix_compute,
-               const DiscreteDistribution &mix_memory,
-               const std::vector<const DiscreteDistribution *>
-                   &class_compute,
-               const std::vector<const DiscreteDistribution *>
-                   &class_memory,
-               const TailTableConfig &config);
 
     /// Row for a request that has executed `omega` cycles so far.
     std::size_t rowForElapsed(double omega) const;
@@ -110,48 +103,81 @@ class TargetTailTable
      * position i (0 = in service), for the given row. Positions beyond
      * the table use the Gaussian extension.
      */
-    double tailCycles(std::size_t row, std::size_t position) const;
+    double tailCycles(std::size_t row, std::size_t position) const
+    {
+        return tail(compute_, row, position);
+    }
 
     /// Tail memory time m_i (seconds); same indexing as tailCycles.
-    double tailMemTime(std::size_t row, std::size_t position) const;
+    double tailMemTime(std::size_t row, std::size_t position) const
+    {
+        return tail(memory_, row, position);
+    }
 
     const TailTableConfig &config() const { return config_; }
 
     /// ω lower bound of each row (for tests/introspection).
     const std::vector<double> &rowBounds() const { return rowBounds_; }
 
-  private:
-    TargetTailTable() = default;
+    /// Convolution chain steps this table has run so far.
+    uint64_t convolutions() const { return convolutions_; }
 
-    /// Shared-mixture terms precomputed once per build or batch.
-    struct MixTerms
+  private:
+    /// One row boundary's convolution chain: tails of S_0|ω ⊛ S^(⊛i).
+    struct Chain
     {
-        double zp, meanC, varC, meanM, varM;
+        /// Exact tails for positions 0 .. size()-1; empty until started.
+        std::vector<double> tails;
+        /// Distribution behind tails.back(); dropped once the chain
+        /// reaches its last exact position.
+        std::optional<DiscreteDistribution> cur;
+        /// Moments of the conditional S_0|ω (the CLT extension's S_0).
+        double mean = 0.0;
+        double var = 0.0;
     };
 
-    static MixTerms mixTerms(const DiscreteDistribution &mix_compute,
-                             const DiscreteDistribution &mix_memory,
-                             const TailTableConfig &config);
+    /// One resource's half of the table (compute cycles or memory time):
+    /// the snapshot it is computed from and the memo filled on demand.
+    struct Side
+    {
+        DiscreteDistribution s0;  ///< In-flight request's distribution.
+        DiscreteDistribution mix; ///< Queued requests' distribution.
+        double mean = 0.0;        ///< Mixture moments (CLT extension).
+        double var = 0.0;
+        /// Chains per row boundary (rows + 1 when conservativeRowBounds).
+        mutable std::vector<Chain> chains;
+        /// Per row: the max over its boundaries' tails, as far as read.
+        mutable std::vector<std::vector<double>> rows;
+    };
 
-    static TargetTailTable
-    buildImpl(const DiscreteDistribution &s0_compute,
-              const DiscreteDistribution &s0_memory,
-              const DiscreteDistribution &mix_compute,
-              const DiscreteDistribution &mix_memory,
-              const TailTableConfig &config, const MixTerms &terms);
+    TargetTailTable(const TailTableConfig &config, Side compute,
+                    Side memory);
+
+    /// The memoized entry when it has been computed, else evaluate().
+    double tail(const Side &side, std::size_t row,
+                std::size_t position) const
+    {
+        if (row < side.rows.size() && position < side.rows[row].size())
+            return side.rows[row][position];
+        return evaluate(side, row, position);
+    }
+    /// Compute (and memoize) an entry no query has reached yet.
+    double evaluate(const Side &side, std::size_t row,
+                    std::size_t position) const;
+    /// Extend `row`'s exact tails through `position` (< positions).
+    void fillRow(const Side &side, std::size_t row,
+                 std::size_t position) const;
+    /// Start boundary `b`'s chain if needed, then extend it through
+    /// `position`.
+    const Chain &extendChain(const Side &side, std::size_t b,
+                             std::size_t position) const;
 
     TailTableConfig config_;
     std::vector<double> rowBounds_;
-
-    // [row][position] exact tails.
-    std::vector<std::vector<double>> cycles_;
-    std::vector<std::vector<double>> memTime_;
-
-    // Gaussian-extension parameters.
-    std::vector<double> meanC0_, varC0_, meanM0_, varM0_;
-    double meanC_ = 0.0, varC_ = 0.0;
-    double meanM_ = 0.0, varM_ = 0.0;
     double zp_ = 0.0;
+    Side compute_;
+    Side memory_;
+    mutable uint64_t convolutions_ = 0;
 };
 
 } // namespace rubik

@@ -52,14 +52,17 @@ const char *
 ServeEngine::invalidEvent(double t, double a, double b) const
 {
     // Checked before any state changes: an infinite t would spin the
-    // periodic catch-up loop in advanceTo forever, and a NaN or a
-    // negative amount of work would poison the profiler.
+    // periodic catch-up loop in advanceTo forever and a huge finite one
+    // for hours, and a NaN or a negative amount of work would poison
+    // the profiler.
     if (!std::isfinite(t) || !std::isfinite(a) || !std::isfinite(b))
         return "non-finite value";
     if (a < 0.0 || b < 0.0)
         return "negative cycles or time";
     if (t < now_)
         return "timestamp before engine clock";
+    if (t - now_ > kMaxGapPeriods * cfg_.updatePeriod)
+        return "timestamp gap too large";
     return nullptr;
 }
 
@@ -178,7 +181,8 @@ ServeEngine::statsJson() const
     char buf[1024];
     std::snprintf(
         buf, sizeof(buf),
-        "{\"table_version\":%" PRIu64 ",\"warm\":%s,"
+        "{\"table_version\":%" PRIu64 ",\"table_convolutions\":%" PRIu64
+        ",\"warm\":%s,"
         "\"internal_target_ms\":%.6g,"
         "\"profiler_window\":%zu,\"profiler_occupancy\":%" PRIu64 ","
         "\"queue_depth\":%zu,\"frequency_ghz\":%.6g,"
@@ -188,7 +192,8 @@ ServeEngine::statsJson() const
         "\"completions\":%" PRIu64 ",\"rejected\":%" PRIu64 ","
         "\"latency_ns\":{\"p50\":%.6g,\"p99\":%.6g,\"max\":%" PRIu64
         ",\"mean\":%.6g}}",
-        exact_->tableRebuilds(), exact_->warm() ? "true" : "false",
+        exact_->tableRebuilds(), exact_->tableConvolutions(),
+        exact_->warm() ? "true" : "false",
         exact_->internalTarget() * 1e3, window, occupancy, queueDepth(),
         frequency_ * 1e-9, log_.count, rate, log_.hash, transitions_,
         arrivalsSeen_, completionsSeen_, rejected_,

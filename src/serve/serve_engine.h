@@ -13,8 +13,9 @@
  * how long it runs), feeds completions to the exact Rubik profiler,
  * rebuilds tail tables on the controller's own periodic path, and
  * answers every event with the exact controller's frequency decision.
- * Events with non-finite or negative values, or with a timestamp
- * before the engine clock, are rejected before they touch any state.
+ * Events with non-finite or negative values, with a timestamp before
+ * the engine clock, or with one more than kMaxGapPeriods update periods
+ * past it, are rejected before they touch any state.
  *
  * Every decision flows through a DecisionRecordingPolicy, so the
  * engine's stream carries the same (count, chained-hash) identity and
@@ -76,6 +77,14 @@ struct ServeDecision
 class ServeEngine
 {
   public:
+    /**
+     * Largest accepted jump of an event's `t` past the engine clock, in
+     * update periods. advanceTo() runs every periodic update the jump
+     * crosses (skipping them would drop PI feedback steps), so the bound
+     * caps one event's catch-up work; 1e7 idle periods take ~0.1 s.
+     */
+    static constexpr double kMaxGapPeriods = 1e7;
+
     ServeEngine(const DvfsModel &dvfs, const ServeConfig &config);
     ~ServeEngine();
 

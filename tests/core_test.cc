@@ -2,11 +2,14 @@
  * @file
  * Tests for Rubik's core machinery: discrete distributions (conditioning,
  * convolution, quantiles), target tail tables (including the Gaussian CLT
- * extension), the online profiler, and the PI controller.
+ * extension, and on-demand entries pinned bitwise against an eager
+ * reference build), the online profiler, and the PI controller.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -475,6 +478,281 @@ TEST(TargetTailTable, MemoryTailsTrackMemoryDistribution)
     // m_0 at row 0 ~ 95th percentile of the memory distribution.
     EXPECT_NEAR(table.tailMemTime(0, 0), mem_dist.quantileUpper(0.95),
                 mem_dist.quantileUpper(0.95) * 0.1);
+}
+
+/**
+ * Eager reference: every exact entry of a table computed up front, the
+ * way tables were built before on-demand evaluation — one full chain per
+ * row boundary, then each row's max over its boundaries.
+ */
+struct EagerTable
+{
+    std::vector<std::vector<double>> cycles, mem; // [row][position]
+    std::vector<double> meanC0, varC0, meanM0, varM0;
+    double meanC = 0.0, varC = 0.0, meanM = 0.0, varM = 0.0, zp = 0.0;
+
+    static double extend(const std::vector<std::vector<double>> &exact,
+                         std::size_t row, std::size_t position,
+                         double mean0, double var0, double mean,
+                         double var, double zp)
+    {
+        if (position < exact[row].size())
+            return exact[row][position];
+        const double i = static_cast<double>(position);
+        const double m = mean0 + i * mean;
+        const double v = var0 + i * var;
+        return std::max(m + zp * std::sqrt(std::max(0.0, v)),
+                        exact[row].back());
+    }
+    double tailCycles(std::size_t row, std::size_t position) const
+    {
+        return extend(cycles, row, position, meanC0[row], varC0[row], meanC,
+                      varC, zp);
+    }
+    double tailMemTime(std::size_t row, std::size_t position) const
+    {
+        return extend(mem, row, position, meanM0[row], varM0[row], meanM,
+                      varM, zp);
+    }
+};
+
+std::vector<double>
+eagerChain(const DiscreteDistribution &s0, const DiscreteDistribution &s,
+           const TailTableConfig &cfg)
+{
+    ConvolveOptions opts;
+    opts.useFft = cfg.useFft;
+    std::vector<double> tails;
+    DiscreteDistribution cur = s0;
+    for (std::size_t i = 0; i < cfg.positions; ++i) {
+        double tail = cur.quantileUpper(cfg.percentile);
+        if (i > 0)
+            tail = std::max(tail, tails.back());
+        tails.push_back(tail);
+        if (i + 1 < cfg.positions)
+            cur = cur.convolveWith(s, opts);
+    }
+    return tails;
+}
+
+EagerTable
+eagerBuild(const DiscreteDistribution &s0_compute,
+           const DiscreteDistribution &s0_memory,
+           const DiscreteDistribution &mix_compute,
+           const DiscreteDistribution &mix_memory,
+           const TailTableConfig &cfg)
+{
+    EagerTable t;
+    t.zp = inverseNormalCdf(cfg.percentile);
+    t.meanC = mix_compute.mean();
+    t.varC = mix_compute.variance();
+    t.meanM = mix_memory.mean();
+    t.varM = mix_memory.variance();
+
+    struct Boundary
+    {
+        std::vector<double> cyc, mem;
+        double meanC, varC, meanM, varM;
+    };
+    const double n_rows = static_cast<double>(cfg.rows);
+    const std::size_t n_bounds =
+        cfg.conservativeRowBounds ? cfg.rows + 1 : cfg.rows;
+    std::vector<Boundary> bounds(n_bounds);
+    for (std::size_t b = 0; b < n_bounds; ++b) {
+        const double q = static_cast<double>(b) / n_rows;
+        const double w = b == 0 ? 0.0 : s0_compute.quantile(q);
+        const double m = b == 0 ? 0.0 : s0_memory.quantile(q);
+        const auto s0 = s0_compute.conditionalOnElapsed(w);
+        const auto m0 = s0_memory.conditionalOnElapsed(m);
+        bounds[b].cyc = eagerChain(s0, mix_compute, cfg);
+        bounds[b].mem = eagerChain(m0, mix_memory, cfg);
+        bounds[b].meanC = s0.mean();
+        bounds[b].varC = s0.variance();
+        bounds[b].meanM = m0.mean();
+        bounds[b].varM = m0.variance();
+    }
+    for (std::size_t r = 0; r < cfg.rows; ++r) {
+        const Boundary &lo = bounds[r];
+        const Boundary &hi = cfg.conservativeRowBounds ? bounds[r + 1] : lo;
+        t.cycles.emplace_back();
+        t.mem.emplace_back();
+        for (std::size_t i = 0; i < cfg.positions; ++i) {
+            t.cycles[r].push_back(std::max(lo.cyc[i], hi.cyc[i]));
+            t.mem[r].push_back(std::max(lo.mem[i], hi.mem[i]));
+        }
+        t.meanC0.push_back(std::max(lo.meanC, hi.meanC));
+        t.varC0.push_back(std::max(lo.varC, hi.varC));
+        t.meanM0.push_back(std::max(lo.meanM, hi.meanM));
+        t.varM0.push_back(std::max(lo.varM, hi.varM));
+    }
+    return t;
+}
+
+/// One table read: (row, position, memory side?).
+struct TableQuery
+{
+    std::size_t row, position;
+    bool memory;
+};
+
+/// Every (row, position < positions + 4) entry of both sides.
+std::vector<TableQuery>
+allQueries(const TailTableConfig &cfg)
+{
+    std::vector<TableQuery> q;
+    for (std::size_t r = 0; r < cfg.rows; ++r) {
+        for (std::size_t i = 0; i < cfg.positions + 4; ++i) {
+            q.push_back({r, i, false});
+            q.push_back({r, i, true});
+        }
+    }
+    return q;
+}
+
+/// Read `queries` from `lazy` in order; each must equal the reference.
+void
+expectMatchesEager(const TargetTailTable &lazy, const EagerTable &eager,
+                   const std::vector<TableQuery> &queries)
+{
+    for (const TableQuery &q : queries) {
+        if (q.memory) {
+            EXPECT_EQ(lazy.tailMemTime(q.row, q.position),
+                      eager.tailMemTime(q.row, q.position))
+                << "memory row " << q.row << " position " << q.position;
+        } else {
+            EXPECT_EQ(lazy.tailCycles(q.row, q.position),
+                      eager.tailCycles(q.row, q.position))
+                << "compute row " << q.row << " position " << q.position;
+        }
+    }
+}
+
+TEST(TargetTailTable, OnDemandEntriesEqualEagerBuild)
+{
+    Rng rng(20);
+    std::vector<double> cycles, mems, short_cycles, short_mems;
+    for (int i = 0; i < 20000; ++i) {
+        cycles.push_back(rng.lognormal(13.0, 0.5));
+        mems.push_back(rng.lognormal(-9.0, 0.4));
+        short_cycles.push_back(rng.lognormal(12.0, 0.3));
+        short_mems.push_back(rng.lognormal(-9.5, 0.3));
+    }
+    const auto mix_c = fromSamples(cycles);
+    const auto mix_m = fromSamples(mems);
+    const auto class_c = fromSamples(short_cycles);
+    const auto class_m = fromSamples(short_mems);
+
+    for (const bool conservative : {false, true}) {
+        for (const bool per_class : {false, true}) {
+            SCOPED_TRACE(conservative ? "both bounds" : "lower bound");
+            SCOPED_TRACE(per_class ? "class S_0" : "mixture S_0");
+            TailTableConfig cfg;
+            cfg.positions = 6;
+            cfg.conservativeRowBounds = conservative;
+            const DiscreteDistribution &s0_c = per_class ? class_c : mix_c;
+            const DiscreteDistribution &s0_m = per_class ? class_m : mix_m;
+            const auto build = [&] {
+                return TargetTailTable::build(s0_c, s0_m, mix_c, mix_m,
+                                              cfg);
+            };
+            const EagerTable eager =
+                eagerBuild(s0_c, s0_m, mix_c, mix_m, cfg);
+
+            // Ascending, then position-descending (every row's first
+            // read is a CLT position), then a seeded random interleaving.
+            std::vector<TableQuery> ascending = allQueries(cfg);
+            std::vector<TableQuery> descending = ascending;
+            std::stable_sort(descending.begin(), descending.end(),
+                             [](const TableQuery &a, const TableQuery &b) {
+                                 return a.position > b.position;
+                             });
+            std::vector<TableQuery> shuffled = ascending;
+            Rng order(21);
+            for (std::size_t i = shuffled.size(); i > 1; --i)
+                std::swap(shuffled[i - 1], shuffled[order.uniformInt(i)]);
+            for (const auto *queries : {&ascending, &descending, &shuffled})
+                expectMatchesEager(build(), eager, *queries);
+
+            // A fresh table does no chain work; reading everything runs
+            // each boundary chain exactly once, to its last position.
+            const TargetTailTable full = build();
+            EXPECT_EQ(full.convolutions(), 0u);
+            expectMatchesEager(full, eager, ascending);
+            const std::size_t n_bounds =
+                conservative ? cfg.rows + 1 : cfg.rows;
+            EXPECT_EQ(full.convolutions(),
+                      2 * n_bounds * (cfg.positions - 1));
+
+            // First read at a CLT position, on a single row.
+            const TargetTailTable clt = build();
+            EXPECT_EQ(clt.tailCycles(3, cfg.positions + 2),
+                      eager.tailCycles(3, cfg.positions + 2));
+            EXPECT_EQ(clt.tailMemTime(5, cfg.positions),
+                      eager.tailMemTime(5, cfg.positions));
+
+            // Copied and moved part-way through evaluation: each copy
+            // carries the partial memo and finishes the table on its own.
+            TargetTailTable partial = build();
+            const std::vector<TableQuery> head(
+                shuffled.begin(), shuffled.begin() + shuffled.size() / 3);
+            expectMatchesEager(partial, eager, head);
+            const TargetTailTable copy = partial;
+            expectMatchesEager(copy, eager, descending);
+            const TargetTailTable moved = std::move(partial);
+            expectMatchesEager(moved, eager, ascending);
+        }
+    }
+}
+
+TEST(RubikController, DecisionsComputeOnlyTheEntriesTheyRead)
+{
+    // A warm controller deciding for a short queue pulls in one row to
+    // the queue depth, not the whole table.
+    const DvfsModel dvfs = DvfsModel::haswell();
+    RubikConfig cfg;
+    cfg.latencyBound = 10.0 * kMs;
+    cfg.warmupSamples = 16;
+    cfg.feedback = false;
+    RubikController rubik(dvfs, cfg);
+    Rng rng(22);
+    CoreView idle;
+    for (int i = 0; i < 64; ++i) {
+        CompletedRequest done;
+        done.computeCycles = rng.lognormal(13.0, 0.3);
+        done.memoryTime = rng.lognormal(-9.0, 0.3);
+        done.completionTime = i * 1e-4;
+        rubik.onCompletion(done, idle);
+    }
+    rubik.periodicUpdate(idle);
+    ASSERT_TRUE(rubik.warm());
+    EXPECT_EQ(rubik.tableConvolutions(), 0u);
+
+    const std::vector<double> arrivals = {0.0, 0.0, 0.0};
+    CoreView view;
+    view.busy = true;
+    view.count = arrivals.size();
+    view.arrivals = arrivals.data();
+    view.dvfs = &dvfs;
+    (void)rubik.selectFrequency(view);
+    // Row 0, positions 0..2 of both sides: two steps per chain.
+    EXPECT_EQ(rubik.tableConvolutions(), 4u);
+    (void)rubik.selectFrequency(view);
+    EXPECT_EQ(rubik.tableConvolutions(), 4u);
+
+    // A rebuild starts a fresh table; the count carries across it.
+    for (int i = 0; i < 64; ++i) {
+        CompletedRequest done;
+        done.computeCycles = rng.lognormal(13.0, 0.3);
+        done.memoryTime = rng.lognormal(-9.0, 0.3);
+        done.completionTime = 0.1 + i * 1e-4;
+        rubik.onCompletion(done, idle);
+    }
+    idle.now = cfg.updatePeriod;
+    rubik.periodicUpdate(idle);
+    EXPECT_EQ(rubik.tableRebuilds(), 2u);
+    EXPECT_EQ(rubik.tableConvolutions(), 4u);
+    (void)rubik.selectFrequency(view);
+    EXPECT_EQ(rubik.tableConvolutions(), 8u);
 }
 
 class TableShapeSweep

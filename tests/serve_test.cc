@@ -2,14 +2,14 @@
  * @file
  * Tests for the live serving stack: ServeEngine invariants (grid
  * decisions, warmup, bounded queue, error replies, stats JSON,
- * decision-log accounting), rejection of hostile events without any
- * state change, decision identity between the engine and a
- * hand-driven exact controller fed the same event stream, the
- * LatencyHistogram, and — when RUBIK_CLI points at the built binary —
- * the daemon lifecycle end to end: start, ping, replay producing a
- * decision hash byte-identical to the one-shot CLI's, well-formed
- * --stats, hostile protocol lines, and a SIGTERM shutdown that exits 0
- * and removes the socket.
+ * decision-log accounting), rejection of hostile events (non-finite,
+ * negative, backwards or too far ahead) without any state change,
+ * decision identity between the engine and a hand-driven exact
+ * controller fed the same event stream, the LatencyHistogram, and —
+ * when RUBIK_CLI points at the built binary — the daemon lifecycle end
+ * to end: start, ping, replay producing a decision hash byte-identical
+ * to the one-shot CLI's, well-formed --stats, hostile protocol lines,
+ * and a SIGTERM shutdown that exits 0 and removes the socket.
  */
 
 #include <algorithm>
@@ -243,12 +243,18 @@ TEST(ServeEngine, StatsJsonIsWellFormed)
     }
     EXPECT_EQ(depth, 0);
     for (const char *key :
-         {"\"table_version\":", "\"warm\":", "\"internal_target_ms\":",
-          "\"queue_depth\":", "\"frequency_ghz\":", "\"decisions\":",
-          "\"decision_hash\":", "\"transitions\":", "\"latency_ns\":",
-          "\"rejected\":"}) {
+         {"\"table_version\":", "\"table_convolutions\":", "\"warm\":",
+          "\"internal_target_ms\":", "\"queue_depth\":",
+          "\"frequency_ghz\":", "\"decisions\":", "\"decision_hash\":",
+          "\"transitions\":", "\"latency_ns\":", "\"rejected\":"}) {
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
+    // Decisions after warmup pulled table entries in on demand.
+    const uint64_t steps = engine.controller().tableConvolutions();
+    EXPECT_GT(steps, 0u);
+    const std::string want =
+        "\"table_convolutions\":" + std::to_string(steps) + ",";
+    EXPECT_NE(json.find(want), std::string::npos) << json;
 }
 
 // The engine is a stream-driven wrapper over the exact controller; a
@@ -409,6 +415,23 @@ TEST_F(ServeEngineInput, TimestampGoingBackwardsIsRejected)
     // An equal timestamp is a valid non-decreasing stream.
     EXPECT_TRUE(engine.onArrival(now).ok);
     EXPECT_EQ(engine.decisionLog().count, count + 1);
+}
+
+TEST_F(ServeEngineInput, HugeTimestampGapIsRejected)
+{
+    // `a 1e12` used to run ~1e13 periodic catch-up iterations.
+    const double period = testConfig().updatePeriod;
+    const double past_limit =
+        now + ServeEngine::kMaxGapPeriods * period * 1.01;
+    expectRejected(engine.onArrival(1e12), "timestamp gap too large");
+    expectRejected(engine.onArrival(past_limit), "timestamp gap too large");
+    expectRejected(engine.onCompletion(past_limit, 1e5, 1e-5),
+                   "timestamp gap too large");
+    // A long idle gap inside the bound runs every update it crosses.
+    EXPECT_TRUE(engine.onArrival(now + 1000.0 * period).ok);
+    EXPECT_EQ(engine.decisionLog().count, count + 1);
+    EXPECT_GT(engine.controller().nextPeriodicUpdate(),
+              now + 1000.0 * period);
 }
 
 // ------------------------------------------------------------------
@@ -634,6 +657,10 @@ TEST_F(ServeDaemonCli, InfiniteArrivalIsRejectedAndDaemonKeepsServing)
               "err non-finite value");
     EXPECT_EQ(serveQuery(socketPath, "a nan", 10.0),
               "err non-finite value");
+    // A huge finite t is answered at once instead of spinning the
+    // periodic catch-up.
+    EXPECT_EQ(serveQuery(socketPath, "a 1e12", 10.0),
+              "err timestamp gap too large");
     // Other clients are still served, and the clock did not move.
     EXPECT_EQ(serveQuery(socketPath, "ping", 10.0), "ok");
     EXPECT_EQ(serveQuery(socketPath, "a 0.001", 10.0).compare(0, 2, "f "),
