@@ -14,7 +14,8 @@
  * frequency, find the lowest feasible base frequency (tail latency is
  * monotone in the base frequency, so a binary search on the grid is
  * exact); among all feasible combinations we keep the one with minimum
- * energy.
+ * energy. Each probe of the search is a counting pass
+ * (meetsTailBound), and only the overall winner is replayed.
  */
 
 #include "policies/replay.h"

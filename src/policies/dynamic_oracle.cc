@@ -11,20 +11,26 @@ namespace rubik {
 namespace {
 
 /**
- * Incremental FIFO schedule state for the greedy reduction phase.
- * Lowering one request's frequency only affects its busy period (the
- * effect stops propagating at the first idle gap), so recomputation is
- * local.
+ * Incremental FIFO schedule state for the greedy reduction phase. Each
+ * request runs at a grid level (index into the DVFS grid). Lowering one
+ * request's level only affects its busy period (the effect stops
+ * propagating at the first idle gap), so recomputation is local.
  */
 class Schedule
 {
   public:
-    Schedule(const Trace &trace, std::vector<double> freqs, double bound,
-             double percentile)
-        : trace_(trace), freqs_(std::move(freqs)), bound_(bound)
+    Schedule(const Trace &trace, const std::vector<double> &grid,
+             std::size_t level, double bound, double percentile)
+        : trace_(trace), grid_(grid), levels_(trace.size(), level),
+          bound_(bound)
     {
         completions_.resize(trace.size());
-        recomputeFrom(0);
+        double prev = 0.0;
+        for (std::size_t j = 0; j < trace_.size(); ++j) {
+            const double start = std::max(trace_[j].arrivalTime, prev);
+            completions_[j] = start + trace_[j].serviceTime(freq(j));
+            prev = completions_[j];
+        }
         violations_ = 0;
         for (std::size_t i = 0; i < trace_.size(); ++i)
             violations_ += isViolation(i);
@@ -32,42 +38,46 @@ class Schedule
             (1.0 - percentile) * static_cast<double>(trace_.size())));
     }
 
-    /// Try lowering request i to `freq`; keep if violations stay within
-    /// budget, otherwise roll back. Returns whether the change stuck.
-    bool tryLower(std::size_t i, double freq)
+    /// Try lowering request i by one grid level; keep the step if
+    /// violations stay within budget, otherwise roll back. Returns
+    /// whether the change stuck.
+    bool tryStepDown(std::size_t i)
     {
-        const double old_freq = freqs_[i];
-        freqs_[i] = freq;
+        --levels_[i];
 
-        // Recompute completions from i until they reconverge.
-        std::vector<std::pair<std::size_t, double>> saved;
-        std::size_t j = i;
+        // Recompute completions from i until they reconverge. Lowering
+        // a frequency never shortens a completion, so the violation
+        // count only grows along the walk: once it passes the budget
+        // the step is rejected without finishing the walk.
+        saved_.clear();
         double prev = i == 0 ? 0.0 : completions_[i - 1];
         std::size_t new_violations = violations_;
-        for (; j < trace_.size(); ++j) {
+        for (std::size_t j = i; j < trace_.size(); ++j) {
             const double start = std::max(trace_[j].arrivalTime, prev);
-            const double done = start + trace_[j].serviceTime(freqs_[j]);
+            const double done = start + trace_[j].serviceTime(freq(j));
             if (j > i && done == completions_[j])
                 break; // reconverged; the suffix is unchanged
-            saved.emplace_back(j, completions_[j]);
+            saved_.push_back(completions_[j]);
             new_violations -= isViolation(j);
             completions_[j] = done;
             new_violations += isViolation(j);
+            if (new_violations > maxViolations_) {
+                // Roll back: saved_ holds completions i, i+1, ...
+                ++levels_[i];
+                std::copy(saved_.begin(), saved_.end(),
+                          completions_.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+                return false;
+            }
             prev = done;
         }
-
-        if (new_violations <= maxViolations_) {
-            violations_ = new_violations;
-            return true;
-        }
-        // Roll back.
-        freqs_[i] = old_freq;
-        for (const auto &[idx, val] : saved)
-            completions_[idx] = val;
-        return false;
+        violations_ = new_violations;
+        return true;
     }
 
-    const std::vector<double> &freqs() const { return freqs_; }
+    std::size_t level(std::size_t i) const { return levels_[i]; }
+
+    double freq(std::size_t i) const { return grid_[levels_[i]]; }
 
   private:
     bool isViolation(std::size_t i) const
@@ -75,19 +85,11 @@ class Schedule
         return completions_[i] - trace_[i].arrivalTime > bound_;
     }
 
-    void recomputeFrom(std::size_t i)
-    {
-        double prev = i == 0 ? 0.0 : completions_[i - 1];
-        for (std::size_t j = i; j < trace_.size(); ++j) {
-            const double start = std::max(trace_[j].arrivalTime, prev);
-            completions_[j] = start + trace_[j].serviceTime(freqs_[j]);
-            prev = completions_[j];
-        }
-    }
-
     const Trace &trace_;
-    std::vector<double> freqs_;
+    const std::vector<double> &grid_;
+    std::vector<std::size_t> levels_;
     std::vector<double> completions_;
+    std::vector<double> saved_; ///< One rollback buffer, reused.
     double bound_;
     std::size_t violations_ = 0;
     std::size_t maxViolations_ = 0;
@@ -109,23 +111,24 @@ dynamicOracle(const Trace &trace, double latency_bound, double percentile,
     // Starting at the top keeps slack distributed across the queue; a
     // per-request myopic minimum would leave every request exactly at
     // the bound and cascade violations onto its successors.
-    std::vector<double> freqs(trace.size(), dvfs.maxFrequency());
-
+    //
     // Greedy step-downs, largest energy saving first, while the
     // violation budget holds. A request that fails to step down stays
     // blocked: later reductions only increase latencies, so a rejected
     // step can never become admissible.
-    Schedule sched(trace, freqs, latency_bound, percentile);
+    Schedule sched(trace, grid, grid.size() - 1, latency_bound,
+                   percentile);
 
     auto step_down_saving = [&](std::size_t i) -> double {
-        const double f = sched.freqs()[i];
-        const std::size_t idx = dvfs.indexOf(f);
+        const std::size_t idx = sched.level(i);
         if (idx == 0)
             return -1.0;
-        return requestEnergy(trace[i], f, power) -
+        return requestEnergy(trace[i], grid[idx], power) -
                requestEnergy(trace[i], grid[idx - 1], power);
     };
 
+    // Each request has at most one heap entry, pushed after its own
+    // last step, so a popped saving is always current.
     using Item = std::pair<double, std::size_t>; // (saving, request)
     std::priority_queue<Item> heap;
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -135,18 +138,9 @@ dynamicOracle(const Trace &trace, double latency_bound, double percentile,
     }
 
     while (!heap.empty()) {
-        const auto [saving, i] = heap.top();
+        const std::size_t i = heap.top().second;
         heap.pop();
-        // The heap entry may be stale after a successful step-down.
-        const double fresh = step_down_saving(i);
-        if (fresh <= 0.0)
-            continue;
-        if (std::abs(fresh - saving) > 1e-12 * std::max(1.0, saving)) {
-            heap.push({fresh, i});
-            continue;
-        }
-        const std::size_t idx = dvfs.indexOf(sched.freqs()[i]);
-        if (sched.tryLower(i, grid[idx - 1])) {
+        if (sched.tryStepDown(i)) {
             const double next = step_down_saving(i);
             if (next > 0.0)
                 heap.push({next, i});
@@ -155,7 +149,9 @@ dynamicOracle(const Trace &trace, double latency_bound, double percentile,
     }
 
     DynamicOracleResult result;
-    result.frequencies = sched.freqs();
+    result.frequencies.resize(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        result.frequencies[i] = sched.freq(i);
     result.replay = replayFifo(trace, result.frequencies, power);
     return result;
 }

@@ -50,6 +50,18 @@ ReplayResult replayFixed(const Trace &trace, double freq,
                          const PowerModel &power);
 
 /**
+ * Exactly `replayFifo(trace, freqs, power).tailLatency(q) <= bound`,
+ * without building the replay: the nearest-rank q-quantile of n
+ * latencies is <= bound iff at most n - 1 - nearestRankIndex(n, q) of
+ * them exceed it, so one FIFO pass counts latencies over the bound (by
+ * replayFifo's expressions, in its order) and returns false as soon as
+ * the count passes that budget. No allocation, no sort; this is the
+ * oracles' feasibility probe.
+ */
+bool meetsTailBound(const Trace &trace, const std::vector<double> &freqs,
+                    double q, double bound);
+
+/**
  * Active core energy of serving one request at frequency f (dynamic +
  * static over its service time, with the memory-stall activity factor) —
  * the unit the oracles' greedy steps optimize.

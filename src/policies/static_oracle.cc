@@ -1,5 +1,7 @@
 #include "policies/static_oracle.h"
 
+#include <algorithm>
+
 namespace rubik {
 
 StaticOracleResult
@@ -7,12 +9,15 @@ staticOracle(const Trace &trace, double latency_bound, double percentile,
              const DvfsModel &dvfs, const PowerModel &power)
 {
     StaticOracleResult result;
+    // Probe each grid frequency by counting (meetsTailBound); only the
+    // chosen one is replayed.
+    std::vector<double> freqs(trace.size());
     for (double f : dvfs.frequencies()) {
-        ReplayResult r = replayFixed(trace, f, power);
-        if (r.tailLatency(percentile) <= latency_bound) {
+        std::fill(freqs.begin(), freqs.end(), f);
+        if (meetsTailBound(trace, freqs, percentile, latency_bound)) {
             result.frequency = f;
             result.feasible = true;
-            result.replay = std::move(r);
+            result.replay = replayFifo(trace, freqs, power);
             return result;
         }
     }

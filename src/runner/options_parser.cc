@@ -1,5 +1,8 @@
 #include "runner/options_parser.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,6 +11,91 @@
 #include "runner/sweep_spec.h"
 
 namespace rubik {
+
+NumberRange
+NumberRange::above(double lo)
+{
+    NumberRange r;
+    r.lo = lo;
+    return r;
+}
+
+NumberRange
+NumberRange::atLeast(double lo)
+{
+    NumberRange r;
+    r.lo = lo;
+    r.loOpen = false;
+    return r;
+}
+
+NumberRange
+NumberRange::open(double lo, double hi)
+{
+    NumberRange r;
+    r.lo = lo;
+    r.hi = hi;
+    return r;
+}
+
+bool
+NumberRange::contains(double v) const
+{
+    const bool above_lo = loOpen ? v > lo : v >= lo;
+    const bool below_hi = hiOpen ? v < hi : v <= hi;
+    return above_lo && below_hi;
+}
+
+std::string
+NumberRange::describe() const
+{
+    auto num = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%g", v);
+        return std::string(buf);
+    };
+    const bool has_lo = std::isfinite(lo), has_hi = std::isfinite(hi);
+    if (has_lo && has_hi)
+        return std::string("in ") + (loOpen ? "(" : "[") + num(lo) + ", " +
+               num(hi) + (hiOpen ? ")" : "]");
+    if (has_lo)
+        return (loOpen ? "> " : ">= ") + num(lo);
+    if (has_hi)
+        return (hiOpen ? "< " : "<= ") + num(hi);
+    return "";
+}
+
+std::optional<double>
+parseNumber(const char *text, const NumberRange &range)
+{
+    // strtod skips leading blanks and would accept "2x" as 2 when the
+    // end pointer is ignored; demand the whole token.
+    if (!text || !*text || std::isspace(static_cast<unsigned char>(*text)))
+        return std::nullopt;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (*end != '\0' || !std::isfinite(v) || !range.contains(v))
+        return std::nullopt;
+    return v;
+}
+
+std::optional<std::size_t>
+parseCount(const char *text, std::size_t min)
+{
+    // Digits only: strtoull would wrap "-1" to SIZE_MAX.
+    if (!text || !*text)
+        return std::nullopt;
+    for (const char *c = text; *c; ++c) {
+        if (!std::isdigit(static_cast<unsigned char>(*c)))
+            return std::nullopt;
+    }
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, nullptr, 10);
+    if (errno == ERANGE || v > std::numeric_limits<std::size_t>::max() ||
+        v < min)
+        return std::nullopt;
+    return static_cast<std::size_t>(v);
+}
 
 OptionsParser::OptionsParser(int argc, char **argv, int start)
     : argc_(argc), argv_(argv), start_(start)
@@ -50,6 +138,38 @@ OptionsParser::value(const std::string &name,
     h.takesValue = true;
     h.fn = std::move(fn);
     handlers_.push_back(std::move(h));
+}
+
+void
+OptionsParser::number(const std::string &name, double *out,
+                      const NumberRange &range)
+{
+    value(name, [name, out, range](const char *v) {
+        const auto parsed = parseNumber(v, range);
+        if (!parsed) {
+            const std::string within = range.describe();
+            std::fprintf(stderr, "%s wants a finite number%s%s, got '%s'\n",
+                         name.c_str(), within.empty() ? "" : " ",
+                         within.c_str(), v);
+            std::exit(1);
+        }
+        *out = *parsed;
+    });
+}
+
+void
+OptionsParser::count(const std::string &name, std::size_t *out,
+                     std::size_t min)
+{
+    value(name, [name, out, min](const char *v) {
+        const auto parsed = parseCount(v, min);
+        if (!parsed) {
+            std::fprintf(stderr, "%s wants an integer >= %zu, got '%s'\n",
+                         name.c_str(), min, v);
+            std::exit(1);
+        }
+        *out = *parsed;
+    });
 }
 
 void

@@ -19,14 +19,50 @@
  * equals-joined (`--simd=avx2`).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/sim_options.h"
 
 namespace rubik {
+
+/// The values a numeric flag accepts: an interval, each end open or
+/// closed (an infinite end admits every finite value on its side).
+struct NumberRange
+{
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+    bool loOpen = true;
+    bool hiOpen = true;
+
+    /// (lo, inf): e.g. a positive period.
+    static NumberRange above(double lo);
+    /// [lo, inf): e.g. a non-negative latency.
+    static NumberRange atLeast(double lo);
+    /// (lo, hi): e.g. a percentile strictly inside (0, 1).
+    static NumberRange open(double lo, double hi);
+
+    bool contains(double v) const;
+    /// "> 0", ">= 0", "in (0, 1)", ... for error messages.
+    std::string describe() const;
+};
+
+/**
+ * The whole token as a finite number inside `range`, or nullopt:
+ * trailing garbage ("2x"), leading blanks, an empty token, NaN, an
+ * infinity and out-of-range values are all rejected.
+ */
+std::optional<double> parseNumber(const char *text,
+                                  const NumberRange &range);
+
+/// The whole token as a decimal count >= `min`, or nullopt (signs,
+/// garbage and values past SIZE_MAX are rejected).
+std::optional<std::size_t> parseCount(const char *text, std::size_t min);
 
 /**
  * Registration-based argv walker. A missing value prints
@@ -49,6 +85,20 @@ class OptionsParser
     /// std::logic_error on a duplicate name, like flag().
     void value(const std::string &name,
                std::function<void(const char *)> fn);
+
+    /**
+     * Register a numeric flag stored into *out. A value that
+     * parseNumber rejects prints "FLAG wants a finite number RANGE,
+     * got 'V'" to stderr and exits 1 at parse time.
+     */
+    void number(const std::string &name, double *out,
+                const NumberRange &range);
+
+    /// Register a count flag stored into *out; a value parseCount
+    /// rejects prints "FLAG wants an integer >= MIN, got 'V'" and
+    /// exits 1.
+    void count(const std::string &name, std::size_t *out,
+               std::size_t min);
 
     /// Replace the unknown-token handler.
     void onUnknown(std::function<void(const char *)> fn);

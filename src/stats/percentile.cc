@@ -5,13 +5,28 @@
 
 namespace rubik {
 
+std::size_t
+nearestRankIndex(std::size_t n, double q)
+{
+    q = std::clamp(q, 0.0, 1.0);
+    // Nearest-rank: smallest value with at least ceil(q*n) samples <= it.
+    std::size_t rank =
+        static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+    if (rank == 0)
+        rank = 1;
+    return std::min(rank - 1, n - 1);
+}
+
 double
 percentile(std::vector<double> samples, double q)
 {
     if (samples.empty())
         return 0.0;
-    std::sort(samples.begin(), samples.end());
-    return percentileSorted(samples, q);
+    const auto nth = samples.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         nearestRankIndex(samples.size(), q));
+    std::nth_element(samples.begin(), nth, samples.end());
+    return *nth;
 }
 
 double
@@ -19,14 +34,7 @@ percentileSorted(const std::vector<double> &sorted, double q)
 {
     if (sorted.empty())
         return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    // Nearest-rank: smallest value with at least ceil(q*n) samples <= it.
-    const auto n = sorted.size();
-    std::size_t rank =
-        static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
-    if (rank == 0)
-        rank = 1;
-    return sorted[std::min(rank - 1, n - 1)];
+    return sorted[nearestRankIndex(sorted.size(), q)];
 }
 
 double

@@ -10,19 +10,31 @@
  * finished runs (the rolling online estimator lives in rolling_tail.h).
  */
 
+#include <cstddef>
 #include <vector>
 
 namespace rubik {
 
 /**
+ * Nearest-rank position of the q-quantile among n > 0 samples: the
+ * 0-based index max(1, ceil(q*n)) - 1 into the sorted samples, with q
+ * clamped to [0, 1]. Every exact percentile in the repository picks
+ * this element, so "the q-quantile is <= x" holds exactly when at most
+ * n - 1 - nearestRankIndex(n, q) samples exceed x.
+ */
+std::size_t nearestRankIndex(std::size_t n, double q);
+
+/**
  * Exact q-quantile (q in [0,1]) of the samples using the nearest-rank
- * method on a sorted copy. Returns 0 for an empty vector.
+ * method. Selects the element in place (std::nth_element, O(n)) rather
+ * than sorting; the value is the sorted copy's. Returns 0 for an empty
+ * vector.
  */
 double percentile(std::vector<double> samples, double q);
 
 /**
- * q-quantile of pre-sorted samples (no copy). Asserts samples are sorted
- * in debug builds only via spot checks; callers own the precondition.
+ * q-quantile of pre-sorted samples (no copy). Callers own the sorted
+ * precondition.
  */
 double percentileSorted(const std::vector<double> &sorted, double q);
 

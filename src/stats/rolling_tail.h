@@ -31,7 +31,8 @@ class RollingTail
     /// Drop samples older than (now - window).
     void expire(double now);
 
-    /// Percentile of the current window (0 if empty). O(n log n).
+    /// Nearest-rank percentile of the current window (0 if empty).
+    /// O(n): copies the values and selects the element (percentile()).
     double tail(double q) const;
 
     /// Number of live samples.

@@ -5,6 +5,11 @@
  * Pegasus feedback baseline.
  */
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <queue>
+
 #include <gtest/gtest.h>
 
 #include "policies/adrenaline.h"
@@ -13,6 +18,7 @@
 #include "policies/replay.h"
 #include "policies/static_oracle.h"
 #include "sim/simulation.h"
+#include "stats/percentile.h"
 #include "util/units.h"
 #include "workloads/apps.h"
 #include "workloads/trace_gen.h"
@@ -36,6 +42,259 @@ struct Harness
         return replayFixed(t, dvfs.nominalFrequency(), pm).tailLatency(0.95);
     }
 };
+
+// ------------------------------------------------------------------
+// Reference searches: the oracles as they were before feasibility
+// became a counting probe. Every probe replays the trace and sorts its
+// latencies; the production oracles must reproduce these bit for bit.
+
+namespace reference {
+
+std::vector<double>
+assignFrequencies(const Trace &trace, double nominal_freq, double threshold,
+                  double base, double boost)
+{
+    std::vector<double> freqs(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const double nominal_service = trace[i].serviceTime(nominal_freq);
+        freqs[i] = nominal_service > threshold ? boost : base;
+    }
+    return freqs;
+}
+
+AdrenalineResult
+adrenalineOracle(const Trace &trace, double latency_bound,
+                 const DvfsModel &dvfs, const PowerModel &power,
+                 double nominal_freq,
+                 const AdrenalineConfig &config = AdrenalineConfig())
+{
+    std::vector<double> service(trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        service[i] = trace[i].serviceTime(nominal_freq);
+    std::sort(service.begin(), service.end());
+
+    AdrenalineResult best;
+    double best_energy = std::numeric_limits<double>::infinity();
+    const auto &grid = dvfs.frequencies();
+    for (double q : config.thresholdQuantiles) {
+        const double threshold = percentileSorted(service, q);
+        for (double boost : grid) {
+            std::size_t lo = 0;
+            std::size_t hi = dvfs.indexOf(boost);
+            {
+                auto freqs = assignFrequencies(trace, nominal_freq,
+                                               threshold, grid[hi], boost);
+                ReplayResult r = replayFifo(trace, freqs, power);
+                if (r.tailLatency(config.percentile) > latency_bound)
+                    continue;
+            }
+            while (lo < hi) {
+                const std::size_t mid = (lo + hi) / 2;
+                auto freqs = assignFrequencies(trace, nominal_freq,
+                                               threshold, grid[mid], boost);
+                ReplayResult r = replayFifo(trace, freqs, power);
+                if (r.tailLatency(config.percentile) <= latency_bound)
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            auto freqs = assignFrequencies(trace, nominal_freq, threshold,
+                                           grid[lo], boost);
+            ReplayResult r = replayFifo(trace, freqs, power);
+            if (r.tailLatency(config.percentile) > latency_bound)
+                continue;
+            if (r.coreActiveEnergy < best_energy) {
+                best_energy = r.coreActiveEnergy;
+                best.threshold = threshold;
+                best.baseFrequency = grid[lo];
+                best.boostFrequency = boost;
+                best.feasible = true;
+                best.replay = std::move(r);
+            }
+        }
+    }
+    if (!best.feasible) {
+        best.threshold = 0.0;
+        best.baseFrequency = dvfs.maxFrequency();
+        best.boostFrequency = dvfs.maxFrequency();
+        best.replay = replayFixed(trace, dvfs.maxFrequency(), power);
+    }
+    return best;
+}
+
+StaticOracleResult
+staticOracle(const Trace &trace, double latency_bound, double percentile,
+             const DvfsModel &dvfs, const PowerModel &power)
+{
+    StaticOracleResult result;
+    for (double f : dvfs.frequencies()) {
+        ReplayResult r = replayFixed(trace, f, power);
+        if (r.tailLatency(percentile) <= latency_bound) {
+            result.frequency = f;
+            result.feasible = true;
+            result.replay = std::move(r);
+            return result;
+        }
+    }
+    result.frequency = dvfs.maxFrequency();
+    result.replay = replayFixed(trace, result.frequency, power);
+    return result;
+}
+
+/// FIFO schedule with a full-walk, allocate-per-try rollback.
+class Schedule
+{
+  public:
+    Schedule(const Trace &trace, std::vector<double> freqs, double bound,
+             double percentile)
+        : trace_(trace), freqs_(std::move(freqs)), bound_(bound)
+    {
+        completions_.resize(trace.size());
+        double prev = 0.0;
+        for (std::size_t j = 0; j < trace_.size(); ++j) {
+            const double start = std::max(trace_[j].arrivalTime, prev);
+            completions_[j] = start + trace_[j].serviceTime(freqs_[j]);
+            prev = completions_[j];
+        }
+        for (std::size_t i = 0; i < trace_.size(); ++i)
+            violations_ += isViolation(i);
+        maxViolations_ = static_cast<std::size_t>(std::floor(
+            (1.0 - percentile) * static_cast<double>(trace_.size())));
+    }
+
+    bool tryLower(std::size_t i, double freq)
+    {
+        const double old_freq = freqs_[i];
+        freqs_[i] = freq;
+        std::vector<std::pair<std::size_t, double>> saved;
+        double prev = i == 0 ? 0.0 : completions_[i - 1];
+        std::size_t new_violations = violations_;
+        for (std::size_t j = i; j < trace_.size(); ++j) {
+            const double start = std::max(trace_[j].arrivalTime, prev);
+            const double done = start + trace_[j].serviceTime(freqs_[j]);
+            if (j > i && done == completions_[j])
+                break;
+            saved.emplace_back(j, completions_[j]);
+            new_violations -= isViolation(j);
+            completions_[j] = done;
+            new_violations += isViolation(j);
+            prev = done;
+        }
+        if (new_violations <= maxViolations_) {
+            violations_ = new_violations;
+            return true;
+        }
+        freqs_[i] = old_freq;
+        for (const auto &[idx, val] : saved)
+            completions_[idx] = val;
+        return false;
+    }
+
+    const std::vector<double> &freqs() const { return freqs_; }
+
+  private:
+    bool isViolation(std::size_t i) const
+    {
+        return completions_[i] - trace_[i].arrivalTime > bound_;
+    }
+
+    const Trace &trace_;
+    std::vector<double> freqs_;
+    std::vector<double> completions_;
+    double bound_;
+    std::size_t violations_ = 0;
+    std::size_t maxViolations_ = 0;
+};
+
+/// The heap search with indexOf lookups and the stale-entry re-check.
+DynamicOracleResult
+dynamicOracle(const Trace &trace, double latency_bound, double percentile,
+              const DvfsModel &dvfs, const PowerModel &power)
+{
+    const auto &grid = dvfs.frequencies();
+    Schedule sched(trace,
+                   std::vector<double>(trace.size(), dvfs.maxFrequency()),
+                   latency_bound, percentile);
+    auto step_down_saving = [&](std::size_t i) -> double {
+        const double f = sched.freqs()[i];
+        const std::size_t idx = dvfs.indexOf(f);
+        if (idx == 0)
+            return -1.0;
+        return requestEnergy(trace[i], f, power) -
+               requestEnergy(trace[i], grid[idx - 1], power);
+    };
+    using Item = std::pair<double, std::size_t>;
+    std::priority_queue<Item> heap;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const double s = step_down_saving(i);
+        if (s > 0.0)
+            heap.push({s, i});
+    }
+    while (!heap.empty()) {
+        const auto [saving, i] = heap.top();
+        heap.pop();
+        const double fresh = step_down_saving(i);
+        if (fresh <= 0.0)
+            continue;
+        if (std::abs(fresh - saving) > 1e-12 * std::max(1.0, saving)) {
+            heap.push({fresh, i});
+            continue;
+        }
+        const std::size_t idx = dvfs.indexOf(sched.freqs()[i]);
+        if (sched.tryLower(i, grid[idx - 1])) {
+            const double next = step_down_saving(i);
+            if (next > 0.0)
+                heap.push({next, i});
+        }
+    }
+    DynamicOracleResult result;
+    result.frequencies = sched.freqs();
+    result.replay = replayFifo(trace, result.frequencies, power);
+    return result;
+}
+
+} // namespace reference
+
+/// Bitwise equality of two replays.
+void
+expectSameReplay(const ReplayResult &got, const ReplayResult &want)
+{
+    EXPECT_EQ(got.latencies, want.latencies);
+    EXPECT_EQ(got.coreActiveEnergy, want.coreActiveEnergy);
+    EXPECT_EQ(got.makespan, want.makespan);
+}
+
+/// One oracle scenario: a trace and a bound to tune it against.
+struct OracleCase
+{
+    std::string name;
+    Trace trace;
+    double bound;
+};
+
+/// All five apps at loads 0.3 and 0.7, against 0.6x, 1x and 2x the
+/// trace's fixed-nominal tail, a loose 50x bound (the bottom of the
+/// grid) and an impossible bound (the max-frequency fallback).
+std::vector<OracleCase>
+oracleCases(const Harness &s, int n)
+{
+    std::vector<OracleCase> cases;
+    for (AppId app : {AppId::Masstree, AppId::Moses, AppId::Shore,
+                      AppId::Specjbb, AppId::Xapian}) {
+        for (double load : {0.3, 0.7}) {
+            Trace t = s.trace(app, load, n);
+            const double tail = s.bound(t);
+            for (double scale : {0.6, 1.0, 2.0, 50.0, 0.0}) {
+                const double bound = scale > 0.0 ? scale * tail : 1e-9;
+                cases.push_back({makeApp(app).name + "@" +
+                                     std::to_string(load) + "x" +
+                                     std::to_string(scale),
+                                 t, bound});
+            }
+        }
+    }
+    return cases;
+}
 
 TEST(Replay, NoQueueingAtTinyLoad)
 {
@@ -97,6 +356,47 @@ TEST(Replay, RequestEnergyUsesStallFactor)
               requestEnergy(compute, 2.4 * kGHz, s.pm));
 }
 
+TEST(Replay, TailBoundProbeMatchesReplay)
+{
+    Harness s;
+    const Trace t = s.trace(AppId::Xapian, 0.6, 1000);
+    // Mixed per-request frequencies, as AdrenalineOracle assigns them.
+    std::vector<double> freqs(t.size());
+    for (std::size_t i = 0; i < t.size(); ++i)
+        freqs[i] = i % 3 == 0 ? 2.8 * kGHz : 1.6 * kGHz;
+    const ReplayResult r = replayFifo(t, freqs, s.pm);
+    const double lmax =
+        *std::max_element(r.latencies.begin(), r.latencies.end());
+    for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+        const double tail = r.tailLatency(q);
+        // The bound exactly at the latency on the budget boundary, one
+        // ulp below it, a budget never reached (nothing or few over),
+        // and a NaN bound (the quantile comparison fails).
+        for (double bound :
+             {tail, std::nextafter(tail, 0.0), lmax, 0.5 * (tail + lmax),
+              std::numeric_limits<double>::infinity(),
+              std::numeric_limits<double>::quiet_NaN()}) {
+            EXPECT_EQ(meetsTailBound(t, freqs, q, bound),
+                      r.tailLatency(q) <= bound)
+                << "q=" << q << " bound=" << bound;
+        }
+        EXPECT_TRUE(meetsTailBound(t, freqs, q, tail)) << q;
+        EXPECT_FALSE(meetsTailBound(t, freqs, q, std::nextafter(tail, 0.0)))
+            << q;
+    }
+
+    // q = 1 leaves no budget: the first request over the bound fails the
+    // probe on the spot.
+    ASSERT_GT(r.latencies[0], 0.0);
+    const double below_first = std::nextafter(r.latencies[0], 0.0);
+    EXPECT_FALSE(meetsTailBound(t, freqs, 1.0, below_first));
+    EXPECT_EQ(r.tailLatency(1.0) <= below_first, false);
+
+    // An empty trace has tail 0.
+    EXPECT_TRUE(meetsTailBound({}, {}, 0.95, 0.0));
+    EXPECT_FALSE(meetsTailBound({}, {}, 0.95, -1.0));
+}
+
 TEST(StaticOracle, PicksLowestFeasibleFrequency)
 {
     Harness s;
@@ -113,6 +413,23 @@ TEST(StaticOracle, PicksLowestFeasibleFrequency)
             replayFixed(t, s.dvfs.frequencies()[idx - 1], s.pm);
         EXPECT_GT(lower.tailLatency(0.95), bound);
     }
+
+    // The counting probe picks exactly what sorted replays pick.
+    int lowest = 0, infeasible = 0;
+    for (const OracleCase &c : oracleCases(s, 2000)) {
+        SCOPED_TRACE(c.name);
+        const auto got = staticOracle(c.trace, c.bound, 0.95, s.dvfs, s.pm);
+        const auto want =
+            reference::staticOracle(c.trace, c.bound, 0.95, s.dvfs, s.pm);
+        EXPECT_EQ(got.frequency, want.frequency);
+        EXPECT_EQ(got.feasible, want.feasible);
+        expectSameReplay(got.replay, want.replay);
+        lowest += want.frequency == s.dvfs.frequencies().front();
+        infeasible += !want.feasible;
+    }
+    // The cases reach both ends of the grid.
+    EXPECT_GT(lowest, 0);
+    EXPECT_GT(infeasible, 0);
 }
 
 TEST(StaticOracle, FrequencyRisesWithLoad)
@@ -166,6 +483,42 @@ TEST(AdrenalineOracle, AtMostStaticOracleEnergy)
         ASSERT_TRUE(adr.feasible);
         EXPECT_LE(adr.replay.coreActiveEnergy,
                   st.replay.coreActiveEnergy * 1.001);
+    }
+}
+
+TEST(AdrenalineOracle, MatchesReplaySearch)
+{
+    Harness s;
+    int feasible = 0, infeasible = 0;
+    for (const OracleCase &c : oracleCases(s, 2000)) {
+        SCOPED_TRACE(c.name);
+        const double nominal = s.dvfs.nominalFrequency();
+        const auto got = adrenalineOracle(c.trace, c.bound, s.dvfs, s.pm,
+                                          nominal);
+        const auto want = reference::adrenalineOracle(c.trace, c.bound,
+                                                      s.dvfs, s.pm, nominal);
+        EXPECT_EQ(got.threshold, want.threshold);
+        EXPECT_EQ(got.baseFrequency, want.baseFrequency);
+        EXPECT_EQ(got.boostFrequency, want.boostFrequency);
+        EXPECT_EQ(got.feasible, want.feasible);
+        expectSameReplay(got.replay, want.replay);
+        (want.feasible ? feasible : infeasible) += 1;
+    }
+    // The cases reach both the search and the fallback.
+    EXPECT_GT(feasible, 0);
+    EXPECT_GT(infeasible, 0);
+}
+
+TEST(DynamicOracle, MatchesReplaySearch)
+{
+    Harness s;
+    for (const OracleCase &c : oracleCases(s, 2000)) {
+        SCOPED_TRACE(c.name);
+        const auto got = dynamicOracle(c.trace, c.bound, 0.95, s.dvfs, s.pm);
+        const auto want = reference::dynamicOracle(c.trace, c.bound, 0.95,
+                                                   s.dvfs, s.pm);
+        EXPECT_EQ(got.frequencies, want.frequencies);
+        expectSameReplay(got.replay, want.replay);
     }
 }
 

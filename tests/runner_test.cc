@@ -76,6 +76,58 @@ TEST(OptionsParser, DistinctFlagsStillRegister)
     EXPECT_TRUE(csv);
 }
 
+// Typed numeric registrations: the whole token must be a finite number
+// in range (atof read "2x" as 2 and "nan" as NaN).
+
+TEST(OptionsParser, ParseNumberRejectsGarbageNonFiniteAndOutOfRange)
+{
+    const NumberRange positive = NumberRange::above(0.0);
+    EXPECT_EQ(parseNumber("2", positive), 2.0);
+    EXPECT_EQ(parseNumber("2.5e-1", positive), 0.25);
+    for (const char *bad : {"", " 2", "2x", "2 ", "nan", "inf", "-inf",
+                            "0", "-5", "abc", "1e999"})
+        EXPECT_FALSE(parseNumber(bad, positive)) << "'" << bad << "'";
+
+    const NumberRange unit = NumberRange::open(0.0, 1.0);
+    EXPECT_EQ(parseNumber("0.95", unit), 0.95);
+    for (const char *bad : {"0", "1", "1.5", "0.95x", "nan", "-0.1"})
+        EXPECT_FALSE(parseNumber(bad, unit)) << bad;
+
+    const NumberRange non_negative = NumberRange::atLeast(0.0);
+    EXPECT_EQ(parseNumber("0", non_negative), 0.0);
+    EXPECT_FALSE(parseNumber("-5", non_negative));
+
+    EXPECT_EQ(positive.describe(), "> 0");
+    EXPECT_EQ(non_negative.describe(), ">= 0");
+    EXPECT_EQ(unit.describe(), "in (0, 1)");
+}
+
+TEST(OptionsParser, ParseCountRejectsSignsAndGarbage)
+{
+    EXPECT_EQ(parseCount("1", 1), 1u);
+    EXPECT_EQ(parseCount("65536", 1), 65536u);
+    for (const char *bad : {"", "0", "-1", "+3", "abc", "3x", "1e3", " 3",
+                            "99999999999999999999999"})
+        EXPECT_FALSE(parseCount(bad, 1)) << "'" << bad << "'";
+}
+
+TEST(OptionsParser, TypedFlagsStoreParsedValues)
+{
+    char prog[] = "prog";
+    char a[] = "--bound-ms=0.5";
+    char b[] = "--max-queue";
+    char c[] = "12";
+    char *argv[] = {prog, a, b, c};
+    double bound = 0.0;
+    std::size_t queue = 0;
+    OptionsParser parser(4, argv);
+    parser.number("--bound-ms", &bound, NumberRange::above(0.0));
+    parser.count("--max-queue", &queue, 1);
+    parser.run();
+    EXPECT_EQ(bound, 0.5);
+    EXPECT_EQ(queue, 12u);
+}
+
 TEST(ExperimentRunner, RunsAllJobsInSubmissionOrder)
 {
     ExperimentRunner runner(4);

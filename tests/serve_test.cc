@@ -622,6 +622,53 @@ TEST_F(ServeDaemonCli, ReplayMatchesOneShotAndShutsDownOnSigterm)
     EXPECT_FALSE(std::filesystem::exists(socketPath));
 }
 
+TEST_F(ServeDaemonCli, BadNumericFlagsExitOneNamingTheFlag)
+{
+    // Each of these used to panic (SIGABRT) at startup or at the first
+    // table build, or to run silently with a truncated or wrapped value.
+    // The last two are positive in ms but underflow to 0 s.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--bound-ms", "nan"},      {"--update-ms", "nan"},
+        {"--transition-us", "nan"}, {"--transition-us", "-5"},
+        {"--percentile", "1.5"},    {"--percentile", "nan"},
+        {"--bound-ms", "2x"},       {"--percentile", "0.95x"},
+        {"--max-queue", "abc"},     {"--max-queue", "-1"},
+        {"--bound-ms", "5e-324"},   {"--update-ms", "5e-324"},
+    };
+    for (const auto &[flag, value] : cases) {
+        SCOPED_TRACE(flag + " " + value);
+        const std::string bound = flag == "--bound-ms" ? "" : " --bound-ms 2";
+        const std::string err = scratch.path + "/badflag.stderr";
+        // Bounded wait: a value that is wrongly accepted starts a
+        // daemon that would otherwise never exit.
+        const pid_t pid = spawnShellCommand(
+            "exec " + cli + " serve --socket " + socketPath + bound + " " +
+                flag + " " + value,
+            scratch.path + "/badflag.stdout", err);
+        ASSERT_GT(pid, 0);
+        int status = 0;
+        if (!waitCommandFor(pid, 30.0, &status)) {
+            killCommandGroup(pid);
+            ADD_FAILURE() << "daemon accepted the value and kept running";
+            continue;
+        }
+        ASSERT_TRUE(WIFEXITED(status)) << describeWaitStatus(status);
+        EXPECT_EQ(WEXITSTATUS(status), 1);
+        const std::string text = readFile(err);
+        EXPECT_NE(text.find(flag), std::string::npos) << text;
+        EXPECT_FALSE(std::filesystem::exists(socketPath));
+    }
+
+    // In-range values at the edges still start a daemon.
+    startDaemon("--percentile 0.5 --update-ms 1e-3 --transition-us 0"
+                " --max-queue 1");
+    EXPECT_EQ(serveQuery(socketPath, "shutdown"), "ok");
+    int status = 0;
+    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    daemonPid = -1;
+    EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
+}
+
 TEST_F(ServeDaemonCli, ShutdownCommandExitsCleanly)
 {
     startDaemon("");

@@ -4,6 +4,7 @@
  * correlation, streaming summaries, inverse normal CDF.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -126,6 +127,51 @@ TEST(Percentile, NearestRankSmallVectors)
     EXPECT_DOUBLE_EQ(percentile(v, 0.34), 2.0);
     EXPECT_DOUBLE_EQ(percentile(v, 0.67), 3.0);
     EXPECT_DOUBLE_EQ(percentile(v, 1.0), 3.0);
+}
+
+TEST(Percentile, SelectionMatchesSortedReference)
+{
+    // percentile() selects in place; it must return exactly the element
+    // a sorted copy puts at the nearest rank. Values repeat, and some
+    // q*n products are integers (0.05*20, 0.5*20, 0.5*1000, ...).
+    Rng rng(2024);
+    for (std::size_t n : {1u, 2u, 19u, 20u, 21u, 1000u}) {
+        std::vector<double> v(n);
+        for (double &x : v)
+            x = 0.25 * static_cast<double>(rng.uniformInt(n / 3 + 2));
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        for (double q : {-0.1, 0.0, 0.05, 0.5, 0.95, 1.0, 1.5}) {
+            const double tail = percentile(v, q);
+            EXPECT_EQ(tail, percentileSorted(sorted, q))
+                << "n=" << n << " q=" << q;
+            // The counting rule the oracles' probe relies on: the
+            // quantile is <= x iff at most n-1-rank samples exceed x.
+            const std::size_t budget = n - 1 - nearestRankIndex(n, q);
+            for (double x : sorted) {
+                for (double probe : {x, std::nextafter(x, -1.0)}) {
+                    const auto over = static_cast<std::size_t>(
+                        std::count_if(sorted.begin(), sorted.end(),
+                                      [&](double s) { return s > probe; }));
+                    EXPECT_EQ(tail <= probe, over <= budget)
+                        << "n=" << n << " q=" << q << " x=" << probe;
+                }
+            }
+        }
+    }
+}
+
+TEST(Percentile, NearestRankIndex)
+{
+    EXPECT_EQ(nearestRankIndex(1, 0.95), 0u);
+    EXPECT_EQ(nearestRankIndex(20, -0.1), 0u);
+    EXPECT_EQ(nearestRankIndex(20, 0.0), 0u);
+    EXPECT_EQ(nearestRankIndex(20, 0.05), 0u); // ceil(1) - 1
+    EXPECT_EQ(nearestRankIndex(20, 0.5), 9u);
+    EXPECT_EQ(nearestRankIndex(21, 0.5), 10u);
+    EXPECT_EQ(nearestRankIndex(100, 0.95), 94u);
+    EXPECT_EQ(nearestRankIndex(20, 1.0), 19u);
+    EXPECT_EQ(nearestRankIndex(20, 1.5), 19u);
 }
 
 TEST(Percentile, EmptyIsZero)

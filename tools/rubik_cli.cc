@@ -1093,21 +1093,17 @@ serveMain(int argc, char **argv)
     parser.value("--socket", [&](const char *v) { socket_path = v; });
     parser.flag("--stats", [&] { stats = true; });
     parser.flag("--shutdown", [&] { shutdown = true; });
-    parser.value("--bound-ms",
-                 [&](const char *v) { bound_ms = std::atof(v); });
-    parser.value("--percentile", [&](const char *v) {
-        sc.percentile = std::atof(v);
-    });
-    parser.value("--update-ms",
-                 [&](const char *v) { update_ms = std::atof(v); });
+    // Numeric flags are checked as parsed, so a bad value exits 1
+    // naming the flag before any socket is touched.
+    parser.number("--bound-ms", &bound_ms, NumberRange::above(0.0));
+    parser.number("--percentile", &sc.percentile,
+                  NumberRange::open(0.0, 1.0));
+    parser.number("--update-ms", &update_ms, NumberRange::above(0.0));
     parser.flag("--feedback", [&] { sc.feedback = true; });
-    parser.value("--max-queue", [&](const char *v) {
-        sc.maxQueue = static_cast<std::size_t>(std::atoll(v));
-    });
+    parser.count("--max-queue", &sc.maxQueue, 1);
     parser.flag("--no-timing", [&] { sc.timeDecisions = false; });
-    parser.value("--transition-us", [&](const char *v) {
-        transition_us = std::atof(v);
-    });
+    parser.number("--transition-us", &transition_us,
+                  NumberRange::atLeast(0.0));
     addSimdFlag(parser, &run);
     parser.onUnknown([](const char *token) {
         std::fprintf(stderr, "serve: unknown flag %s\n", token);
@@ -1132,16 +1128,18 @@ serveMain(int argc, char **argv)
         }
         return 0;
     }
-    if (bound_ms <= 0.0) {
+    sc.latencyBound = bound_ms * kMs;
+    sc.updatePeriod = update_ms * kMs;
+    // Checked in seconds: a positive value of a few ulps in ms still
+    // underflows to 0 s.
+    if (!(sc.latencyBound > 0.0)) {
         std::fprintf(stderr, "serve needs --bound-ms MS > 0\n");
         return 1;
     }
-    if (update_ms <= 0.0) {
+    if (!(sc.updatePeriod > 0.0)) {
         std::fprintf(stderr, "serve needs --update-ms MS > 0\n");
         return 1;
     }
-    sc.latencyBound = bound_ms * kMs;
-    sc.updatePeriod = update_ms * kMs;
     DaemonConfig dc;
     dc.socketPath = socket_path;
     dc.serve = sc;
