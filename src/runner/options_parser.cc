@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -79,8 +80,8 @@ parseNumber(const char *text, const NumberRange &range)
     return v;
 }
 
-std::optional<std::size_t>
-parseCount(const char *text, std::size_t min)
+std::optional<uint64_t>
+parseCount(const char *text, uint64_t min, uint64_t max)
 {
     // Digits only: strtoull would wrap "-1" to SIZE_MAX.
     if (!text || !*text)
@@ -91,10 +92,9 @@ parseCount(const char *text, std::size_t min)
     }
     errno = 0;
     const unsigned long long v = std::strtoull(text, nullptr, 10);
-    if (errno == ERANGE || v > std::numeric_limits<std::size_t>::max() ||
-        v < min)
+    if (errno == ERANGE || v < min || v > max)
         return std::nullopt;
-    return static_cast<std::size_t>(v);
+    return static_cast<uint64_t>(v);
 }
 
 OptionsParser::OptionsParser(int argc, char **argv, int start)
@@ -158,17 +158,25 @@ OptionsParser::number(const std::string &name, double *out,
 }
 
 void
-OptionsParser::count(const std::string &name, std::size_t *out,
-                     std::size_t min)
+OptionsParser::countValue(const std::string &name, uint64_t min,
+                          uint64_t max, std::function<void(uint64_t)> store)
 {
-    value(name, [name, out, min](const char *v) {
-        const auto parsed = parseCount(v, min);
+    value(name, [name, min, max, store = std::move(store)](const char *v) {
+        const auto parsed = parseCount(v, min, max);
         if (!parsed) {
-            std::fprintf(stderr, "%s wants an integer >= %zu, got '%s'\n",
-                         name.c_str(), min, v);
+            if (max == UINT64_MAX)
+                std::fprintf(stderr,
+                             "%s wants an integer >= %" PRIu64
+                             ", got '%s'\n",
+                             name.c_str(), min, v);
+            else
+                std::fprintf(stderr,
+                             "%s wants an integer in [%" PRIu64
+                             ", %" PRIu64 "], got '%s'\n",
+                             name.c_str(), min, max, v);
             std::exit(1);
         }
-        *out = *parsed;
+        store(*parsed);
     });
 }
 
@@ -224,14 +232,9 @@ OptionsParser::run()
 void
 addRunFlags(OptionsParser &parser, CommonRunOptions *opts)
 {
-    parser.value("--seed", [opts](const char *v) {
-        opts->seed = static_cast<uint64_t>(std::atoll(v));
-    });
-    parser.value("--requests", [opts](const char *v) {
-        opts->requests = std::atoi(v);
-    });
-    parser.value("--jobs",
-                 [opts](const char *v) { opts->jobs = std::atoi(v); });
+    parser.count("--seed", &opts->seed, 0);
+    parser.count("--requests", &opts->requests, 1);
+    parser.count("--jobs", &opts->jobs, 0);
 }
 
 void

@@ -25,6 +25,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/sim_options.h"
@@ -60,9 +61,10 @@ struct NumberRange
 std::optional<double> parseNumber(const char *text,
                                   const NumberRange &range);
 
-/// The whole token as a decimal count >= `min`, or nullopt (signs,
-/// garbage and values past SIZE_MAX are rejected).
-std::optional<std::size_t> parseCount(const char *text, std::size_t min);
+/// The whole token as a decimal count in [min, max], or nullopt
+/// (signs, garbage and values past `max` are rejected).
+std::optional<uint64_t> parseCount(const char *text, uint64_t min,
+                                   uint64_t max = UINT64_MAX);
 
 /**
  * Registration-based argv walker. A missing value prints
@@ -94,11 +96,21 @@ class OptionsParser
     void number(const std::string &name, double *out,
                 const NumberRange &range);
 
-    /// Register a count flag stored into *out; a value parseCount
-    /// rejects prints "FLAG wants an integer >= MIN, got 'V'" and
-    /// exits 1.
-    void count(const std::string &name, std::size_t *out,
-               std::size_t min);
+    /**
+     * Register a count flag stored into *out, accepting [min, max]
+     * (max defaults to the largest value *out holds). A value
+     * parseCount rejects prints "FLAG wants an integer >= MIN, got
+     * 'V'" (or "in [MIN, MAX]" when max is below UINT64_MAX) and exits
+     * 1.
+     */
+    template <typename Int>
+    void count(const std::string &name, Int *out, uint64_t min,
+               uint64_t max = std::numeric_limits<Int>::max())
+    {
+        static_assert(std::is_integral_v<Int>);
+        countValue(name, min, max,
+                   [out](uint64_t v) { *out = static_cast<Int>(v); });
+    }
 
     /// Replace the unknown-token handler.
     void onUnknown(std::function<void(const char *)> fn);
@@ -116,6 +128,8 @@ class OptionsParser
 
     const Handler *find(const char *token) const;
     void rejectDuplicate(const std::string &name) const;
+    void countValue(const std::string &name, uint64_t min, uint64_t max,
+                    std::function<void(uint64_t)> store);
 
     int argc_;
     char **argv_;
@@ -147,7 +161,11 @@ struct CommonRunOptions
     bool simdGiven = false;
 };
 
-/// Register --seed S, --requests N, --jobs N.
+/**
+ * Register --seed S (an integer in [0, 2^64-1]), --requests N (in
+ * [1, INT_MAX]) and --jobs N (in [0, INT_MAX]). A bad value exits 1
+ * naming the flag.
+ */
 void addRunFlags(OptionsParser &parser, CommonRunOptions *opts);
 
 /**

@@ -1,13 +1,15 @@
 #include "serve/daemon.h"
 
 #include <cerrno>
+#include <charconv>
+#include <chrono>
 #include <cinttypes>
 #include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -24,9 +26,19 @@ namespace rubik {
 
 namespace {
 
-/// Longest unterminated request a client may buffer; past it the
-/// client gets `err line too long` and is dropped.
+/// Longest request line, terminated or not; past it the client gets
+/// `err line too long` and is dropped.
 constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
+/// Most bytes one read() takes from a client in a poll round.
+constexpr std::size_t kReadBytes = 64 * 1024;
+
+/// A client with this many unwritten reply bytes is not read from
+/// until it drains below it.
+constexpr std::size_t kMaxUnsentBytes = 1024 * 1024;
+
+/// How long the replies still unwritten at exit may take to go out.
+constexpr int kExitDrainMs = 1000;
 
 volatile sig_atomic_t g_stop = 0;
 
@@ -64,20 +76,29 @@ writeAll(int fd, const std::string &s)
     return true;
 }
 
-/// Parse a double token; false on trailing garbage.
-bool
-parseDouble(const std::string &tok, double *out)
+/// Append a decision's reply text, "f <hz>", to `out`.
+void
+appendFormatted(double hz, std::string &out)
 {
-    char *end = nullptr;
-    errno = 0;
-    *out = std::strtod(tok.c_str(), &end);
-    return end && *end == '\0' && end != tok.c_str() && errno == 0;
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof(buf), "f %.9g", hz);
+    out.append(buf, static_cast<std::size_t>(n));
 }
 
-std::vector<std::string>
-splitTokens(const std::string &line)
+/// A request line split at spaces. No command takes more than kMax
+/// tokens; a line with more has count == kMax + 1 (the extra tokens
+/// are not kept), so usage errors stay exact.
+struct Tokens
 {
-    std::vector<std::string> toks;
+    static constexpr std::size_t kMax = 4;
+    std::string_view at[kMax];
+    std::size_t count = 0;
+};
+
+Tokens
+splitTokens(std::string_view line)
+{
+    Tokens toks;
     std::size_t i = 0;
     while (i < line.size()) {
         while (i < line.size() && line[i] == ' ')
@@ -85,8 +106,13 @@ splitTokens(const std::string &line)
         std::size_t j = i;
         while (j < line.size() && line[j] != ' ')
             ++j;
-        if (j > i)
-            toks.push_back(line.substr(i, j - i));
+        if (j > i) {
+            if (toks.count == Tokens::kMax) {
+                ++toks.count;
+                break;
+            }
+            toks.at[toks.count++] = line.substr(i, j - i);
+        }
         i = j;
     }
     return toks;
@@ -124,80 +150,238 @@ replayJson(const DvfsModel &dvfs, const DaemonConfig &cfg,
     return buf;
 }
 
-/// One request line -> one reply line (no trailing newline). Sets
-/// *shutdown when the client asked the daemon to exit.
-std::string
-handleLine(ServeEngine &engine, const DvfsModel &dvfs,
-           const DaemonConfig &cfg, const std::string &line,
-           bool *shutdown)
-{
-    const std::vector<std::string> toks = splitTokens(line);
-    if (toks.empty())
-        return "err empty request";
-    const std::string &cmd = toks[0];
-
-    if (cmd == "ping")
-        return "ok";
-    if (cmd == "stats")
-        return engine.statsJson();
-    if (cmd == "shutdown") {
-        *shutdown = true;
-        return "ok";
-    }
-    if (cmd == "a") {
-        double t = 0.0, elapsed = 0.0, hint = -1.0;
-        if (toks.size() < 2 || toks.size() > 4 ||
-            !parseDouble(toks[1], &t) ||
-            (toks.size() > 2 && !parseDouble(toks[2], &elapsed)) ||
-            (toks.size() > 3 && !parseDouble(toks[3], &hint)))
-            return "err usage: a <t> [elapsed_cycles] [class_hint]";
-        // Range-check before the int cast (out of range is UB); NaN
-        // fails every comparison.
-        if (!(hint >= -1.0 && hint <= INT_MAX && hint == std::floor(hint)))
-            return "err class hint must be an integer in [-1, INT_MAX]";
-        const ServeDecision d =
-            engine.onArrival(t, elapsed, static_cast<int>(hint));
-        if (!d.ok)
-            return std::string("err ") + d.error;
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "f %.9g", d.frequency);
-        return buf;
-    }
-    if (cmd == "c") {
-        double t = 0.0, cycles = 0.0, mem = 0.0;
-        if (toks.size() != 4 || !parseDouble(toks[1], &t) ||
-            !parseDouble(toks[2], &cycles) ||
-            !parseDouble(toks[3], &mem))
-            return "err usage: c <t> <compute_cycles> <memory_time>";
-        const ServeDecision d = engine.onCompletion(t, cycles, mem);
-        if (!d.ok)
-            return std::string("err ") + d.error;
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "f %.9g", d.frequency);
-        return buf;
-    }
-    if (cmd == "replay") {
-        if (toks.size() < 2 || toks.size() > 3)
-            return "err usage: replay <trace.rtrace> [policy]";
-        const std::string policy = toks.size() > 2 ? toks[2] : "rubik";
-        if (!isKnownPolicy(policy))
-            return "err unknown policy: " + policy;
-        try {
-            return replayJson(dvfs, cfg, toks[1], policy);
-        } catch (const std::exception &e) {
-            return std::string("err replay: ") + e.what();
-        }
-    }
-    return "err unknown command: " + cmd;
-}
-
+/// One connected client.
 struct Client
 {
     int fd = -1;
-    std::string inbuf;
+    /// Unconsumed input: [0, inLen) of a buffer that holds one capped
+    /// unterminated line plus one read.
+    std::unique_ptr<char[]> in;
+    std::size_t inLen = 0;
+    /// Replies not yet written.
+    std::string out;
+    /// No more input is read; the client is closed once `out` drains.
+    bool closing = false;
 };
 
+/// After a failed read or write on a non-blocking socket: whether the
+/// call only has to be retried later.
+bool
+transientError()
+{
+    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+}
+
+/// Write as much of c.out as the socket takes now, in one call; false
+/// when the peer is gone.
+bool
+flush(Client &c)
+{
+    if (c.out.empty())
+        return true;
+    const ssize_t n = ::write(c.fd, c.out.data(), c.out.size());
+    if (n < 0)
+        return transientError();
+    c.out.erase(0, static_cast<std::size_t>(n));
+    return true;
+}
+
+/// The engine and everything a request line needs to be answered.
+struct Responder
+{
+    Responder(const DvfsModel &dvfs, const DaemonConfig &cfg)
+        : dvfs(dvfs), cfg(cfg), engine(dvfs, cfg.serve),
+          replies(dvfs.frequencies())
+    {
+    }
+
+    /// Append the reply to one request line (without its newline) to
+    /// `out`. Sets `shutdown` when the client asked the daemon to exit.
+    void answer(std::string_view line, std::string &out)
+    {
+        const Tokens toks = splitTokens(line);
+        if (toks.count == 0) {
+            out += "err empty request";
+            return;
+        }
+        const std::string_view cmd = toks.at[0];
+        if (cmd == "a") {
+            double t = 0.0, elapsed = 0.0, hint = -1.0;
+            if (toks.count < 2 || toks.count > 4 ||
+                !parseProtocolNumber(toks.at[1], &t) ||
+                (toks.count > 2 &&
+                 !parseProtocolNumber(toks.at[2], &elapsed)) ||
+                (toks.count > 3 &&
+                 !parseProtocolNumber(toks.at[3], &hint))) {
+                out += "err usage: a <t> [elapsed_cycles] [class_hint]";
+                return;
+            }
+            // Range-check before the int cast (out of range is UB); NaN
+            // fails every comparison.
+            if (!(hint >= -1.0 && hint <= INT_MAX &&
+                  hint == std::floor(hint))) {
+                out += "err class hint must be an integer in [-1, INT_MAX]";
+                return;
+            }
+            decision(engine.onArrival(t, elapsed, static_cast<int>(hint)),
+                     out);
+        } else if (cmd == "c") {
+            double t = 0.0, cycles = 0.0, mem = 0.0;
+            if (toks.count != 4 || !parseProtocolNumber(toks.at[1], &t) ||
+                !parseProtocolNumber(toks.at[2], &cycles) ||
+                !parseProtocolNumber(toks.at[3], &mem)) {
+                out += "err usage: c <t> <compute_cycles> <memory_time>";
+                return;
+            }
+            decision(engine.onCompletion(t, cycles, mem), out);
+        } else if (cmd == "ping") {
+            out += "ok";
+        } else if (cmd == "stats") {
+            out += engine.statsJson();
+        } else if (cmd == "shutdown") {
+            shutdown = true;
+            out += "ok";
+        } else if (cmd == "replay") {
+            if (toks.count < 2 || toks.count > 3) {
+                out += "err usage: replay <trace.rtrace> [policy]";
+                return;
+            }
+            const std::string policy(toks.count > 2 ? toks.at[2] : "rubik");
+            if (!isKnownPolicy(policy)) {
+                out += "err unknown policy: " + policy;
+                return;
+            }
+            try {
+                out += replayJson(dvfs, cfg, std::string(toks.at[1]),
+                                  policy);
+            } catch (const std::exception &e) {
+                out += std::string("err replay: ") + e.what();
+            }
+        } else {
+            out += "err unknown command: ";
+            out += cmd;
+        }
+    }
+
+    /// Append an event's reply: its decision, or its error.
+    void decision(const ServeDecision &d, std::string &out) const
+    {
+        if (d.ok) {
+            replies.append(d.frequency, out);
+        } else {
+            out += "err ";
+            out += d.error;
+        }
+    }
+
+    /**
+     * Read what a ready client sent, straight into its input buffer,
+     * and answer every complete line into its output buffer; stops at
+     * a `shutdown` line. False when the client must be dropped now.
+     */
+    bool readAndAnswer(Client &c)
+    {
+        char *const buf = c.in.get();
+        const ssize_t n = ::read(c.fd, buf + c.inLen, kReadBytes);
+        if (n < 0)
+            return transientError();
+        if (n == 0) {
+            // EOF: the replies already answered still go out.
+            c.closing = true;
+            return true;
+        }
+        c.inLen += static_cast<std::size_t>(n);
+        std::size_t start = 0;
+        while (!shutdown) {
+            const char *nl = static_cast<const char *>(
+                std::memchr(buf + start, '\n', c.inLen - start));
+            const std::size_t end =
+                nl ? static_cast<std::size_t>(nl - buf) : c.inLen;
+            if (end - start > kMaxLineBytes) {
+                c.out += "err line too long\n";
+                c.closing = true;
+                c.inLen = 0;
+                return true;
+            }
+            if (!nl)
+                break;
+            std::string_view line(buf + start, end - start);
+            if (!line.empty() && line.back() == '\r')
+                line.remove_suffix(1);
+            answer(line, c.out);
+            c.out += '\n';
+            start = end + 1;
+        }
+        c.inLen -= start;
+        std::memmove(buf, buf + start, c.inLen);
+        return true;
+    }
+
+    const DvfsModel &dvfs;
+    const DaemonConfig &cfg;
+    ServeEngine engine;
+    const DecisionReplies replies;
+    bool shutdown = false;
+};
+
+/// Give the replies still unwritten up to kExitDrainMs to go out.
+void
+drainReplies(std::vector<Client> &clients, std::vector<pollfd> &fds)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(kExitDrainMs);
+    for (;;) {
+        fds.clear();
+        bool pending = false;
+        for (const Client &c : clients) {
+            // poll skips a negative fd: nothing to wait for there.
+            fds.push_back({c.out.empty() ? -1 : c.fd, POLLOUT, 0});
+            pending = pending || !c.out.empty();
+        }
+        const auto left =
+            (deadline - Clock::now()) / std::chrono::milliseconds(1);
+        if (!pending || left <= 0)
+            return;
+        if (::poll(fds.data(), fds.size(), static_cast<int>(left)) < 0 &&
+            errno != EINTR)
+            return;
+        for (std::size_t i = 0; i < clients.size(); ++i) {
+            if (fds[i].revents && !flush(clients[i]))
+                clients[i].out.clear(); // peer gone
+        }
+    }
+}
+
 } // anonymous namespace
+
+bool
+parseProtocolNumber(std::string_view token, double *out)
+{
+    const char *const end = token.data() + token.size();
+    const std::from_chars_result r =
+        std::from_chars(token.data(), end, *out);
+    return r.ec == std::errc() && r.ptr == end;
+}
+
+DecisionReplies::DecisionReplies(const std::vector<double> &grid)
+    : grid_(grid), text_(grid.size())
+{
+    for (std::size_t i = 0; i < grid_.size(); ++i)
+        appendFormatted(grid_[i], text_[i]);
+}
+
+void
+DecisionReplies::append(double hz, std::string &out) const
+{
+    for (std::size_t i = 0; i < grid_.size(); ++i) {
+        if (grid_[i] == hz) {
+            out += text_[i];
+            return;
+        }
+    }
+    appendFormatted(hz, out);
+}
 
 int
 runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
@@ -229,7 +413,8 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
         }
     }
 
-    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int listener =
+        ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (listener < 0 ||
         ::bind(listener, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0 ||
@@ -249,18 +434,22 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
     ::sigaction(SIGINT, &sa, nullptr);
     ::signal(SIGPIPE, SIG_IGN);
 
-    ServeEngine engine(dvfs, config.serve);
+    Responder responder(dvfs, config);
     std::vector<Client> clients;
-    bool shutdownRequested = false;
+    std::vector<pollfd> fds;
 
     std::fprintf(stderr, "serve: listening on %s\n",
                  config.socketPath.c_str());
 
-    while (!g_stop && !shutdownRequested) {
-        std::vector<pollfd> fds;
+    while (!g_stop && !responder.shutdown) {
+        fds.clear();
         fds.push_back({listener, POLLIN, 0});
-        for (const Client &c : clients)
-            fds.push_back({c.fd, POLLIN, 0});
+        for (const Client &c : clients) {
+            short events = c.out.empty() ? 0 : POLLOUT;
+            if (!c.closing && c.out.size() < kMaxUnsentBytes)
+                events |= POLLIN;
+            fds.push_back({c.fd, events, 0});
+        }
         const int ready =
             ::poll(fds.data(), fds.size(), /*timeout_ms=*/500);
         if (ready < 0) {
@@ -273,57 +462,39 @@ runServeDaemon(const DvfsModel &dvfs, const DaemonConfig &config)
         if (ready == 0)
             continue;
 
-        for (std::size_t i = 0; i < clients.size();) {
+        for (std::size_t i = 0; i < clients.size() && !responder.shutdown;
+             ++i) {
             Client &c = clients[i];
-            const short revents = fds[i + 1].revents;
-            bool drop = false;
-            if (revents & (POLLIN | POLLHUP | POLLERR)) {
-                char buf[4096];
-                const ssize_t n = ::read(c.fd, buf, sizeof buf);
-                if (n <= 0 && !(n < 0 && errno == EINTR)) {
-                    drop = true;
-                } else if (n > 0) {
-                    c.inbuf.append(buf, static_cast<std::size_t>(n));
-                    std::size_t nl;
-                    while (!drop && (nl = c.inbuf.find('\n')) !=
-                                        std::string::npos) {
-                        std::string line = c.inbuf.substr(0, nl);
-                        if (!line.empty() && line.back() == '\r')
-                            line.pop_back();
-                        c.inbuf.erase(0, nl + 1);
-                        const std::string reply =
-                            handleLine(engine, dvfs, config, line,
-                                       &shutdownRequested) +
-                            "\n";
-                        if (!writeAll(c.fd, reply))
-                            drop = true;
-                    }
-                    if (!drop && c.inbuf.size() > kMaxLineBytes) {
-                        writeAll(c.fd, "err line too long\n");
-                        drop = true;
-                    }
-                }
-            }
-            if (drop) {
+            const pollfd &p = fds[i + 1];
+            bool keep = true;
+            if ((p.events & POLLIN) &&
+                (p.revents & (POLLIN | POLLHUP | POLLERR)))
+                keep = responder.readAndAnswer(c) && flush(c);
+            else if (p.revents & (POLLOUT | POLLHUP | POLLERR))
+                keep = flush(c); // a peer that hung up fails the write
+            if (!keep || (c.closing && c.out.empty())) {
                 ::close(c.fd);
-                clients.erase(clients.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-                // fds snapshot is stale after erase; finish remaining
-                // clients on the next poll round.
-                break;
+                c.fd = -1;
             }
-            ++i;
         }
+        std::erase_if(clients, [](const Client &c) { return c.fd < 0; });
 
         // Accept only after servicing: a client pushed into `clients`
         // mid-round would have no pollfd, desyncing fds[i + 1] above.
-        if (fds[0].revents & POLLIN) {
-            const int fd = ::accept(listener, nullptr, nullptr);
-            if (fd >= 0)
-                clients.push_back(Client{fd, {}});
+        if (!responder.shutdown && (fds[0].revents & POLLIN)) {
+            int fd;
+            while ((fd = ::accept4(listener, nullptr, nullptr,
+                                   SOCK_NONBLOCK | SOCK_CLOEXEC)) >= 0) {
+                Client c;
+                c.fd = fd;
+                c.in = std::make_unique_for_overwrite<char[]>(
+                    kMaxLineBytes + kReadBytes);
+                clients.push_back(std::move(c));
+            }
         }
     }
 
+    drainReplies(clients, fds);
     for (const Client &c : clients)
         ::close(c.fd);
     ::close(listener);

@@ -3,15 +3,31 @@
  * Tests for rubik::ExperimentRunner: parallel results must be
  * bit-identical to serial execution under fixed seeds, exceptions must
  * propagate in submission order, and >1 worker must actually overlap
- * work.
+ * work. Also the shared OptionsParser: registration hygiene, typed
+ * numbers and counts, and the run flags (--seed/--requests/--jobs),
+ * both in-process and, when RUBIK_CLI points at the built binary,
+ * through the one-shot CLI and `trace gen`.
  */
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <limits>
 #include <mutex>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +127,76 @@ TEST(OptionsParser, ParseCountRejectsSignsAndGarbage)
         EXPECT_FALSE(parseCount(bad, 1)) << "'" << bad << "'";
 }
 
+TEST(OptionsParser, ParseCountHonorsTheUpperBound)
+{
+    EXPECT_EQ(parseCount("0", 0, INT_MAX), 0u);
+    EXPECT_EQ(parseCount("2147483647", 1, INT_MAX), 2147483647u);
+    EXPECT_FALSE(parseCount("2147483648", 1, INT_MAX));
+    EXPECT_EQ(parseCount("18446744073709551615", 0),
+              std::numeric_limits<uint64_t>::max());
+    EXPECT_FALSE(parseCount("18446744073709551616", 0));
+}
+
+/// addRunFlags over `args` (each "FLAG VALUE" or "FLAG=VALUE").
+CommonRunOptions
+parseRunFlags(std::vector<std::string> args)
+{
+    std::vector<char *> argv;
+    char prog[] = "prog";
+    argv.push_back(prog);
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    CommonRunOptions run;
+    OptionsParser parser(static_cast<int>(argv.size()), argv.data());
+    addRunFlags(parser, &run);
+    parser.run();
+    return run;
+}
+
+TEST(OptionsParser, RunFlagsKeepWellFormedValues)
+{
+    // The values atoi/atoll read the same way before the flags were
+    // typed, so goldens generated with them are unchanged.
+    CommonRunOptions run = parseRunFlags(
+        {"--seed", "42", "--requests", "2000", "--jobs", "0"});
+    EXPECT_EQ(run.seed, 42u);
+    EXPECT_EQ(run.requests, 2000);
+    EXPECT_EQ(run.jobs, 0);
+
+    run = parseRunFlags({"--seed=18446744073709551615",
+                         "--requests=2147483647", "--jobs=007"});
+    EXPECT_EQ(run.seed, std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(run.requests, INT_MAX);
+    EXPECT_EQ(run.jobs, 7);
+
+    // Unset flags keep the caller's defaults.
+    run = parseRunFlags({});
+    EXPECT_EQ(run.seed, 42u);
+    EXPECT_EQ(run.requests, 0);
+}
+
+/// Run-flag values each entry point must refuse. --requests -5, 0 and
+/// 3000000000 used to die in an assertion (SIGABRT); the rest ran with
+/// a silently truncated or wrapped value.
+const std::vector<std::pair<std::string, std::string>> kBadRunFlags = {
+    {"--requests", "-5"},    {"--requests", "0"},
+    {"--requests", "3000000000"},
+    {"--requests", "2000x"}, {"--seed", "abc"},
+    {"--seed", "-1"},        {"--seed", "18446744073709551616"},
+    {"--jobs", "2x"},        {"--jobs", "-3"},
+    {"--jobs", "2147483648"},
+};
+
+TEST(OptionsParserDeathTest, RunFlagsRejectBadValuesNamingTheFlag)
+{
+    for (const auto &[flag, value] : kBadRunFlags) {
+        EXPECT_EXIT(parseRunFlags({flag, value}),
+                    ::testing::ExitedWithCode(1),
+                    flag + " wants an integer")
+            << flag << " " << value;
+    }
+}
+
 TEST(OptionsParser, TypedFlagsStoreParsedValues)
 {
     char prog[] = "prog";
@@ -126,6 +212,74 @@ TEST(OptionsParser, TypedFlagsStoreParsedValues)
     parser.run();
     EXPECT_EQ(bound, 0.5);
     EXPECT_EQ(queue, 12u);
+}
+
+// The same values through the built CLI (RUBIK_CLI; skipped when it
+// is absent): the one-shot run and `trace gen` exit 1 naming the flag.
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/// Exit code of a shell command; -1 if it did not exit normally.
+int
+exitCode(const std::string &cmd)
+{
+    const int rc = std::system(cmd.c_str());
+    return rc != -1 && WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/// Path of the built CLI, or "" when RUBIK_CLI is unset or missing.
+std::string
+cliPath()
+{
+    const char *cli = std::getenv("RUBIK_CLI");
+    return cli && std::filesystem::exists(cli) ? cli : "";
+}
+
+/// Run `cli args FLAG VALUE` for each bad run-flag value: each must
+/// exit 1 with a message naming the flag, and leave no file at
+/// `out` (when given).
+void
+expectBadRunFlagsRejected(const std::string &cli, const std::string &args,
+                          const std::string &out)
+{
+    const std::string err = "/tmp/rubik_runner_test_" +
+                            std::to_string(::getpid()) + ".stderr";
+    for (const auto &[flag, value] : kBadRunFlags) {
+        SCOPED_TRACE(flag + " " + value);
+        EXPECT_EQ(exitCode("'" + cli + "' " + args + " " + flag + " '" +
+                           value + "' > /dev/null 2> " + err),
+                  1);
+        const std::string text = readFile(err);
+        EXPECT_NE(text.find(flag + " wants an integer"), std::string::npos)
+            << text;
+        EXPECT_FALSE(!out.empty() && std::filesystem::exists(out));
+    }
+    std::remove(err.c_str());
+}
+
+TEST(RunFlagsCli, OneShotRejectsBadValues)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    expectBadRunFlagsRejected(cli, "--app masstree --load 0.4", "");
+}
+
+TEST(RunFlagsCli, TraceGenRejectsBadValues)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    const std::string out = "/tmp/rubik_runner_test_" +
+                            std::to_string(::getpid()) + ".rtrace";
+    expectBadRunFlagsRejected(cli, "trace gen --out " + out, out);
 }
 
 TEST(ExperimentRunner, RunsAllJobsInSubmissionOrder)

@@ -5,15 +5,22 @@
  * decision-log accounting), rejection of hostile events (non-finite,
  * negative, backwards or too far ahead) without any state change,
  * decision identity between the engine and a hand-driven exact
- * controller fed the same event stream, the LatencyHistogram, and —
- * when RUBIK_CLI points at the built binary — the daemon lifecycle end
- * to end: start, ping, replay producing a decision hash byte-identical
- * to the one-shot CLI's, well-formed --stats, hostile protocol lines,
- * and a SIGTERM shutdown that exits 0 and removes the socket.
+ * controller fed the same event stream, the LatencyHistogram, the
+ * protocol's number grammar and preformatted replies, and — when
+ * RUBIK_CLI points at the built binary — the daemon end to end: start,
+ * ping, replay producing a decision hash byte-identical to the
+ * one-shot CLI's, well-formed --stats, hostile protocol lines, the
+ * non-blocking I/O (pipelined bursts, a client that never reads, EOF,
+ * the line cap, processing that stops at `shutdown`), and a SIGTERM
+ * shutdown that exits 0 and removes the socket.
  */
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -23,6 +30,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <signal.h>
@@ -37,6 +45,7 @@
 #include "runner/subproc.h"
 #include "serve/daemon.h"
 #include "serve/serve_engine.h"
+#include "sim/trace.h"
 #include "stats/latency_histogram.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -435,6 +444,97 @@ TEST_F(ServeEngineInput, HugeTimestampGapIsRejected)
 }
 
 // ------------------------------------------------------------------
+// Protocol numbers and decision replies
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+TEST(ServeProtocol, NumberGrammarPinsEachToken)
+{
+    struct Case
+    {
+        const char *token;
+        bool accepted;
+        uint64_t bits; ///< When accepted.
+    };
+    const Case cases[] = {
+        {"1", true, 0x3ff0000000000000},
+        {"-0", true, 0x8000000000000000},
+        {".5", true, 0x3fe0000000000000},
+        {"5.", true, 0x4014000000000000},
+        {"1E5", true, 0x40f86a0000000000},
+        // Parsed, then refused by the engine as non-finite.
+        {"inf", true, 0x7ff0000000000000},
+        {"nan", true, 0x7ff8000000000000},
+        {"1e400", false, 0},  // overflows
+        {"2e-324", false, 0}, // rounds to zero
+        // A subnormal: strtod flagged ERANGE, from_chars accepts it.
+        {"1e-310", true, 0x000012688b70e62b},
+        {"+1", false, 0},
+        {"0x10", false, 0},
+        {"1e", false, 0},
+        {"1_0", false, 0},
+        {"", false, 0},
+    };
+    for (const Case &c : cases) {
+        double v = 0.0;
+        EXPECT_EQ(parseProtocolNumber(c.token, &v), c.accepted)
+            << "'" << c.token << "'";
+        if (c.accepted) {
+            EXPECT_EQ(bitsOf(v), c.bits) << "'" << c.token << "'";
+        }
+    }
+}
+
+TEST(ServeProtocol, NumbersParseToTheBitsStrtodGives)
+{
+    // Random bit patterns cover every exponent, subnormals included;
+    // the uniform draws look like the stream's timestamps and demands.
+    Rng rng(20151205);
+    const char *const formats[] = {"%.17g", "%.9g", "%g"};
+    char text[64];
+    for (int i = 0; i < 120000; ++i) {
+        double v = 0.0;
+        if (i % 2 == 0) {
+            const uint64_t bits = rng.next();
+            std::memcpy(&v, &bits, sizeof v);
+            if (!std::isfinite(v))
+                continue;
+        } else {
+            v = rng.uniform(0.0, 100.0) * std::pow(10.0, i % 13 - 6);
+        }
+        for (const char *format : formats) {
+            std::snprintf(text, sizeof text, format, v);
+            double got = 0.0;
+            ASSERT_TRUE(parseProtocolNumber(text, &got)) << text;
+            const double want = std::strtod(text, nullptr);
+            ASSERT_EQ(bitsOf(got), bitsOf(want)) << text;
+        }
+    }
+}
+
+TEST(ServeProtocol, DecisionRepliesMatchSnprintf)
+{
+    const DvfsModel dvfs = DvfsModel::haswell();
+    const DecisionReplies replies(dvfs.frequencies());
+    char want[64];
+    std::vector<double> values = dvfs.frequencies();
+    // Off the grid: formatted on the spot, the same way.
+    values.insert(values.end(), {1.23456789e9, 2.05e9 + 1.0, 0.0});
+    for (double hz : values) {
+        std::snprintf(want, sizeof want, "f %.9g", hz);
+        std::string out = "x";
+        replies.append(hz, out);
+        EXPECT_EQ(out, std::string("x") + want) << hz;
+    }
+}
+
+// ------------------------------------------------------------------
 // Daemon lifecycle (needs the built CLI)
 
 struct ScratchDir
@@ -730,50 +830,419 @@ TEST_F(ServeDaemonCli, ClassHintOutsideIntRangeIsRejected)
               0);
 }
 
+/// A raw protocol connection: bytes go out exactly as given, replies
+/// come back as lines. Every send and receive gives up after the
+/// timeout.
+class RawClient
+{
+  public:
+    RawClient(const std::string &socketPath, timeval timeout = {10, 0})
+    {
+        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (fd_ < 0)
+            return;
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, socketPath.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        for (int opt : {SO_RCVTIMEO, SO_SNDTIMEO})
+            ::setsockopt(fd_, SOL_SOCKET, opt, &timeout, sizeof timeout);
+        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                      sizeof addr)) {
+            ::close(fd_);
+            fd_ = -1;
+        }
+    }
+    ~RawClient()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    RawClient(const RawClient &) = delete;
+    RawClient &operator=(const RawClient &) = delete;
+
+    bool connected() const { return fd_ >= 0; }
+    int fd() const { return fd_; }
+
+    /// Send all of `bytes`; false on an error or a timeout.
+    bool send(const std::string &bytes)
+    {
+        for (std::size_t off = 0; off < bytes.size();) {
+            const ssize_t n = ::send(fd_, bytes.data() + off,
+                                     bytes.size() - off, MSG_NOSIGNAL);
+            if (n <= 0)
+                return false;
+            off += static_cast<std::size_t>(n);
+        }
+        return true;
+    }
+
+    /// The next `n` reply lines (without their newlines); fewer if the
+    /// daemon closes the connection or a receive times out.
+    std::vector<std::string> readLines(std::size_t n)
+    {
+        std::vector<std::string> lines;
+        std::size_t start = 0;
+        while (lines.size() < n) {
+            const std::size_t nl = buffer_.find('\n', start);
+            if (nl != std::string::npos) {
+                lines.push_back(buffer_.substr(start, nl - start));
+                start = nl + 1;
+            } else if (!receive()) {
+                break;
+            }
+        }
+        buffer_.erase(0, start);
+        return lines;
+    }
+
+    /// Everything the daemon writes until it closes the connection (or
+    /// a receive times out).
+    std::string readToEof()
+    {
+        while (receive()) {
+        }
+        return std::exchange(buffer_, "");
+    }
+
+  private:
+    bool receive()
+    {
+        char buf[65536];
+        const ssize_t n = ::read(fd_, buf, sizeof buf);
+        if (n <= 0)
+            return false;
+        buffer_.append(buf, static_cast<std::size_t>(n));
+        return true;
+    }
+
+    int fd_ = -1;
+    std::string buffer_;
+};
+
 /// Send `bytes` verbatim (no newline added) on a fresh connection and
 /// return everything the daemon writes before it closes the connection
 /// (or a 10 s receive timeout expires).
 std::string
 sendRaw(const std::string &socketPath, const std::string &bytes)
 {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return "socket failed";
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socketPath.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    timeval tv{10, 0};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr)) {
-        ::close(fd);
+    RawClient client(socketPath);
+    if (!client.connected())
         return "connect failed";
-    }
-    for (std::size_t off = 0; off < bytes.size();) {
-        const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                                 MSG_NOSIGNAL);
-        if (n <= 0)
-            break;
-        off += static_cast<std::size_t>(n);
-    }
-    std::string reply;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::read(fd, buf, sizeof buf)) > 0)
-        reply.append(buf, static_cast<std::size_t>(n));
-    ::close(fd);
-    return reply;
+    client.send(bytes);
+    return client.readToEof();
 }
 
 TEST_F(ServeDaemonCli, UnterminatedLongLineDropsTheClient)
 {
     startDaemon("");
+    const std::string cap(64 * 1024, 'x');
     // One byte past the 64 KiB cap, with no newline: the daemon answers
     // and closes instead of buffering without bound.
-    EXPECT_EQ(sendRaw(socketPath, std::string(64 * 1024 + 1, 'x')),
-              "err line too long\n");
+    EXPECT_EQ(sendRaw(socketPath, cap + "x"), "err line too long\n");
+    // The cap is exact, and holds whether or not the newline has come:
+    // 65 536 bytes, buffered unterminated for a while, then '\n' are
+    // one line, answered, and the connection stays up.
+    {
+        RawClient client(socketPath);
+        ASSERT_TRUE(client.connected());
+        ASSERT_TRUE(client.send(cap));
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        ASSERT_TRUE(client.send("\nping\n"));
+        const std::vector<std::string> replies = client.readLines(2);
+        ASSERT_EQ(replies.size(), 2u);
+        EXPECT_EQ(replies[0], "err unknown command: " + cap);
+        EXPECT_EQ(replies[1], "ok");
+    }
+    EXPECT_EQ(sendRaw(socketPath, "ping\n" + cap + "x\nping\n"),
+              "ok\nerr line too long\n");
     EXPECT_EQ(serveQuery(socketPath, "ping", 10.0), "ok");
+}
+
+TEST_F(ServeDaemonCli, ShutdownMidBatchAnswersUpToShutdownOnly)
+{
+    startDaemon("");
+    // Processing stops at `shutdown`: its ok and every earlier reply
+    // go out, later lines are not answered, then EOF.
+    EXPECT_EQ(sendRaw(socketPath, "ping\nshutdown\nping\n"), "ok\nok\n");
+    int status = 0;
+    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    daemonPid = -1;
+    EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
+    EXPECT_FALSE(std::filesystem::exists(socketPath));
+}
+
+TEST_F(ServeDaemonCli, PipelinedRepliesArePinnedByteForByte)
+{
+    startDaemon("");
+    // One send, answered in order: usage errors count tokens exactly,
+    // the number grammar refuses '+', hex and a leading tab, and a
+    // subnormal t is a valid event on a fresh engine (decided at the
+    // maximum frequency until the profile is warm).
+    const std::pair<const char *, const char *> lines[] = {
+        {"ping", "ok"},
+        {"a 1 2 3 4 5", "err usage: a <t> [elapsed_cycles] [class_hint]"},
+        {"c 1 2", "err usage: c <t> <compute_cycles> <memory_time>"},
+        {"c 1 2 3 4 5", "err usage: c <t> <compute_cycles> <memory_time>"},
+        {"replay", "err usage: replay <trace.rtrace> [policy]"},
+        {"replay a b c", "err usage: replay <trace.rtrace> [policy]"},
+        {"replay t.rtrace nope", "err unknown policy: nope"},
+        {"", "err empty request"},
+        {"   \r", "err empty request"},
+        {"bogus 1", "err unknown command: bogus"},
+        {"a +1", "err usage: a <t> [elapsed_cycles] [class_hint]"},
+        {"a 0x10", "err usage: a <t> [elapsed_cycles] [class_hint]"},
+        {"a \t1", "err usage: a <t> [elapsed_cycles] [class_hint]"},
+        {"a 1 0 1e20",
+         "err class hint must be an integer in [-1, INT_MAX]"},
+        {"a inf", "err non-finite value"},
+        {"a 1e-310", "f 3.4e+09"},
+        {"c 2e-310 5e5 1e-4\r", "f 3.4e+09"},
+        {"c 1 5e5 1e-4", "err completion with empty queue"},
+        {"shutdown", "ok"},
+        {"ping", nullptr}, // after shutdown: not answered
+    };
+    std::string request, want;
+    for (const auto &[line, reply] : lines) {
+        request += std::string(line) + "\n";
+        if (reply)
+            want += std::string(reply) + "\n";
+    }
+    EXPECT_EQ(sendRaw(socketPath, request), want);
+    int status = 0;
+    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    daemonPid = -1;
+    EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
+}
+
+TEST_F(ServeDaemonCli, StalledClientDoesNotBlockOthers)
+{
+    startDaemon("");
+    // Client A pipelines 4 MiB of pings and never reads a reply. A
+    // daemon that blocks in write() stops serving everyone once A's
+    // socket buffer fills.
+    RawClient stalled(socketPath, {0, 200000});
+    ASSERT_TRUE(stalled.connected());
+    std::string flood;
+    for (std::size_t i = 0; i < 4 * 1024 * 1024 / 5 + 1; ++i)
+        flood += "ping\n";
+    std::atomic<std::size_t> sent{0};
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+        // Short send timeouts, so the writer notices `stop`.
+        std::size_t off = 0;
+        while (off < flood.size() && !stop) {
+            const ssize_t n =
+                ::send(stalled.fd(), flood.data() + off,
+                       flood.size() - off, MSG_NOSIGNAL);
+            if (n > 0)
+                sent = off += static_cast<std::size_t>(n);
+            else if (errno != EAGAIN && errno != EWOULDBLOCK)
+                break;
+        }
+    });
+    // Wait until A's writer stops making progress: the daemon no
+    // longer reads from A.
+    std::size_t last = 0;
+    for (int i = 0; i < 100 && sent < flood.size(); ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        if (sent == last && sent > 0)
+            break;
+        last = sent;
+    }
+
+    // Client B is answered at once.
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string reply;
+    try {
+        reply = serveQuery(socketPath, "ping", 5.0);
+    } catch (const std::exception &e) {
+        reply = e.what();
+    }
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    EXPECT_EQ(reply, "ok");
+    EXPECT_LT(waited, 5.0);
+    // Backpressure: with 1 MiB of A's replies unwritten, the daemon
+    // stopped reading A long before the whole flood.
+    EXPECT_LT(sent.load(), flood.size());
+
+    // A's unread replies hold up the exit for at most the 1 s drain.
+    std::string ok;
+    try {
+        ok = serveQuery(socketPath, "shutdown", 5.0);
+    } catch (const std::exception &e) {
+        ok = e.what();
+    }
+    EXPECT_EQ(ok, "ok");
+    int status = 0;
+    const bool exited = waitCommandFor(daemonPid, 10.0, &status);
+    stop = true;
+    writer.join();
+    ASSERT_TRUE(exited) << "daemon stuck on a client that never reads";
+    daemonPid = -1;
+    EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
+}
+
+TEST_F(ServeDaemonCli, HalfClosedClientGetsEveryReply)
+{
+    startDaemon("");
+    // 600 KB of replies: more than the socket buffer takes while the
+    // client is still sending, so some wait in the daemon for POLLOUT
+    // after it has seen EOF.
+    const std::size_t pings = 200000;
+    std::string flood;
+    for (std::size_t i = 0; i < pings; ++i)
+        flood += "ping\n";
+    RawClient client(socketPath);
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.send(flood + "ping"));
+    ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+    std::string want;
+    for (std::size_t i = 0; i < pings; ++i)
+        want += "ok\n";
+    // The partial last line gets no reply. Not EXPECT_EQ on the
+    // strings: a mismatch would make gtest diff 200 000 lines.
+    const std::string got = client.readToEof();
+    EXPECT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want);
+    EXPECT_EQ(serveQuery(socketPath, "ping", 10.0), "ok");
+}
+
+/// The raw text of `"key":value` in a one-line JSON reply.
+std::string
+jsonRawField(const std::string &json, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = json.find(needle);
+    if (at == std::string::npos)
+        return "";
+    const std::size_t start = at + needle.size();
+    return json.substr(start, json.find_first_of(",}", start) - start);
+}
+
+/**
+ * Request lines for the pipelined burst: the arrivals of `trace` and
+ * its completions when served FIFO at `hz`, merged in time order
+ * (layer_probe's stream format), mixed with ping, stats, an invalid
+ * line and an unknown command; one event line ends in "\r".
+ */
+std::vector<std::string>
+burstLines(const Trace &trace, double hz)
+{
+    std::vector<double> done(trace.size());
+    double busyUntil = 0.0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceRecord &r = trace[i];
+        busyUntil = std::max(busyUntil, r.arrivalTime) +
+                    r.computeCycles / hz + r.memoryTime;
+        done[i] = busyUntil;
+    }
+    std::vector<std::string> lines;
+    char line[256];
+    std::size_t next = 0;
+    auto complete = [&](std::size_t i) {
+        std::snprintf(line, sizeof line, "c %.17g %.17g %.17g", done[i],
+                      trace[i].computeCycles, trace[i].memoryTime);
+        lines.push_back(line);
+    };
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        while (next < i && done[next] <= trace[i].arrivalTime)
+            complete(next++);
+        std::snprintf(line, sizeof line, "a %.17g 0 %d",
+                      trace[i].arrivalTime, trace[i].classHint);
+        lines.push_back(line);
+    }
+    while (next < trace.size())
+        complete(next++);
+
+    std::vector<std::string> mixed;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (i % 997 == 0)
+            mixed.push_back("ping");
+        if (i % 2003 == 1000)
+            mixed.push_back("stats");
+        if (i == 1500)
+            mixed.push_back("a 1 2 3 4 5");
+        if (i == 2500)
+            mixed.push_back("bogus");
+        mixed.push_back(i == 3000 ? lines[i] + "\r" : lines[i]);
+    }
+    mixed.push_back("stats");
+    return mixed;
+}
+
+TEST_F(ServeDaemonCli, PipelinedBurstMatchesOneAtATime)
+{
+    const std::string tracePath = scratch.path + "/burst.rtrace";
+    const CommandResult gen = runCommand(
+        cli + " trace gen --out " + tracePath +
+            " --app masstree --load 0.5 --requests 3000 --seed 7",
+        scratch.path, "gen");
+    ASSERT_TRUE(commandSucceeded(gen.status)) << gen.err;
+    const DvfsModel dvfs = DvfsModel::haswell();
+    const std::vector<std::string> lines =
+        burstLines(loadTraceBinary(tracePath), dvfs.nominalFrequency());
+    ASSERT_GE(lines.size(), 6000u);
+
+    // Pipelined: every line on one connection from a writer thread,
+    // the middle line split across two sends, while this thread reads.
+    std::string head, tail;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        std::string &into = i < lines.size() / 2 ? head : tail;
+        into += lines[i] + "\n";
+    }
+    const std::size_t split = 5; // inside the first line of `tail`
+    startDaemon("");
+    std::vector<std::string> pipelined;
+    {
+        RawClient client(socketPath);
+        ASSERT_TRUE(client.connected());
+        std::thread writer([&] {
+            client.send(head + tail.substr(0, split));
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            client.send(tail.substr(split));
+        });
+        pipelined = client.readLines(lines.size());
+        writer.join();
+    }
+    EXPECT_EQ(serveQuery(socketPath, "shutdown"), "ok");
+    int status = 0;
+    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    daemonPid = -1;
+
+    // One at a time, against a fresh daemon.
+    startDaemon("");
+    std::vector<std::string> single;
+    {
+        RawClient client(socketPath);
+        ASSERT_TRUE(client.connected());
+        for (const std::string &line : lines) {
+            ASSERT_TRUE(client.send(line + "\n"));
+            const std::vector<std::string> reply = client.readLines(1);
+            ASSERT_EQ(reply.size(), 1u) << line;
+            single.push_back(reply[0]);
+        }
+    }
+
+    ASSERT_EQ(pipelined.size(), single.size());
+    std::size_t decisions = 0;
+    for (std::size_t i = 0; i < single.size(); ++i) {
+        SCOPED_TRACE(lines[i]);
+        if (single[i].compare(0, 1, "{") == 0) {
+            // stats carries timings: compare only the decision stream.
+            for (const char *key : {"decisions", "decision_hash"})
+                ASSERT_EQ(jsonRawField(pipelined[i], key),
+                          jsonRawField(single[i], key))
+                    << key;
+        } else {
+            ASSERT_EQ(pipelined[i], single[i]);
+        }
+        decisions += single[i].compare(0, 2, "f ") == 0;
+    }
+    EXPECT_EQ(decisions, 6000u); // every a/c event, the CRLF one too
+    EXPECT_EQ(jsonRawField(single.back(), "decisions"), "6000");
 }
 
 } // namespace
