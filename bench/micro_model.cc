@@ -12,6 +12,7 @@
  */
 
 #include <complex>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -171,12 +172,25 @@ BENCHMARK(BM_QuantileUpper);
 void
 BM_ProfilerRecordAndBuild(benchmark::State &state)
 {
+    // The cadence real rebuilds see: 32 completions
+    // (RubikConfig::minNewSamplesPerRebuild) per materialization.
     Profiler prof(4096, 128);
     Rng rng(6);
+    std::vector<std::pair<double, double>> samples(4096 * 4);
+    for (auto &[cycles, mem] : samples) {
+        cycles = rng.lognormal(13.0, 0.3);
+        mem = rng.lognormal(-9.0, 0.3);
+    }
+    std::size_t next = 0;
+    const auto record = [&] {
+        prof.record(samples[next].first, samples[next].second);
+        next = (next + 1) % samples.size();
+    };
     for (int i = 0; i < 4096; ++i)
-        prof.record(rng.lognormal(13.0, 0.3), rng.lognormal(-9.0, 0.3));
+        record();
     for (auto _ : state) {
-        prof.record(5e5, 1e-4);
+        for (int i = 0; i < 32; ++i)
+            record();
         benchmark::DoNotOptimize(prof.computeDistribution());
     }
 }

@@ -31,14 +31,25 @@ DiscreteDistribution
 DiscreteDistribution::fromHistogram(const Histogram &hist,
                                     std::size_t buckets)
 {
-    if (hist.totalWeight() == 0.0)
+    return fromCounts(hist.counts(), hist.totalWeight(), hist.max(),
+                      buckets);
+}
+
+DiscreteDistribution
+DiscreteDistribution::fromCounts(const std::vector<double> &bins,
+                                 double total, double upper,
+                                 std::size_t buckets)
+{
+    if (total == 0.0)
         return pointMass(0.0, buckets);
 
     DiscreteDistribution d;
-    d.width_ = hist.bucketWidth();
-    d.p_ = hist.normalized();
+    d.width_ = upper / static_cast<double>(bins.size());
+    d.p_.resize(bins.size());
+    for (std::size_t i = 0; i < bins.size(); ++i)
+        d.p_[i] = bins[i] / total;
     if (d.p_.size() != buckets)
-        return d.rebin(hist.max() / static_cast<double>(buckets), buckets);
+        return d.rebin(upper / static_cast<double>(buckets), buckets);
     d.rebuildCdf();
     return d;
 }

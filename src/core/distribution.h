@@ -57,6 +57,16 @@ class DiscreteDistribution
     static DiscreteDistribution fromHistogram(const Histogram &hist,
                                               std::size_t buckets = 128);
 
+    /**
+     * Normalize per-bucket sample counts over [0, upper): bucket i gets
+     * mass bins[i] / total and width upper / bins.size(), rebinned to
+     * `buckets` when the sizes differ. A zero total gives a point mass
+     * at 0. fromHistogram() and the profiler both build here.
+     */
+    static DiscreteDistribution fromCounts(const std::vector<double> &bins,
+                                           double total, double upper,
+                                           std::size_t buckets = 128);
+
     /// Build from explicit masses (will be normalized).
     DiscreteDistribution(std::vector<double> masses, double bucket_width);
 

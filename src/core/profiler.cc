@@ -15,42 +15,89 @@ Profiler::Profiler(std::size_t window_samples, std::size_t buckets)
 void
 Profiler::record(double compute_cycles, double memory_time)
 {
-    samples_.push_back({std::max(0.0, compute_cycles),
-                        std::max(0.0, memory_time)});
-    if (samples_.size() > window_)
-        samples_.pop_front();
+    compute_.push(std::max(0.0, compute_cycles), window_);
+    memory_.push(std::max(0.0, memory_time), window_);
+}
+
+void
+Profiler::clear()
+{
+    compute_ = Side{};
+    memory_ = Side{};
+}
+
+void
+Profiler::Side::push(double value, std::size_t capacity)
+{
+    const bool full = window.size() == capacity;
+    const double evicted = full ? window[next] : 0.0;
+    if (full) {
+        window[next] = value;
+        if (++next == capacity)
+            next = 0;
+    } else {
+        window.push_back(value);
+    }
+    if (stale)
+        return;
+
+    // A sample above the max, or the eviction of the last sample equal
+    // to it, moves the max and with it every bucket edge.
+    if (value > max) {
+        stale = true;
+        return;
+    }
+    if (value == max)
+        ++atMax;
+    if (full && evicted == max && --atMax == 0) {
+        stale = true;
+        return;
+    }
+    // A zero max is a point mass at 0 whatever the counts hold.
+    if (max <= 0.0)
+        return;
+    counts[bucketOf(value)] += 1.0;
+    if (full)
+        counts[bucketOf(evicted)] -= 1.0;
+}
+
+std::size_t
+Profiler::Side::bucketOf(double value) const
+{
+    const auto idx = static_cast<std::size_t>(value / width);
+    return std::min(idx, counts.size() - 1);
+}
+
+void
+Profiler::Side::recount(std::size_t buckets)
+{
+    max = 0.0;
+    for (const double v : window)
+        max = std::max(max, v);
+    const auto ties = std::count(window.begin(), window.end(), max);
+    atMax = static_cast<std::size_t>(ties);
+    counts.assign(buckets, 0.0);
+    width = max * 1.0001 / static_cast<double>(buckets);
+    if (max > 0.0) {
+        for (const double v : window)
+            counts[bucketOf(v)] += 1.0;
+    }
+    stale = false;
+    ++rescans;
 }
 
 DiscreteDistribution
-Profiler::buildDistribution(bool memory) const
+Profiler::Side::distribution(std::size_t buckets)
 {
-    if (samples_.empty())
-        return DiscreteDistribution::pointMass(0.0, buckets_);
-
-    double max_val = 0.0;
-    for (const auto &s : samples_)
-        max_val = std::max(max_val, memory ? s.memTime : s.cycles);
-    if (max_val <= 0.0)
-        return DiscreteDistribution::pointMass(0.0, buckets_);
-
-    // One-shot histogram sized to the window's max, so no growth/rebin
-    // noise enters the distribution.
-    Histogram hist(buckets_, max_val * 1.0001);
-    for (const auto &s : samples_)
-        hist.add(memory ? s.memTime : s.cycles);
-    return DiscreteDistribution::fromHistogram(hist, buckets_);
-}
-
-DiscreteDistribution
-Profiler::computeDistribution() const
-{
-    return buildDistribution(false);
-}
-
-DiscreteDistribution
-Profiler::memoryDistribution() const
-{
-    return buildDistribution(true);
+    if (stale)
+        recount(buckets);
+    if (max <= 0.0)
+        return DiscreteDistribution::pointMass(0.0, buckets);
+    // Sized to the window's max, so no growth/rebin noise enters the
+    // distribution.
+    const auto total = static_cast<double>(window.size());
+    const double upper = max * 1.0001;
+    return DiscreteDistribution::fromCounts(counts, total, upper, buckets);
 }
 
 } // namespace rubik

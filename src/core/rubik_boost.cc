@@ -69,29 +69,21 @@ RubikBoostController::selectFrequency(const CoreView &core)
     const double now = core.now;
     const std::size_t row = table->rowForElapsed(core.elapsedCycles);
 
+    // RubikController::analyticalFloor's walk, with the same stop at
+    // the ceiling.
     double needed = 0.0;
-    std::size_t position = 0;
-    bool saturated = false;
-    auto add_constraint = [&](double arrival_time) {
-        const double t_i = now - arrival_time;
+    for (std::size_t position = 0; position < core.count; ++position) {
+        const double t_i = now - core.arrivals[position];
         const double m_i = table->tailMemTime(row, position);
         const double slack = internalTarget_ - t_i - m_i;
         if (slack <= 0.0)
-            saturated = true;
-        else
-            needed = std::max(needed,
-                              table->tailCycles(row, position) / slack);
-        ++position;
-    };
-
-    for (std::size_t i = 0; i < core.count; ++i) {
-        if (saturated)
+            return std::min(dvfs_.maxFrequency(), ceiling);
+        const double c_i = table->tailCycles(row, position);
+        needed = std::max(needed, c_i / slack);
+        if (needed >= ceiling)
             break;
-        add_constraint(core.arrivals[i]);
     }
-    return std::min(saturated ? dvfs_.maxFrequency()
-                              : dvfs_.quantizeUp(needed),
-                    ceiling);
+    return std::min(dvfs_.quantizeUp(needed), ceiling);
 }
 
 void
@@ -128,7 +120,7 @@ RubikBoostController::periodicUpdate(const CoreView &core)
         // Every warm class gets a table whose S_0 is its own profile;
         // a class still warming up keeps the table it had.
         for (int k = 0; k < cfg_.numClasses; ++k) {
-            const Profiler &p = classProfilers_[k];
+            Profiler &p = classProfilers_[k];
             if (p.numSamples() < cfg_.classWarmupSamples)
                 continue;
             classTables_[k] = TargetTailTable::build(

@@ -66,11 +66,10 @@ class RubikBoostController : public DvfsPolicy
 
     bool warm() const { return mixTable_.has_value(); }
     double internalTarget() const { return internalTarget_; }
-
-  private:
     /// Table serving the in-flight request (class table when available).
     const TargetTailTable *tableFor(int class_hint) const;
 
+  private:
     const DvfsModel &dvfs_;
     RubikBoostConfig cfg_;
 

@@ -36,39 +36,32 @@ RubikController::reset()
 }
 
 double
-RubikController::analyticalFloor(const CoreView &core) const
+RubikController::analyticalFloor(const CoreView &core, double ceiling) const
 {
     const double now = core.now;
     const std::size_t row = table_->rowForElapsed(core.elapsedCycles);
 
+    // Lane walk over the contiguous arrival-time window: position 0 is
+    // the in-service request, the rest the FIFO queue.
     double needed = 0.0;
-    std::size_t position = 0;
-    bool saturated = false;
-
-    auto add_constraint = [&](double arrival_time) {
-        const double t_i = now - arrival_time;
+    for (std::size_t position = 0; position < core.count; ++position) {
+        const double t_i = now - core.arrivals[position];
         const double m_i = table_->tailMemTime(row, position);
         const double slack = internalTarget_ - t_i - m_i;
         if (slack <= 0.0) {
             // Already past the bound for this request's tail: all we can
             // do is run flat out.
-            saturated = true;
-        } else {
-            const double c_i = table_->tailCycles(row, position);
-            needed = std::max(needed, c_i / slack);
+            return dvfs_.maxFrequency();
         }
-        ++position;
-    };
-
-    // Lane walk over the contiguous arrival-time window: position 0 is
-    // the in-service request, the rest the FIFO queue.
-    for (std::size_t i = 0; i < core.count; ++i) {
-        if (saturated)
+        const double c_i = table_->tailCycles(row, position);
+        needed = std::max(needed, c_i / slack);
+        // The ceiling is a grid frequency, so quantizeUp(needed) is at
+        // or above it from here on, whatever the positions left unread
+        // would add: stop before their chain steps run.
+        if (needed >= ceiling)
             break;
-        add_constraint(core.arrivals[i]);
     }
-
-    return saturated ? dvfs_.maxFrequency() : needed;
+    return needed;
 }
 
 double
@@ -86,7 +79,8 @@ RubikController::selectFrequency(const CoreView &core)
     if (!table_) // warming up: be conservative
         return std::min(dvfs_.maxFrequency(), ceiling);
 
-    return std::min(dvfs_.quantizeUp(analyticalFloor(core)), ceiling);
+    const double needed = analyticalFloor(core, ceiling);
+    return std::min(dvfs_.quantizeUp(needed), ceiling);
 }
 
 void

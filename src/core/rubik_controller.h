@@ -94,11 +94,15 @@ class RubikController : public DvfsPolicy
     {
         return retiredConvolutions_ + (table_ ? table_->convolutions() : 0);
     }
+    /// Full profile recounts behind the table builds so far (both
+    /// sides); every other build reused the counts kept per sample.
+    uint64_t profileRescans() const { return profiler_.rescans(); }
     /// @}
 
   private:
-    /// Frequency floor from Eq. 2 over all requests in the system.
-    double analyticalFloor(const CoreView &core) const;
+    /// Frequency floor from Eq. 2 over the requests in the system, read
+    /// only until it reaches `ceiling` (the most the caller will pick).
+    double analyticalFloor(const CoreView &core, double ceiling) const;
 
     const DvfsModel &dvfs_;
     RubikConfig cfg_;

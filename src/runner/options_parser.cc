@@ -144,7 +144,14 @@ void
 OptionsParser::number(const std::string &name, double *out,
                       const NumberRange &range)
 {
-    value(name, [name, out, range](const char *v) {
+    number(name, range, [out](double v) { *out = v; });
+}
+
+void
+OptionsParser::number(const std::string &name, const NumberRange &range,
+                      std::function<void(double)> store)
+{
+    value(name, [name, range, store = std::move(store)](const char *v) {
         const auto parsed = parseNumber(v, range);
         if (!parsed) {
             const std::string within = range.describe();
@@ -153,7 +160,36 @@ OptionsParser::number(const std::string &name, double *out,
                          within.c_str(), v);
             std::exit(1);
         }
-        *out = *parsed;
+        store(*parsed);
+    });
+}
+
+void
+OptionsParser::numberList(const std::string &name, std::vector<double> *out,
+                          const NumberRange &range)
+{
+    value(name, [name, out, range](const char *v) {
+        out->clear();
+        const std::string list = v;
+        std::size_t pos = 0;
+        do {
+            std::size_t comma = list.find(',', pos);
+            if (comma == std::string::npos)
+                comma = list.size();
+            const std::string item = list.substr(pos, comma - pos);
+            const auto parsed = parseNumber(item.c_str(), range);
+            if (!parsed) {
+                const std::string within = range.describe();
+                std::fprintf(stderr,
+                             "%s wants a comma list of finite numbers%s%s, "
+                             "got '%s'\n",
+                             name.c_str(), within.empty() ? "" : " ",
+                             within.c_str(), item.c_str());
+                std::exit(1);
+            }
+            out->push_back(*parsed);
+            pos = comma + 1;
+        } while (pos <= list.size());
     });
 }
 

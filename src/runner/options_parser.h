@@ -96,6 +96,19 @@ class OptionsParser
     void number(const std::string &name, double *out,
                 const NumberRange &range);
 
+    /// As above, handing each parsed value to `store`.
+    void number(const std::string &name, const NumberRange &range,
+                std::function<void(double)> store);
+
+    /**
+     * Register a comma-list flag of numbers, each inside `range`,
+     * stored into *out (replacing its contents). An empty list, an
+     * empty item or an item parseNumber rejects prints "FLAG wants a
+     * comma list of finite numbers RANGE, got 'ITEM'" and exits 1.
+     */
+    void numberList(const std::string &name, std::vector<double> *out,
+                    const NumberRange &range);
+
     /**
      * Register a count flag stored into *out, accepting [min, max]
      * (max defaults to the largest value *out holds). A value

@@ -182,7 +182,7 @@ ServeEngine::statsJson() const
     std::snprintf(
         buf, sizeof(buf),
         "{\"table_version\":%" PRIu64 ",\"table_convolutions\":%" PRIu64
-        ",\"warm\":%s,"
+        ",\"profile_rescans\":%" PRIu64 ",\"warm\":%s,"
         "\"internal_target_ms\":%.6g,"
         "\"profiler_window\":%zu,\"profiler_occupancy\":%" PRIu64 ","
         "\"queue_depth\":%zu,\"frequency_ghz\":%.6g,"
@@ -193,7 +193,7 @@ ServeEngine::statsJson() const
         "\"latency_ns\":{\"p50\":%.6g,\"p99\":%.6g,\"max\":%" PRIu64
         ",\"mean\":%.6g}}",
         exact_->tableRebuilds(), exact_->tableConvolutions(),
-        exact_->warm() ? "true" : "false",
+        exact_->profileRescans(), exact_->warm() ? "true" : "false",
         exact_->internalTarget() * 1e3, window, occupancy, queueDepth(),
         frequency_ * 1e-9, log_.count, rate, log_.hash, transitions_,
         arrivalsSeen_, completionsSeen_, rejected_,

@@ -53,6 +53,9 @@ class Histogram
     /// Weight in bucket i.
     double bucketWeight(std::size_t i) const { return counts_[i]; }
 
+    /// Every bucket's weight, in bucket order.
+    const std::vector<double> &counts() const { return counts_; }
+
     /// Midpoint value of bucket i.
     double bucketMid(std::size_t i) const
     {

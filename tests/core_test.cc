@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,11 +19,16 @@
 #include "core/distribution.h"
 #include "core/pi_controller.h"
 #include "core/profiler.h"
+#include "core/rubik_boost.h"
 #include "core/rubik_controller.h"
 #include "core/target_tail_table.h"
+#include "power/power_model.h"
+#include "sim/trace.h"
 #include "stats/percentile.h"
 #include "util/rng.h"
 #include "util/units.h"
+#include "workloads/apps.h"
+#include "workloads/trace_gen.h"
 
 namespace rubik {
 namespace {
@@ -751,8 +759,157 @@ TEST(RubikController, DecisionsComputeOnlyTheEntriesTheyRead)
     rubik.periodicUpdate(idle);
     EXPECT_EQ(rubik.tableRebuilds(), 2u);
     EXPECT_EQ(rubik.tableConvolutions(), 4u);
+
+    // Position 0 alone already needs twice f_max (reading its entries
+    // runs no chain step): the decision stops there and is f_max. The
+    // full walk would have read positions 1 and 2 too, four steps.
+    const TargetTailTable &table = *rubik.table();
+    const double f_max = dvfs.maxFrequency();
+    const double slack = table.tailCycles(0, 0) / (2.0 * f_max);
+    const double age = cfg.latencyBound - table.tailMemTime(0, 0) - slack;
+    const std::vector<double> hot_arrivals = {0.0, age, age};
+    CoreView hot = view;
+    hot.now = age;
+    hot.arrivals = hot_arrivals.data();
+    EXPECT_EQ(rubik.selectFrequency(hot), f_max);
+    EXPECT_EQ(rubik.tableConvolutions(), 4u);
+
     (void)rubik.selectFrequency(view);
     EXPECT_EQ(rubik.tableConvolutions(), 8u);
+}
+
+/// A decision over every request in the system.
+struct Walk
+{
+    double frequency = 0.0;
+    /// `needed` reached the ceiling before the last position, without
+    /// saturating: a decision that stops at the ceiling stops early.
+    bool crossed = false;
+};
+
+/// Eq. 2 walked the way RubikController and RubikBoostController did
+/// before they stopped at the ceiling.
+Walk
+fullWalk(const TargetTailTable &table, double target, const CoreView &core,
+         double ceiling)
+{
+    const DvfsModel &dvfs = *core.dvfs;
+    const std::size_t row = table.rowForElapsed(core.elapsedCycles);
+    Walk walk;
+    double needed = 0.0;
+    std::size_t position = 0;
+    bool saturated = false;
+    for (std::size_t i = 0; i < core.count; ++i) {
+        if (saturated)
+            break;
+        const double t_i = core.now - core.arrivals[i];
+        const double m_i = table.tailMemTime(row, position);
+        const double slack = target - t_i - m_i;
+        if (slack <= 0.0) {
+            saturated = true;
+        } else {
+            const double c_i = table.tailCycles(row, position);
+            needed = std::max(needed, c_i / slack);
+            if (needed >= ceiling && i + 1 < core.count)
+                walk.crossed = true;
+        }
+        ++position;
+    }
+    const double f_max = dvfs.maxFrequency();
+    const double f = saturated ? f_max : dvfs.quantizeUp(needed);
+    walk.frequency = std::min(f, ceiling);
+    return walk;
+}
+
+TEST(RubikController, CeilingExitDecidesLikeTheFullWalk)
+{
+    // Warm controllers on each app's own demands, then seeded queues:
+    // stopping at the ceiling must never change a decision, uncapped
+    // (ceiling f_max) or under a cap whose ceiling is 2.0 GHz.
+    const DvfsModel dvfs = DvfsModel::haswell();
+    const PowerModel power(dvfs);
+    const double nominal = dvfs.nominalFrequency();
+    const double cap_watts = power.coreActivePower(2.0 * kGHz, 0.0);
+    ASSERT_LT(capFrequencyCeiling(power, cap_watts), dvfs.maxFrequency());
+
+    std::size_t crossed_count = 0, at_ceiling = 0, below = 0;
+    for (const AppId id : allApps()) {
+        SCOPED_TRACE(appName(id));
+        const AppProfile app = makeApp(id);
+        Trace trace = generateLoadTrace(app, 0.5, 3000, nominal, 23);
+        annotateClasses(trace, 0.85, nominal);
+        double service = 0.0, cycles = 0.0;
+        for (const TraceRecord &r : trace) {
+            service += r.serviceTime(nominal);
+            cycles += r.computeCycles;
+        }
+        const auto n = static_cast<double>(trace.size());
+        const double bound = 6.0 * service / n;
+
+        // No feedback: the internal target stays at the bound.
+        RubikBoostConfig cfg;
+        cfg.base.latencyBound = bound;
+        cfg.base.feedback = false;
+        RubikController rubik(dvfs, cfg.base);
+        RubikBoostController boost(dvfs, cfg);
+        CoreView idle;
+        for (const TraceRecord &r : trace) {
+            CompletedRequest done;
+            done.computeCycles = r.computeCycles;
+            done.memoryTime = r.memoryTime;
+            done.classHint = r.classHint;
+            done.completionTime = r.arrivalTime;
+            rubik.onCompletion(done, idle);
+            boost.onCompletion(done, idle);
+        }
+        rubik.periodicUpdate(idle);
+        boost.periodicUpdate(idle);
+        ASSERT_TRUE(rubik.warm());
+        ASSERT_TRUE(boost.warm());
+        const TargetTailTable &mix = *rubik.table();
+
+        Rng rng(24);
+        for (const double watts : {0.0, cap_watts}) {
+            SCOPED_TRACE("cap " + std::to_string(watts) + " W");
+            rubik.setPowerCap(watts);
+            boost.setPowerCap(watts);
+            const double ceiling = capFrequencyCeiling(power, watts);
+            for (int q = 0; q < 200; ++q) {
+                SCOPED_TRACE("queue " + std::to_string(q));
+                CoreView view;
+                view.now = 1.0;
+                view.busy = true;
+                view.count = 1 + rng.uniformInt(24);
+                view.elapsedCycles = rng.uniform(0.0, 2.0 * cycles / n);
+                view.dvfs = &dvfs;
+                view.power = &power;
+                const double span = rng.uniform(0.0, 1.5) * bound;
+                std::vector<double> arrivals(view.count);
+                std::vector<int> hints(view.count);
+                for (std::size_t i = 0; i < view.count; ++i) {
+                    arrivals[i] = view.now - rng.uniform(0.0, span);
+                    hints[i] = static_cast<int>(rng.uniformInt(2));
+                }
+                std::sort(arrivals.begin(), arrivals.end());
+                view.arrivals = arrivals.data();
+                view.classHints = hints.data();
+
+                const Walk walk = fullWalk(mix, bound, view, ceiling);
+                const double f = rubik.selectFrequency(view);
+                EXPECT_EQ(f, walk.frequency);
+                crossed_count += walk.crossed;
+                ++(f == ceiling ? at_ceiling : below);
+                const TargetTailTable &own = *boost.tableFor(hints[0]);
+                const Walk want = fullWalk(own, bound, view, ceiling);
+                EXPECT_EQ(boost.selectFrequency(view), want.frequency);
+            }
+        }
+    }
+    // The seeded queues stop early, and land both at and below the
+    // ceiling.
+    EXPECT_GT(crossed_count, 0u);
+    EXPECT_GT(at_ceiling, 0u);
+    EXPECT_GT(below, 0u);
 }
 
 class TableShapeSweep
@@ -823,6 +980,174 @@ TEST(Profiler, EmptyYieldsPointMassAtZero)
     Profiler prof(100, 64);
     const auto d = prof.computeDistribution();
     EXPECT_NEAR(d.mean(), 0.0, d.bucketWidth());
+}
+
+/// `got` must be bitwise the one-shot build the profiler used to make
+/// at every rebuild: the window max, a Histogram sized to it holding
+/// every window sample, normalized (a point mass at 0 when the window
+/// is empty or all zero).
+void
+expectOneShotBuild(const DiscreteDistribution &got,
+                   const std::deque<double> &window, std::size_t buckets)
+{
+    double max_val = 0.0;
+    for (const double v : window)
+        max_val = std::max(max_val, v);
+    ASSERT_EQ(got.numBuckets(), buckets);
+    std::vector<double> masses;
+    double width = 0.0;
+    std::optional<DiscreteDistribution> want;
+    if (max_val <= 0.0) {
+        want = DiscreteDistribution::pointMass(0.0, buckets);
+        width = want->bucketWidth();
+        for (std::size_t i = 0; i < buckets; ++i)
+            masses.push_back(want->mass(i));
+    } else {
+        Histogram hist(buckets, max_val * 1.0001);
+        for (const double v : window)
+            hist.add(v);
+        masses = hist.normalized();
+        width = hist.bucketWidth();
+        want = DiscreteDistribution::fromHistogram(hist, buckets);
+    }
+    EXPECT_EQ(got.bucketWidth(), width);
+    for (std::size_t i = 0; i < buckets; ++i)
+        EXPECT_EQ(got.mass(i), masses[i]) << "bucket " << i;
+    for (const double q : {0.0, 0.05, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+        SCOPED_TRACE("q " + std::to_string(q));
+        EXPECT_EQ(got.quantile(q), want->quantile(q));
+        EXPECT_EQ(got.quantileUpper(q), want->quantileUpper(q));
+    }
+}
+
+/// A Profiler next to plain deques holding the same windows.
+struct ProfilerMirror
+{
+    ProfilerMirror(std::size_t window, std::size_t buckets)
+        : prof(window, buckets), window(window), buckets(buckets)
+    {
+    }
+
+    void record(double c, double m)
+    {
+        prof.record(c, m);
+        push(cycles, c);
+        push(mems, m);
+    }
+
+    void push(std::deque<double> &samples, double v) const
+    {
+        samples.push_back(std::max(0.0, v));
+        if (samples.size() > window)
+            samples.pop_front();
+    }
+
+    void clear()
+    {
+        prof.clear();
+        cycles.clear();
+        mems.clear();
+    }
+
+    /// Materialize both sides and compare them with the one-shot build.
+    void check()
+    {
+        SCOPED_TRACE(std::to_string(cycles.size()) + " in the window");
+        expectOneShotBuild(prof.computeDistribution(), cycles, buckets);
+        expectOneShotBuild(prof.memoryDistribution(), mems, buckets);
+    }
+
+    Profiler prof;
+    std::size_t window, buckets;
+    std::deque<double> cycles, mems;
+};
+
+TEST(Profiler, IncrementalHistogramsMatchOneShotBuild)
+{
+    // The paper's window at the rebuild cadence real runs see (every
+    // 32 completions), across three window turnovers, with new maxima,
+    // zeros and clamped negatives mixed in.
+    ProfilerMirror big(4096, 128);
+    Rng rng(25);
+    std::size_t builds = 0;
+    for (int i = 1; i <= 12288; ++i) {
+        double c = rng.lognormal(13.0, 0.4);
+        double m = rng.lognormal(-9.0, 0.4);
+        if (i % 997 == 0)
+            c *= 20.0; // a new max, evicted 4096 samples later
+        if (i % 389 == 0)
+            m = 0.0;
+        if (i % 1499 == 0)
+            c = -5.0;
+        big.record(c, m);
+        if (i % 32 == 0) {
+            big.check();
+            ++builds;
+        }
+    }
+    // All but a few side builds reused the counts record() kept.
+    EXPECT_LT(big.prof.rescans(), 2 * builds / 20);
+
+    // The smallest window: every record evicts, and the max moves at
+    // almost every step.
+    ProfilerMirror two(2, 16);
+    const auto step = [&two](double c, double m) {
+        two.record(c, m);
+        two.check();
+    };
+    step(3.0, 1.0);
+    // A new compute max; a tie at the memory max.
+    step(5.0, 1.0);
+    // Evicts the compute non-max, then the compute max.
+    step(1.0, 1.0);
+    step(1.0, 0.0);
+    // All-zero windows, then a new max over one.
+    step(0.0, 0.0);
+    step(0.0, 0.0);
+    step(2.0, 2.0);
+    // A tie at the max, then one of the pair evicted.
+    step(2.0, 2.0);
+    step(-1.0, 7.0);
+    two.clear();
+    two.check();
+    step(4.0, 4.0);
+}
+
+TEST(Profiler, RecountsOnlyWhenTheMaxMayMove)
+{
+    ProfilerMirror mirror(4, 8);
+    for (const double c : {9.0, 9.0, 1.0, 1.0})
+        mirror.record(c, 1e-3);
+    mirror.check();
+    EXPECT_EQ(mirror.prof.rescans(), 2u); // each side's first build
+
+    // Evicting one of two samples at the max leaves the max in place:
+    // both sides move one count in and one out.
+    mirror.record(1.0, 1e-3);
+    mirror.check();
+    EXPECT_EQ(mirror.prof.rescans(), 2u);
+
+    // The last sample at the compute max leaves: that side recounts.
+    mirror.record(1.0, 1e-3);
+    mirror.check();
+    EXPECT_EQ(mirror.prof.rescans(), 3u);
+
+    // A new compute max recounts; a sample below it does not.
+    mirror.record(20.0, 1e-3);
+    mirror.check();
+    EXPECT_EQ(mirror.prof.rescans(), 4u);
+    mirror.record(5.0, 1e-3);
+    mirror.check();
+    EXPECT_EQ(mirror.prof.rescans(), 4u);
+
+    // Records between builds cost nothing extra.
+    for (int i = 0; i < 2; ++i)
+        mirror.record(2.0, 1e-3);
+    mirror.check();
+    EXPECT_EQ(mirror.prof.rescans(), 4u);
+
+    mirror.clear();
+    EXPECT_EQ(mirror.prof.rescans(), 0u);
 }
 
 TEST(PiController, ConvergesToStep)

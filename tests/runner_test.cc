@@ -197,21 +197,57 @@ TEST(OptionsParserDeathTest, RunFlagsRejectBadValuesNamingTheFlag)
     }
 }
 
+/// `--loads LIST` through a numberList registration over (0, 1.5).
+std::vector<double>
+parseLoads(std::string list)
+{
+    char prog[] = "prog";
+    char flag[] = "--loads";
+    char *argv[] = {prog, flag, list.data()};
+    std::vector<double> loads;
+    OptionsParser parser(3, argv);
+    parser.numberList("--loads", &loads, NumberRange::open(0.0, 1.5));
+    parser.run();
+    return loads;
+}
+
+TEST(OptionsParserDeathTest, NumberListRejectsEveryBadItem)
+{
+    const std::string want = "--loads wants a comma list";
+    for (const char *list : {"", "0.3,", ",0.3", "0.3,,0.5", "abc"}) {
+        EXPECT_EXIT(parseLoads(list), ::testing::ExitedWithCode(1), want)
+            << "'" << list << "'";
+    }
+    for (const char *list : {"0.3,0.5x", "0.3,1.5", "0.3, 0.5", "nan"}) {
+        EXPECT_EXIT(parseLoads(list), ::testing::ExitedWithCode(1), want)
+            << "'" << list << "'";
+    }
+}
+
 TEST(OptionsParser, TypedFlagsStoreParsedValues)
 {
     char prog[] = "prog";
     char a[] = "--bound-ms=0.5";
     char b[] = "--max-queue";
     char c[] = "12";
-    char *argv[] = {prog, a, b, c};
-    double bound = 0.0;
+    char d[] = "--loads=0.3,0.5,1e-1";
+    char e[] = "--load";
+    char f[] = "0.25";
+    char *argv[] = {prog, a, b, c, d, e, f};
+    double bound = 0.0, load = 0.0;
     std::size_t queue = 0;
-    OptionsParser parser(4, argv);
+    std::vector<double> loads;
+    OptionsParser parser(7, argv);
     parser.number("--bound-ms", &bound, NumberRange::above(0.0));
     parser.count("--max-queue", &queue, 1);
+    parser.numberList("--loads", &loads, NumberRange::open(0.0, 1.5));
+    parser.number("--load", NumberRange::open(0.0, 1.5),
+                  [&load](double v) { load = v; });
     parser.run();
     EXPECT_EQ(bound, 0.5);
     EXPECT_EQ(queue, 12u);
+    EXPECT_EQ(loads, (std::vector<double>{0.3, 0.5, 0.1}));
+    EXPECT_EQ(load, 0.25);
 }
 
 // The same values through the built CLI (RUBIK_CLI; skipped when it
@@ -242,34 +278,93 @@ cliPath()
     return cli && std::filesystem::exists(cli) ? cli : "";
 }
 
-/// Run `cli args FLAG VALUE` for each bad run-flag value: each must
-/// exit 1 with a message naming the flag, and leave no file at
-/// `out` (when given).
+/// (flag, value) pairs to pass on a command line.
+using FlagValues = std::vector<std::pair<std::string, std::string>>;
+
+/// Run `cli args FLAG VALUE` for each of `bad`: each must exit 1 with
+/// a message "FLAG wants WHAT", and leave no file at `out` (when
+/// given).
 void
-expectBadRunFlagsRejected(const std::string &cli, const std::string &args,
-                          const std::string &out)
+expectBadValuesRejected(const std::string &cli, const std::string &args,
+                        const std::string &out, const FlagValues &bad,
+                        const std::string &what)
 {
     const std::string err = "/tmp/rubik_runner_test_" +
                             std::to_string(::getpid()) + ".stderr";
-    for (const auto &[flag, value] : kBadRunFlags) {
+    for (const auto &[flag, value] : bad) {
         SCOPED_TRACE(flag + " " + value);
         EXPECT_EQ(exitCode("'" + cli + "' " + args + " " + flag + " '" +
                            value + "' > /dev/null 2> " + err),
                   1);
         const std::string text = readFile(err);
-        EXPECT_NE(text.find(flag + " wants an integer"), std::string::npos)
+        EXPECT_NE(text.find(flag + " wants " + what), std::string::npos)
             << text;
         EXPECT_FALSE(!out.empty() && std::filesystem::exists(out));
     }
     std::remove(err.c_str());
 }
 
+/// `flag VALUE` for each of `values`.
+FlagValues
+flagValues(const std::string &flag, const std::vector<std::string> &values)
+{
+    FlagValues out;
+    for (const std::string &v : values)
+        out.emplace_back(flag, v);
+    return out;
+}
+
+/// Bad --load values: garbage after a number used to run at the
+/// number, a non-number or an out-of-range load died in an assertion
+/// (SIGABRT).
+const std::vector<std::string> kBadLoads = {"0.5x", "abc", "-1", "1.5"};
+
 TEST(RunFlagsCli, OneShotRejectsBadValues)
 {
     const std::string cli = cliPath();
     if (cli.empty())
         GTEST_SKIP() << "RUBIK_CLI not set or missing";
-    expectBadRunFlagsRejected(cli, "--app masstree --load 0.4", "");
+    expectBadValuesRejected(cli, "--app masstree --load 0.4", "",
+                            kBadRunFlags, "an integer");
+}
+
+TEST(RunFlagsCli, OneShotRejectsBadNumbers)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    // --bound-ms -3 used to fall back to the automatic bound, --tj abc
+    // to run at 0 C, --transition-us -4 to die in an assertion.
+    const std::string args = "--app masstree --requests 200";
+    auto bad = flagValues("--load", kBadLoads);
+    for (const char *flag : {"--bound-ms", "--transition-us"}) {
+        bad.emplace_back(flag, "-3");
+        bad.emplace_back(flag, "2x");
+    }
+    for (const char *flag : {"--tj", "--ambient"}) {
+        bad.emplace_back(flag, "abc");
+        bad.emplace_back(flag, "-300");
+        bad.emplace_back(flag, "inf");
+    }
+    expectBadValuesRejected(cli, args, "", bad, "a finite number");
+    const auto lists = flagValues("--loads", {"0.3,0.5x", "0.3,", ""});
+    expectBadValuesRejected(cli, args, "", lists, "a comma list");
+}
+
+TEST(RunFlagsCli, OneShotKeepsWellFormedNumbers)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    const std::string out = "/tmp/rubik_runner_test_" +
+                            std::to_string(::getpid()) + ".csv";
+    const std::string flags = "--requests 300 --loads 0.3,0.5 --bound-ms 0 "
+                              "--transition-us 4 --tj 95 --ambient=45";
+    EXPECT_EQ(exitCode("'" + cli + "' " + flags + " --csv > " + out), 0);
+    const std::string csv = readFile(out);
+    EXPECT_NE(csv.find("\nmasstree,rubik,0.30,"), std::string::npos) << csv;
+    EXPECT_NE(csv.find("\nmasstree,rubik,0.50,"), std::string::npos) << csv;
+    std::remove(out.c_str());
 }
 
 TEST(RunFlagsCli, TraceGenRejectsBadValues)
@@ -279,7 +374,16 @@ TEST(RunFlagsCli, TraceGenRejectsBadValues)
         GTEST_SKIP() << "RUBIK_CLI not set or missing";
     const std::string out = "/tmp/rubik_runner_test_" +
                             std::to_string(::getpid()) + ".rtrace";
-    expectBadRunFlagsRejected(cli, "trace gen --out " + out, out);
+    const std::string args = "trace gen --requests 100 --out " + out;
+    const auto loads = flagValues("--load", kBadLoads);
+    expectBadValuesRejected(cli, args, out, kBadRunFlags, "an integer");
+    expectBadValuesRejected(cli, args, out, loads, "a finite number");
+
+    // The load perfbench's serve stream asks for still works.
+    const std::string gen = "'" + cli + "' " + args + " --load 0.5";
+    EXPECT_EQ(exitCode(gen + " > /dev/null"), 0);
+    EXPECT_TRUE(std::filesystem::exists(out));
+    std::remove(out.c_str());
 }
 
 TEST(ExperimentRunner, RunsAllJobsInSubmissionOrder)

@@ -264,6 +264,14 @@ TEST(ServeEngine, StatsJsonIsWellFormed)
     const std::string want =
         "\"table_convolutions\":" + std::to_string(steps) + ",";
     EXPECT_NE(json.find(want), std::string::npos) << json;
+    // Each table build materialized both profile sides; at least the
+    // first build of each side recounted its window.
+    const uint64_t rescans = engine.controller().profileRescans();
+    EXPECT_GE(rescans, 2u);
+    EXPECT_LE(rescans, 2 * engine.controller().tableRebuilds());
+    const std::string want_rescans =
+        "\"profile_rescans\":" + std::to_string(rescans) + ",";
+    EXPECT_NE(json.find(want_rescans), std::string::npos) << json;
 }
 
 // The engine is a stream-driven wrapper over the exact controller; a

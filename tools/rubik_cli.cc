@@ -86,6 +86,12 @@ using namespace rubik;
 
 namespace {
 
+/// Offered load, as a fraction of max throughput at 2.4 GHz: the range
+/// the trace generators accept.
+const NumberRange kLoadRange = NumberRange::open(0.0, 1.5);
+/// A temperature in degrees C: above absolute zero.
+const NumberRange kCelsiusRange = NumberRange::above(-273.15);
+
 struct CliOptions
 {
     std::string app = "masstree";
@@ -110,8 +116,9 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "  --app NAME         masstree|moses|shore|specjbb|xapian "
         "(default masstree)\n"
-        "  --load F           fraction of max throughput at 2.4 GHz "
-        "(default 0.4)\n"
+        "  --load F           fraction of max throughput at 2.4 GHz, "
+        "in (0, 1.5)\n"
+        "                     (default 0.4)\n"
         "  --loads F1,F2,...  sweep several loads in parallel\n"
         "  --jobs N           sweep worker threads (default: hardware)\n"
         "  --policy NAME      fixed|static|dynamic|adrenaline|pegasus|"
@@ -260,38 +267,12 @@ parse(int argc, char **argv)
     OptionsParser parser(argc, argv);
     parser.value("--app", [&o](const char *v) { o.app = v; });
     parser.value("--policy", [&o](const char *v) { o.policy = v; });
-    parser.value("--load",
-                 [&o](const char *v) { o.loads = {std::atof(v)}; });
-    parser.value("--loads", [&o](const char *v) {
-        o.loads.clear();
-        const std::string list = v;
-        std::size_t pos = 0;
-        while (pos < list.size()) {
-            std::size_t comma = list.find(',', pos);
-            if (comma == std::string::npos)
-                comma = list.size();
-            const std::string item = list.substr(pos, comma - pos);
-            const double load = std::atof(item.c_str());
-            if (load <= 0.0 || load >= 1.5) {
-                std::fprintf(stderr,
-                             "--loads: '%s' is not a load in "
-                             "(0, 1.5)\n",
-                             item.c_str());
-                std::exit(1);
-            }
-            o.loads.push_back(load);
-            pos = comma + 1;
-        }
-        if (o.loads.empty()) {
-            std::fprintf(stderr, "--loads needs a comma list\n");
-            std::exit(1);
-        }
-    });
-    parser.value("--bound-ms",
-                 [&o](const char *v) { o.boundMs = std::atof(v); });
-    parser.value("--transition-us", [&o](const char *v) {
-        o.transitionUs = std::atof(v);
-    });
+    parser.number("--load", kLoadRange,
+                  [&o](double load) { o.loads = {load}; });
+    parser.numberList("--loads", &o.loads, kLoadRange);
+    parser.number("--bound-ms", &o.boundMs, NumberRange::atLeast(0.0));
+    parser.number("--transition-us", &o.transitionUs,
+                  NumberRange::atLeast(0.0));
     parser.flag("--csv", [&o] { o.csv = true; });
     parser.flag("--json", [&o] { o.json = true; });
     parser.flag("--bursty", [&o] { o.bursty = true; });
@@ -299,15 +280,13 @@ parse(int argc, char **argv)
     // parser.run() (addRunFlags owns the shared SimOptions).
     parser.flag("--thermal",
                 [&run] { run.sim.thermal.enabled = true; });
-    parser.value("--tj", [&run](const char *v) {
-        run.sim.thermal.params.junction = std::atof(v);
-    });
-    parser.value("--ambient", [&run](const char *v) {
+    ThermalParams &thermal = run.sim.thermal.params;
+    parser.number("--tj", &thermal.junction, kCelsiusRange);
+    parser.number("--ambient", kCelsiusRange, [&thermal](double c) {
         // The leakage reference follows ambient so a chip at rest has
         // exactly the calibrated (legacy) leakage share.
-        run.sim.thermal.params.ambient = std::atof(v);
-        run.sim.thermal.params.leakTref =
-            run.sim.thermal.params.ambient;
+        thermal.ambient = c;
+        thermal.leakTref = c;
     });
     parser.flag("--decision-hash", [&o] { o.decisionHash = true; });
     addRunFlags(parser, &run);
@@ -1206,7 +1185,7 @@ traceMain(int argc, char **argv)
     run.requests = 9000;
     OptionsParser parser(argc, argv, 3);
     parser.value("--app", [&](const char *v) { app_name = v; });
-    parser.value("--load", [&](const char *v) { load = std::atof(v); });
+    parser.number("--load", &load, kLoadRange);
     parser.value("--out", [&](const char *v) { out_path = v; });
     parser.flag("--bursty", [&] { bursty = true; });
     addRunFlags(parser, &run);
