@@ -16,6 +16,13 @@
  * exact); among all feasible combinations we keep the one with minimum
  * energy. Each probe of the search is a counting pass
  * (meetsTailBound), and only the overall winner is replayed.
+ *
+ * Tail latency is monotone in the boost frequency too, so the uniform
+ * frequencies (base = boost) are searched once per trace, by
+ * StaticOracle, rather than once per threshold, and each boost's
+ * search is bounded above by the previous, lower boost's answer.
+ * Candidate energies are summed from a table of requestEnergy values
+ * per request and grid level.
  */
 
 #include "policies/replay.h"

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
 
@@ -95,6 +96,75 @@ class Schedule
     std::size_t maxViolations_ = 0;
 };
 
+/**
+ * Binary max-heap of (saving, request) keys, ordered as std::pair
+ * orders them, with savings and requests in two parallel arrays. Each
+ * request holds at most one entry, so every key is distinct and any
+ * correct max-heap pops the same sequence std::priority_queue would.
+ */
+class SavingsHeap
+{
+  public:
+    /// Heapify the given entries at once (Floyd's bottom-up build).
+    SavingsHeap(std::vector<double> savings,
+                std::vector<std::size_t> requests)
+        : savings_(std::move(savings)), requests_(std::move(requests))
+    {
+        for (std::size_t i = savings_.size() / 2; i-- > 0;)
+            siftDown(i, savings_[i], requests_[i]);
+    }
+
+    bool empty() const { return savings_.empty(); }
+
+    std::size_t topRequest() const { return requests_[0]; }
+
+    void pop()
+    {
+        const double saving = savings_.back();
+        const std::size_t request = requests_.back();
+        savings_.pop_back();
+        requests_.pop_back();
+        if (!savings_.empty())
+            siftDown(0, saving, request);
+    }
+
+    /// Pop the top and push (saving, request) in one sift.
+    void replaceTop(double saving, std::size_t request)
+    {
+        siftDown(0, saving, request);
+    }
+
+  private:
+    /// (sa, ra) < (sb, rb) in std::pair order, without branches.
+    static bool less(double sa, std::size_t ra, double sb, std::size_t rb)
+    {
+        return (sa < sb) | ((sa == sb) & (ra < rb));
+    }
+
+    /// Place (saving, request) at `hole` or below it, moving larger
+    /// children up.
+    void siftDown(std::size_t hole, double saving, std::size_t request)
+    {
+        const std::size_t size = savings_.size();
+        for (std::size_t child = 2 * hole + 1; child < size;
+             child = 2 * hole + 1) {
+            if (child + 1 < size)
+                child += less(savings_[child], requests_[child],
+                              savings_[child + 1], requests_[child + 1]);
+            if (!less(saving, request, savings_[child], requests_[child]))
+                break;
+            savings_[hole] = savings_[child];
+            requests_[hole] = requests_[child];
+            hole = child;
+        }
+        savings_[hole] = saving;
+        requests_[hole] = request;
+    }
+
+    std::vector<double> savings_;
+    std::vector<std::size_t> requests_;
+};
+
 } // anonymous namespace
 
 DynamicOracleResult
@@ -128,24 +198,29 @@ dynamicOracle(const Trace &trace, double latency_bound, double percentile,
     };
 
     // Each request has at most one heap entry, pushed after its own
-    // last step, so a popped saving is always current.
-    using Item = std::pair<double, std::size_t>; // (saving, request)
-    std::priority_queue<Item> heap;
+    // last step, so the top's saving is always current. An accepted
+    // step whose next saving is positive replaces the top in place;
+    // anything else pops it (rejected requests are simply dropped).
+    std::vector<double> savings;
+    std::vector<std::size_t> requests;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const double s = step_down_saving(i);
-        if (s > 0.0)
-            heap.push({s, i});
+        if (s > 0.0) {
+            savings.push_back(s);
+            requests.push_back(i);
+        }
     }
-
+    SavingsHeap heap(std::move(savings), std::move(requests));
     while (!heap.empty()) {
-        const std::size_t i = heap.top().second;
-        heap.pop();
+        const std::size_t i = heap.topRequest();
         if (sched.tryStepDown(i)) {
             const double next = step_down_saving(i);
-            if (next > 0.0)
-                heap.push({next, i});
+            if (next > 0.0) {
+                heap.replaceTop(next, i);
+                continue;
+            }
         }
-        // Rejected requests are simply dropped from the heap.
+        heap.pop();
     }
 
     DynamicOracleResult result;

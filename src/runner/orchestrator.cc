@@ -26,17 +26,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::chrono::duration<double>
-secondsOf(double s)
-{
-    return std::chrono::duration<double>(s);
-}
-
 Clock::time_point
 deadlineAfter(double s)
 {
-    return Clock::now() +
-           std::chrono::duration_cast<Clock::duration>(secondsOf(s));
+    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(s));
 }
 
 /// mkdtemp-backed scratch directory for the spec file and per-attempt
@@ -263,7 +257,6 @@ runAttempt(Coordinator &co, std::size_t index, int attempt)
     const std::string err_path = base + ".err";
 
     const pid_t pid = spawnShellCommand(cmd, csv_path, err_path);
-    const auto spawned = Clock::now();
     // The lease doubles per attempt (exponential backoff for
     // stragglers); the hard kill gives a stealer one extra lease
     // period to win before the straggler is put down.
@@ -272,29 +265,38 @@ runAttempt(Coordinator &co, std::size_t index, int attempt)
             ? co.leaseTimeoutSec *
                   static_cast<double>(1 << std::min(attempt - 1, 10))
             : 0.0;
+    const auto kill_at = deadlineAfter(2.0 * lease);
 
+    // Sleep on the coordinator's condition variable until one of three
+    // things happens: the child exits (the watch's helper reaps it and
+    // notifies), a stealer commits the batch or the sweep turns fatal
+    // (the committer notifies), or the hard lease deadline passes.
     int status = -1;
-    bool exited = false;
     bool lease_killed = false;
     bool superseded = false;
-    for (;;) {
-        if (waitCommandFor(pid, 0.05, &status)) {
-            exited = true;
-            break;
+    {
+        ExitWatch watch(pid, co.mutex, co.cv);
+        std::unique_lock<std::mutex> lock(co.mutex);
+        const auto stop = [&] {
+            return watch.exited() || co.batches[index].done ||
+                   !co.fatal.empty();
+        };
+        if (lease > 0.0)
+            co.cv.wait_until(lock, kill_at, stop);
+        else
+            co.cv.wait(lock, stop);
+        if (watch.exited()) {
+            status = watch.status();
+        } else {
+            superseded = co.batches[index].done || !co.fatal.empty();
+            lease_killed = !superseded;
+            // Signal only: the watch reaps the child, and it cannot
+            // have done so yet, since it reaps under this lock.
+            killCommandGroup(pid);
         }
-        std::lock_guard<std::mutex> lock(co.mutex);
-        if (co.batches[index].done || !co.fatal.empty()) {
-            superseded = true;
-            break;
-        }
-        if (lease > 0.0 &&
-            Clock::now() >= spawned + secondsOf(2.0 * lease)) {
-            lease_killed = true;
-            break;
-        }
+        // Leaving the scope releases the lock, then joins the helper
+        // once the killed child is reaped.
     }
-    if (!exited)
-        killCommandGroup(pid);
 
     const std::string err_text = readFileText(err_path);
     std::string text;
@@ -491,13 +493,22 @@ runOrchestratedSweep(const SweepSpec &spec,
         makeBackend(options.backendDesc, options.backend);
 
     // Batch sizing: ~4 batches per shard slot keeps the queue deep
-    // enough to steal from without making child spawns dominate.
+    // enough to steal from without making child spawns dominate. With
+    // one seed, the cells that share an (app, load) trace are a run of
+    // one cell per policy; rounding up to whole runs keeps a batch from
+    // splitting one, so each run's trace is generated by one batch
+    // child, not two.
     const std::size_t missing = num_cells - scan.rows.size();
     const std::size_t slots = static_cast<std::size_t>(
         std::max(1, options.backend.numShards));
     std::size_t batch_cells = options.batchCells;
-    if (batch_cells == 0)
+    if (batch_cells == 0) {
         batch_cells = std::max<std::size_t>(1, missing / (slots * 4));
+        if (spec.seeds.size() == 1) {
+            const std::size_t run = spec.policies.size();
+            batch_cells = (batch_cells + run - 1) / run * run;
+        }
+    }
 
     std::map<std::size_t, std::string> rows = std::move(scan.rows);
 

@@ -62,7 +62,9 @@ struct OrchestratorOptions
     /// Continue from an existing ledger instead of starting over.
     bool resume = false;
     /// Cells per leased batch; 0 sizes automatically (~4 batches per
-    /// shard slot, at least one cell).
+    /// shard slot, at least one cell, and with one seed rounded up to
+    /// a multiple of the policy count so no batch splits the cells
+    /// that share a trace).
     std::size_t batchCells = 0;
     /// Seconds before a running batch's lease expires and an idle
     /// worker may re-dispatch it (doubled per attempt); 0 disables

@@ -1,8 +1,6 @@
 #include "runner/subproc.h"
 
 #include <cerrno>
-#include <chrono>
-#include <thread>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -66,31 +64,33 @@ waitCommand(pid_t pid)
     return got == pid ? status : -1;
 }
 
-bool
-waitCommandFor(pid_t pid, double seconds, int *status)
+ExitWatch::ExitWatch(pid_t pid, std::mutex &mutex,
+                     std::condition_variable &cv)
 {
     if (pid < 0) {
-        *status = -1;
-        return true;
+        exited_ = true;
+        return;
     }
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration<double>(seconds > 0.0 ? seconds : 0.0);
-    for (;;) {
-        int raw = 0;
-        const pid_t got = ::waitpid(pid, &raw, WNOHANG);
-        if (got == pid) {
-            *status = raw;
-            return true;
-        }
-        if (got < 0 && errno != EINTR) {
-            *status = -1;
-            return true;
-        }
-        if (std::chrono::steady_clock::now() >= deadline)
-            return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+    helper_ = std::thread([this, pid, &mutex, &cv] {
+        // WNOWAIT leaves the child a zombie, so its pid cannot be
+        // recycled before the reap below, which runs under the mutex.
+        siginfo_t info{};
+        int rc = 0;
+        do {
+            rc = ::waitid(P_PID, static_cast<id_t>(pid), &info,
+                          WEXITED | WNOWAIT);
+        } while (rc < 0 && errno == EINTR);
+        std::lock_guard<std::mutex> lock(mutex);
+        status_ = waitCommand(pid);
+        exited_ = true;
+        cv.notify_all();
+    });
+}
+
+ExitWatch::~ExitWatch()
+{
+    if (helper_.joinable())
+        helper_.join();
 }
 
 void
@@ -100,7 +100,6 @@ killCommandGroup(pid_t pid)
         return;
     ::kill(-pid, SIGKILL);
     ::kill(pid, SIGKILL);
-    (void)waitCommand(pid);
 }
 
 std::string

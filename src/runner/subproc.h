@@ -4,8 +4,9 @@
 /**
  * @file
  * Child-process plumbing for the dispatch backends and the
- * orchestrator: spawn a shell command with redirected stdio, wait with
- * or without a deadline, and kill a straggler's whole process group.
+ * orchestrator: spawn a shell command with redirected stdio, wait for
+ * it (blocking, or woken on a condition variable by an ExitWatch), and
+ * signal a straggler's whole process group.
  *
  * Unlike std::system("( cmd ) > out 2> err"), spawnShellCommand
  * redirects in the forked child *before* exec'ing `sh -c cmd`, so for
@@ -17,10 +18,13 @@
  * application exit code.
  *
  * Children are placed in their own process group, so
- * killCommandGroup() reaps a hung `sh -c 'a; b'` tree as a unit.
+ * killCommandGroup() takes down a hung `sh -c 'a; b'` tree as a unit.
  */
 
+#include <condition_variable>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include <sys/types.h>
 
@@ -43,16 +47,45 @@ pid_t spawnShellCommand(const std::string &command,
 int waitCommand(pid_t pid);
 
 /**
- * Wait up to `seconds` (polling) for `pid` to exit. On exit, stores
- * the raw wait status in `*status` and returns true; on deadline,
- * leaves the child running and returns false. `seconds <= 0` polls
- * exactly once.
+ * Waits for one spawned child without polling. A helper thread blocks
+ * until the child exits, then takes `mutex`, reaps the child (the one
+ * place it is reaped), stores its raw wait status and notifies `cv`.
+ * A caller that waits on `cv` for this exit and for anything else (a
+ * deadline, another thread's progress) therefore wakes the moment the
+ * child exits. While exited() reads false under `mutex`, the child is
+ * not yet reaped, so its pid is still safe to signal.
  */
-bool waitCommandFor(pid_t pid, double seconds, int *status);
+class ExitWatch
+{
+  public:
+    /// Start watching `pid`; -1 (a failed spawn) reads as exited with
+    /// status -1 at once. `mutex` and `cv` must outlive the watch.
+    ExitWatch(pid_t pid, std::mutex &mutex, std::condition_variable &cv);
+
+    /// Joins the helper, so the child must have exited or been
+    /// signalled (killCommandGroup) first, and `mutex` must be free.
+    ~ExitWatch();
+
+    ExitWatch(const ExitWatch &) = delete;
+    ExitWatch &operator=(const ExitWatch &) = delete;
+
+    /// Whether the child has exited and been reaped. Hold `mutex`.
+    bool exited() const { return exited_; }
+
+    /// The raw wait status once exited(). Hold `mutex`.
+    int status() const { return status_; }
+
+  private:
+    bool exited_ = false;
+    int status_ = -1;
+    std::thread helper_;
+};
 
 /**
  * SIGKILL `pid`'s process group (and the pid itself, in case it
- * escaped the group) and reap it. Safe on already-dead children.
+ * escaped the group). Only signals: whoever waits on the child
+ * (waitCommand or an ExitWatch) reaps it. Safe on exited but unreaped
+ * children.
  */
 void killCommandGroup(pid_t pid);
 

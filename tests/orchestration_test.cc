@@ -13,11 +13,13 @@
  */
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -137,6 +139,68 @@ runCommand(const std::string &cmd, const std::string &dir,
     r.out = readFile(out);
     r.err = readFile(err);
     return r;
+}
+
+// --------------------------------------------------------------------
+// Waiting for batch children
+
+TEST(ExitWatch, WakesOnEachChildExit)
+{
+    // The coordinator's wait: sleep on a condition variable that the
+    // watch's helper notifies when the child exits. A wait that slept
+    // 20 ms between polls would need at least 0.5 s for 25 children.
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    std::mutex mutex;
+    std::condition_variable cv;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 25; ++i) {
+        const pid_t pid = spawnShellCommand("exit 3", dir.path + "/out",
+                                            dir.path + "/err");
+        ASSERT_GT(pid, 0);
+        ExitWatch watch(pid, mutex, cv);
+        std::unique_lock<std::mutex> lock(mutex);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                                [&] { return watch.exited(); }));
+        EXPECT_EQ(describeWaitStatus(watch.status()),
+                  "exited with status 3");
+    }
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed.count(), 0.25);
+}
+
+TEST(ExitWatch, KillSignalsAndTheWatchReaps)
+{
+    // The lease-kill path: the child is still running when the wait
+    // gives up, killCommandGroup only signals, and the watch reaps.
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    std::mutex mutex;
+    std::condition_variable cv;
+    const pid_t pid = spawnShellCommand("exec sleep 30", dir.path + "/out",
+                                        dir.path + "/err");
+    ASSERT_GT(pid, 0);
+    ExitWatch watch(pid, mutex, cv);
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_FALSE(cv.wait_for(lock, std::chrono::milliseconds(50),
+                             [&] { return watch.exited(); }));
+    killCommandGroup(pid);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return watch.exited(); }));
+    EXPECT_EQ(describeWaitStatus(watch.status()), "killed by signal 9");
+    // Reaped exactly once, by the watch.
+    EXPECT_EQ(waitCommand(pid), -1);
+}
+
+TEST(ExitWatch, FailedSpawnReadsAsExited)
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+    ExitWatch watch(-1, mutex, cv);
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_TRUE(watch.exited());
+    EXPECT_EQ(watch.status(), -1);
 }
 
 // --------------------------------------------------------------------
@@ -497,6 +561,66 @@ TEST_F(OrchestrationCli, DynamicSubprocessMatchesLocal)
     // The queue mirror is left behind for post-mortems.
     EXPECT_TRUE(
         std::filesystem::exists(out + ".ledger.work"));
+}
+
+/// The cell ranges ("B-E") of the batch lines in a `.work` mirror.
+std::vector<std::string>
+batchPlan(const std::string &work_path)
+{
+    std::istringstream in(readFile(work_path));
+    std::vector<std::string> plan;
+    std::string line;
+    while (std::getline(in, line)) {
+        // "batch I cells B-E state S spawns N failures F"
+        std::istringstream fields(line);
+        std::string word, index, cells, range;
+        if (fields >> word >> index >> cells >> range && word == "batch")
+            plan.push_back(range);
+    }
+    return plan;
+}
+
+TEST_F(OrchestrationCli, DefaultBatchesKeepTraceRunsWhole)
+{
+    // 1 app x 3 loads x 3 policies: each run of 3 cells shares one
+    // trace. One shard slot sizes batches at 9 / 4 = 2 cells, which a
+    // one-seed grid rounds up to 3.
+    SweepSpec grid = spec;
+    grid.loads = {0.3, 0.5, 0.7};
+    grid.policies = {"fixed", "static", "pegasus"};
+    SweepSpec two_seeds = grid;
+    two_seeds.seeds = {42, 43};
+    struct Case
+    {
+        std::string name;
+        SweepSpec spec;
+        std::string flags;
+        std::vector<std::string> plan;
+    };
+    const std::vector<Case> cases = {
+        {"one seed", grid, "", {"0-3", "3-6", "6-9"}},
+        // Two seeds: 18 / 4 = 4 cells, not rounded.
+        {"two seeds", two_seeds, "",
+         {"0-4", "4-8", "8-12", "12-16", "16-18"}},
+        // An explicit size is honoured as given.
+        {"explicit", grid, "--batch-cells 2 ",
+         {"0-2", "2-4", "4-6", "6-8", "8-9"}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string grid_path = dir.path + "/plan.spec";
+        writeFile(grid_path, c.spec.serialize());
+        const std::string out = dir.path + "/plan.csv";
+        std::filesystem::remove(out + ".ledger");
+        const CommandResult r = runCommand(
+            shellQuote(cli) + " sweep --spec " + shellQuote(grid_path) +
+                " --jobs 1 --backend subprocess --shards 1 " + c.flags +
+                "--out " + shellQuote(out),
+            dir.path, "plan");
+        ASSERT_EQ(r.status, 0) << r.err;
+        EXPECT_EQ(readFile(out), legacyCsv(c.spec));
+        EXPECT_EQ(batchPlan(out + ".ledger.work"), c.plan);
+    }
 }
 
 TEST_F(OrchestrationCli, HungBatchIsStolenWithinBoundedTime)

@@ -274,25 +274,37 @@ struct OracleCase
 
 /// All five apps at loads 0.3 and 0.7, against 0.6x, 1x and 2x the
 /// trace's fixed-nominal tail, a loose 50x bound (the bottom of the
-/// grid) and an impossible bound (the max-frequency fallback).
+/// grid) and an impossible bound (the max-frequency fallback). Then a
+/// trace of identical requests at the same bounds, whose equal savings
+/// leave DynamicOracle's order to the tie-break on the larger index,
+/// and one 20 000-request trace, whose heap is as deep as a perfbench
+/// sweep cell's.
 std::vector<OracleCase>
 oracleCases(const Harness &s, int n)
 {
     std::vector<OracleCase> cases;
+    auto add_bounds = [&](const std::string &name, const Trace &t) {
+        const double tail = s.bound(t);
+        for (double scale : {0.6, 1.0, 2.0, 50.0, 0.0}) {
+            const double bound = scale > 0.0 ? scale * tail : 1e-9;
+            cases.push_back({name + "x" + std::to_string(scale), t, bound});
+        }
+    };
     for (AppId app : {AppId::Masstree, AppId::Moses, AppId::Shore,
                       AppId::Specjbb, AppId::Xapian}) {
         for (double load : {0.3, 0.7}) {
-            Trace t = s.trace(app, load, n);
-            const double tail = s.bound(t);
-            for (double scale : {0.6, 1.0, 2.0, 50.0, 0.0}) {
-                const double bound = scale > 0.0 ? scale * tail : 1e-9;
-                cases.push_back({makeApp(app).name + "@" +
-                                     std::to_string(load) + "x" +
-                                     std::to_string(scale),
-                                 t, bound});
-            }
+            add_bounds(makeApp(app).name + "@" + std::to_string(load),
+                       s.trace(app, load, n));
         }
     }
+    Trace identical = s.trace(AppId::Masstree, 0.5, n);
+    for (TraceRecord &r : identical) {
+        r.computeCycles = identical.front().computeCycles;
+        r.memoryTime = identical.front().memoryTime;
+    }
+    add_bounds("identical@0.5", identical);
+    Trace deep = s.trace(AppId::Xapian, 0.5, 20000);
+    cases.push_back({"xapian@0.5x1 (20000 requests)", deep, s.bound(deep)});
     return cases;
 }
 

@@ -386,6 +386,61 @@ TEST(RunFlagsCli, TraceGenRejectsBadValues)
     std::remove(out.c_str());
 }
 
+/// A one-cell sweep spec for the `sweep` flag cases; returns its path.
+std::string
+writeTinySweepSpec()
+{
+    const std::string path = "/tmp/rubik_runner_test_" +
+                             std::to_string(::getpid()) + ".spec";
+    std::ofstream(path) << "apps = masstree\nloads = 0.3\n"
+                           "policies = fixed\nrequests = 200\n";
+    return path;
+}
+
+TEST(RunFlagsCli, SweepRejectsBadCountsAndLease)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    // atoi, atoll and atof read "2x" as 2 and "abc" as 0, so most of
+    // these used to run with a wrong value; --lease-timeout abc
+    // silently disabled leases.
+    const std::string spec = writeTinySweepSpec();
+    const std::string out = spec + ".csv";
+    const std::string args = "sweep --spec " + spec + " --out " + out;
+    const FlagValues counts = {
+        {"--shards", "2x"},      {"--shards", "0"},
+        {"--jobs", "abc"},       {"--jobs", "-3"},
+        {"--retries", "-2"},     {"--retries", "1001"},
+        {"--batch-cells", "3x"}, {"--batch-cells", "-1"},
+    };
+    expectBadValuesRejected(cli, args, out, counts, "an integer");
+    const auto leases = flagValues("--lease-timeout", {"abc", "-1", "2e6"});
+    expectBadValuesRejected(cli, args, out, leases, "a finite number");
+    std::remove(spec.c_str());
+}
+
+TEST(RunFlagsCli, SweepKeepsUnsetDefaults)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    // --jobs 0 is the hardware default; --retries 0, --batch-cells 0
+    // (automatic) and --lease-timeout 0 (no leases) stay accepted.
+    const std::string spec = writeTinySweepSpec();
+    const std::string out = spec + ".csv";
+    EXPECT_EQ(exitCode("'" + cli + "' sweep --spec " + spec +
+                       " --jobs 0 --retries 0 --batch-cells 0 "
+                       "--lease-timeout 0 --backend subprocess "
+                       "--shards 2 --out " + out + " 2> /dev/null"),
+              0);
+    EXPECT_NE(readFile(out).find("\nmasstree,fixed,0.30,42,"),
+              std::string::npos);
+    for (const char *suffix : {"", ".ledger", ".ledger.work"})
+        std::remove((out + suffix).c_str());
+    std::remove(spec.c_str());
+}
+
 TEST(ExperimentRunner, RunsAllJobsInSubmissionOrder)
 {
     ExperimentRunner runner(4);

@@ -20,6 +20,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -592,6 +594,29 @@ runCommand(const std::string &cmd, const std::string &dir,
     return r;
 }
 
+/**
+ * Wait up to `seconds` for `pid` to exit, woken by the exit itself
+ * (ExitWatch). On exit, stores the raw wait status and returns true;
+ * past the deadline, SIGKILLs the child's group and returns false.
+ * Either way the child is reaped.
+ */
+bool
+waitExitOrKill(pid_t pid, double seconds, int *status)
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+    ExitWatch watch(pid, mutex, cv);
+    std::unique_lock<std::mutex> lock(mutex);
+    const bool exited =
+        cv.wait_for(lock, std::chrono::duration<double>(seconds),
+                    [&] { return watch.exited(); });
+    if (!exited)
+        killCommandGroup(pid);
+    cv.wait(lock, [&] { return watch.exited(); });
+    *status = watch.status();
+    return exited;
+}
+
 class ServeDaemonCli : public ::testing::Test
 {
   protected:
@@ -609,8 +634,7 @@ class ServeDaemonCli : public ::testing::Test
     {
         if (daemonPid > 0) {
             int status = 0;
-            if (!waitCommandFor(daemonPid, 0.0, &status))
-                killCommandGroup(daemonPid);
+            waitExitOrKill(daemonPid, 0.0, &status);
             daemonPid = -1;
         }
     }
@@ -633,7 +657,7 @@ class ServeDaemonCli : public ::testing::Test
             } catch (const std::exception &) {
             }
             int status = 0;
-            ASSERT_FALSE(waitCommandFor(daemonPid, 0.0, &status))
+            ASSERT_EQ(::waitpid(daemonPid, &status, WNOHANG), 0)
                 << "daemon died during startup: "
                 << describeWaitStatus(status) << "\n"
                 << readFile(scratch.path + "/daemon.stderr");
@@ -723,7 +747,7 @@ TEST_F(ServeDaemonCli, ReplayMatchesOneShotAndShutsDownOnSigterm)
     // 6. SIGTERM: clean exit 0, socket removed.
     ASSERT_EQ(::kill(daemonPid, SIGTERM), 0);
     int status = 0;
-    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status))
+    ASSERT_TRUE(waitExitOrKill(daemonPid, 30.0, &status))
         << "daemon ignored SIGTERM";
     daemonPid = -1;
     EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
@@ -755,8 +779,7 @@ TEST_F(ServeDaemonCli, BadNumericFlagsExitOneNamingTheFlag)
             scratch.path + "/badflag.stdout", err);
         ASSERT_GT(pid, 0);
         int status = 0;
-        if (!waitCommandFor(pid, 30.0, &status)) {
-            killCommandGroup(pid);
+        if (!waitExitOrKill(pid, 30.0, &status)) {
             ADD_FAILURE() << "daemon accepted the value and kept running";
             continue;
         }
@@ -772,7 +795,7 @@ TEST_F(ServeDaemonCli, BadNumericFlagsExitOneNamingTheFlag)
                 " --max-queue 1");
     EXPECT_EQ(serveQuery(socketPath, "shutdown"), "ok");
     int status = 0;
-    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    ASSERT_TRUE(waitExitOrKill(daemonPid, 30.0, &status));
     daemonPid = -1;
     EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
 }
@@ -782,7 +805,7 @@ TEST_F(ServeDaemonCli, ShutdownCommandExitsCleanly)
     startDaemon("");
     EXPECT_EQ(serveQuery(socketPath, "shutdown"), "ok");
     int status = 0;
-    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    ASSERT_TRUE(waitExitOrKill(daemonPid, 30.0, &status));
     daemonPid = -1;
     EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
     EXPECT_FALSE(std::filesystem::exists(socketPath));
@@ -801,7 +824,7 @@ TEST_F(ServeDaemonCli, RefusesSecondDaemonOnLiveSocket)
     EXPECT_EQ(serveQuery(socketPath, "ping"), "ok");
     EXPECT_EQ(serveQuery(socketPath, "shutdown"), "ok");
     int status = 0;
-    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    ASSERT_TRUE(waitExitOrKill(daemonPid, 30.0, &status));
     daemonPid = -1;
 }
 
@@ -974,7 +997,7 @@ TEST_F(ServeDaemonCli, ShutdownMidBatchAnswersUpToShutdownOnly)
     // go out, later lines are not answered, then EOF.
     EXPECT_EQ(sendRaw(socketPath, "ping\nshutdown\nping\n"), "ok\nok\n");
     int status = 0;
-    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    ASSERT_TRUE(waitExitOrKill(daemonPid, 30.0, &status));
     daemonPid = -1;
     EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
     EXPECT_FALSE(std::filesystem::exists(socketPath));
@@ -1018,7 +1041,7 @@ TEST_F(ServeDaemonCli, PipelinedRepliesArePinnedByteForByte)
     }
     EXPECT_EQ(sendRaw(socketPath, request), want);
     int status = 0;
-    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    ASSERT_TRUE(waitExitOrKill(daemonPid, 30.0, &status));
     daemonPid = -1;
     EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
 }
@@ -1085,7 +1108,7 @@ TEST_F(ServeDaemonCli, StalledClientDoesNotBlockOthers)
     }
     EXPECT_EQ(ok, "ok");
     int status = 0;
-    const bool exited = waitCommandFor(daemonPid, 10.0, &status);
+    const bool exited = waitExitOrKill(daemonPid, 10.0, &status);
     stop = true;
     writer.join();
     ASSERT_TRUE(exited) << "daemon stuck on a client that never reads";
@@ -1217,7 +1240,7 @@ TEST_F(ServeDaemonCli, PipelinedBurstMatchesOneAtATime)
     }
     EXPECT_EQ(serveQuery(socketPath, "shutdown"), "ok");
     int status = 0;
-    ASSERT_TRUE(waitCommandFor(daemonPid, 30.0, &status));
+    ASSERT_TRUE(waitExitOrKill(daemonPid, 30.0, &status));
     daemonPid = -1;
 
     // One at a time, against a fresh daemon.

@@ -91,6 +91,12 @@ namespace {
 const NumberRange kLoadRange = NumberRange::open(0.0, 1.5);
 /// A temperature in degrees C: above absolute zero.
 const NumberRange kCelsiusRange = NumberRange::above(-273.15);
+/// `sweep --lease-timeout` in seconds (0 disables leases): at most
+/// 10^6, so a lease doubled on every retry stays a representable
+/// steady-clock deadline.
+const NumberRange kLeaseRange{0.0, 1e6, false, false};
+/// `sweep --retries`: an ample cap that keeps the attempt count an int.
+constexpr uint64_t kMaxRetries = 1000;
 
 struct CliOptions
 {
@@ -324,7 +330,7 @@ sweepMain(int argc, char **argv)
     std::string backend_desc = "local";
     std::string trace_cache, cache_cap;
     std::string cells_arg, out_path, ledger_path, schedule, fault_spec;
-    long long batch_cells = 0;
+    std::size_t batch_cells = 0;
     double lease_timeout = 0.0;
     bool resume = false;
     int jobs = 0;
@@ -335,13 +341,10 @@ sweepMain(int argc, char **argv)
     OptionsParser parser(argc, argv, 2);
     parser.value("--spec", [&](const char *v) { spec_path = v; });
     addShardFlag(parser, &shard);
-    parser.value("--jobs", [&](const char *v) { jobs = std::atoi(v); });
+    parser.count("--jobs", &jobs, 0);
     parser.value("--backend", [&](const char *v) { backend_desc = v; });
-    parser.value("--shards", [&](const char *v) {
-        dispatch_shards = std::atoi(v);
-    });
-    parser.value("--retries",
-                 [&](const char *v) { retries = std::atoi(v); });
+    parser.count("--shards", &dispatch_shards, 1);
+    parser.count("--retries", &retries, 0, kMaxRetries);
     parser.value("--trace-cache",
                  [&](const char *v) { trace_cache = v; });
     parser.value("--cache-cap", [&](const char *v) { cache_cap = v; });
@@ -352,10 +355,8 @@ sweepMain(int argc, char **argv)
     parser.value("--ledger", [&](const char *v) { ledger_path = v; });
     parser.flag("--resume", [&] { resume = true; });
     parser.value("--schedule", [&](const char *v) { schedule = v; });
-    parser.value("--batch-cells",
-                 [&](const char *v) { batch_cells = std::atoll(v); });
-    parser.value("--lease-timeout",
-                 [&](const char *v) { lease_timeout = std::atof(v); });
+    parser.count("--batch-cells", &batch_cells, 0);
+    parser.number("--lease-timeout", &lease_timeout, kLeaseRange);
     parser.value("--fault", [&](const char *v) { fault_spec = v; });
     addSimdFlag(parser, &run);
     parser.onUnknown([](const char *token) {
@@ -418,12 +419,6 @@ sweepMain(int argc, char **argv)
                      "orchestration flags\n");
         return 1;
     }
-    if (batch_cells < 0 || lease_timeout < 0.0) {
-        std::fprintf(stderr,
-                     "sweep: --batch-cells and --lease-timeout must "
-                     "be >= 0\n");
-        return 1;
-    }
     if (!fault_spec.empty()) {
         // Arm this process AND export the spec so dispatched batch
         // children inherit it (the scheduler strips it from retries).
@@ -467,7 +462,7 @@ sweepMain(int argc, char **argv)
             opt.outPath = out_path;
             opt.ledgerPath = ledger_path;
             opt.resume = resume;
-            opt.batchCells = static_cast<std::size_t>(batch_cells);
+            opt.batchCells = batch_cells;
             opt.leaseTimeoutSec = lease_timeout;
             opt.maxAttempts = retries >= 0 ? retries + 1 : 0;
             runOrchestratedSweep(spec, opt);
