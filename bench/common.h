@@ -29,16 +29,6 @@ struct Options
     bool fast = false;   ///< Quarter the workload for smoke runs.
     uint64_t seed = 42;
     int jobs = 0;        ///< Worker threads; 0: hardware default.
-    int shard = 0;       ///< --shard I/N: emit only shard I's cells.
-    int numShards = 1;
-    std::string backend = "local"; ///< --backend execution backend.
-    int shards = 1;                ///< --shards: dispatch width.
-    std::string traceCache;        ///< --trace-cache directory.
-    std::string cacheCap;          ///< --cache-cap size (LRU cap).
-    /// --fault: deterministic fault-injection spec (runner/fault.h),
-    /// armed in this process and exported via RUBIK_FAULT so
-    /// dispatched shard children inherit it.
-    std::string fault;
     /// Simulation options for PolicyRunRequest::options; --simd lands
     /// in sim.numerics.simd and is applied process-wide by
     /// parseOptions when given (defaults leave RUBIK_SIMD in charge).
@@ -48,24 +38,8 @@ struct Options
     int numRequests(int bench_default) const;
 };
 
-/**
- * Parse argv; prints usage and exits on unknown flags. `allow_shard`
- * marks benches that implement `--shard I/N` cell partitioning; the
- * others reject the flag instead of silently emitting full output.
- *
- * Backend dispatch: `--backend subprocess|command:<tmpl> --shards N`
- * makes parseOptions re-run this binary once per shard (appending
- * `--shard I/N` to the original arguments, minus the backend flags),
- * merge the shard CSVs in order onto stdout, and exit — so every
- * shard-capable bench is backend-agnostic with no per-bench code.
- * `--trace-cache DIR` enables the shared on-disk trace cache (also
- * honoured by each child, which inherits the flag), so concurrent
- * shard processes generate each common trace exactly once.
- * `--cache-cap SIZE` bounds that cache with LRU eviction (enforced
- * after writes and again when the bench exits, so a warm run still
- * converges an over-cap store).
- */
-Options parseOptions(int argc, char **argv, bool allow_shard = false);
+/// Parse argv; prints usage and exits on unknown flags.
+Options parseOptions(int argc, char **argv);
 
 /**
  * Aligned-column table printer with optional CSV mode.
@@ -77,13 +51,6 @@ class TablePrinter
 
     void addRow(std::vector<std::string> cells);
 
-    /**
-     * Suppress the header row (CSV mode only). Sharded benches use
-     * this so a shard that continues another shard's table emits rows
-     * that concatenate byte-identically with it.
-     */
-    void setShowHeader(bool show) { showHeader_ = show; }
-
     /// Render everything to stdout.
     void print() const;
 
@@ -91,7 +58,6 @@ class TablePrinter
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
     bool csv_;
-    bool showHeader_ = true;
 };
 
 /// printf-style float formatting into std::string.

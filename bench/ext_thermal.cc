@@ -20,11 +20,6 @@
  * tail slack for staying under it — the bounded-by-physics operating
  * curve. Temperature-dependent leakage makes the hot scheme pay
  * extra energy on top (extra_leak_mj_per_req).
- *
- * Sharding: `--shard I/N --csv` emits shard I's contiguous slice of
- * the (scenario, headroom, policy) cell grid; heading and header
- * belong to cell 0, so concatenated shard outputs are byte-identical
- * to the unsharded run (CI-gated, like every sharded bench).
  */
 
 #include <functional>
@@ -34,7 +29,6 @@
 #include "policies/replay.h"
 #include "runner/experiment_runner.h"
 #include "runner/sweep_runner.h"
-#include "runner/sweep_spec.h"
 #include "util/units.h"
 #include "workloads/scenarios.h"
 #include "workloads/trace_gen.h"
@@ -45,7 +39,7 @@ using namespace rubik::bench;
 int
 main(int argc, char **argv)
 {
-    const Options opts = parseOptions(argc, argv, /*allow_shard=*/true);
+    const Options opts = parseOptions(argc, argv);
     Platform plat;
     const double nominal = plat.dvfs.nominalFrequency();
     const AppProfile app = makeApp(AppId::Masstree);
@@ -110,25 +104,19 @@ main(int argc, char **argv)
 
     const std::size_t cells =
         ctx.scenarios.size() * headrooms.size() * policies.size();
-    const ShardRange range =
-        shardRange(cells, opts.shard, opts.numShards);
 
-    if (range.begin == 0) {
-        heading(opts,
-                "Extension: tail latency and energy vs thermal "
-                "headroom (junction - ambient) under adversarial "
-                "scenarios; rubik vs rubik-thermal");
-    }
+    heading(opts, "Extension: tail latency and energy vs thermal "
+                  "headroom (junction - ambient) under adversarial "
+                  "scenarios; rubik vs rubik-thermal");
     TablePrinter table({"scenario", "headroom_c", "policy", "tail_ms",
                         "tail_over_bound", "energy_mj_per_req",
                         "max_temp_c", "extra_leak_mj_per_req"},
                        opts.csv);
-    table.setShowHeader(range.begin == 0);
 
     // Phase 2: one job per (scenario, headroom, policy) cell, fanned
     // out in cell order so rows land deterministically.
     std::vector<std::function<std::vector<std::string>()>> row_jobs;
-    for (std::size_t ci = range.begin; ci < range.end; ++ci) {
+    for (std::size_t ci = 0; ci < cells; ++ci) {
         row_jobs.push_back([&, ci]() -> std::vector<std::string> {
             const std::size_t per_scenario =
                 headrooms.size() * policies.size();

@@ -14,21 +14,7 @@
  * Sweep execution: the 5 apps x 9 loads grid is 45 independent jobs run
  * through ExperimentRunner; tables are emitted in submission order, so
  * the output is byte-identical to the old serial loop.
- *
- * Sharding: `--shard I/N --csv` runs only shard I's contiguous slice of
- * the (app, load) cell grid and emits exactly that slice's bytes — an
- * app's heading and table header belong to its first cell. Each shard
- * recomputes the latency bounds of the apps it touches (bounds depend
- * only on (app, seed)), so concatenating the N shard outputs in order
- * (`rubik_cli merge`) is byte-identical to the unsharded run.
- *
- * Traces come from the process-wide TraceStore, so `--backend
- * subprocess --shards N --trace-cache DIR` dispatches the shards as
- * concurrent child processes that generate each shared trace (the
- * bound traces especially) exactly once between them.
  */
-
-#include <map>
 
 #include "common.h"
 #include "core/rubik_controller.h"
@@ -36,7 +22,6 @@
 #include "policies/replay.h"
 #include "policies/static_oracle.h"
 #include "runner/experiment_runner.h"
-#include "runner/sweep_spec.h"
 #include "sim/simulation.h"
 #include "util/units.h"
 #include "workloads/trace_store.h"
@@ -66,7 +51,7 @@ struct Cell
 int
 main(int argc, char **argv)
 {
-    const Options opts = parseOptions(argc, argv, /*allow_shard=*/true);
+    const Options opts = parseOptions(argc, argv);
     Platform plat;
     const double nominal = plat.dvfs.nominalFrequency();
     ExperimentRunner runner(opts.jobs);
@@ -74,22 +59,10 @@ main(int argc, char **argv)
     const std::vector<AppId> apps = allApps();
     const std::vector<double> loads = {0.1, 0.2, 0.3, 0.4, 0.5,
                                        0.6, 0.7, 0.8, 0.9};
-    const ShardRange range = shardRange(apps.size() * loads.size(),
-                                        opts.shard, opts.numShards);
-
-    // Apps with at least one cell in this shard (all of them when
-    // unsharded); cells are app-major, so the set is contiguous.
-    std::vector<std::size_t> owned_apps;
-    for (std::size_t ai = 0; ai < apps.size(); ++ai) {
-        const std::size_t first = ai * loads.size();
-        if (first < range.end && first + loads.size() > range.begin)
-            owned_apps.push_back(ai);
-    }
 
     // Phase 1: per-app latency bound from the 50%-load trace.
     std::vector<std::function<AppContext()>> bound_jobs;
-    for (std::size_t ai : owned_apps) {
-        const AppId id = apps[ai];
+    for (const AppId id : apps) {
         bound_jobs.push_back([&, id] {
             AppContext ctx;
             ctx.app = makeApp(id);
@@ -101,22 +74,17 @@ main(int argc, char **argv)
             return ctx;
         });
     }
-    std::map<std::size_t, AppContext> ctxs;
-    {
-        const std::vector<AppContext> batch =
-            runner.runBatch(std::move(bound_jobs));
-        for (std::size_t i = 0; i < owned_apps.size(); ++i)
-            ctxs.emplace(owned_apps[i], batch[i]);
-    }
+    const std::vector<AppContext> ctxs =
+        runner.runBatch(std::move(bound_jobs));
 
-    // Phase 2: one job per owned (app, load) cell, all five schemes
-    // inside, in cell-index order.
+    // Phase 2: one job per (app, load) cell, all five schemes inside,
+    // in cell-index order.
     std::vector<std::function<Cell()>> cell_jobs;
-    for (std::size_t ci = range.begin; ci < range.end; ++ci) {
+    for (std::size_t ci = 0; ci < apps.size() * loads.size(); ++ci) {
         const std::size_t ai = ci / loads.size();
         const std::size_t li = ci % loads.size();
         cell_jobs.push_back([&, ai, li] {
-            const AppContext &ctx = ctxs.at(ai);
+            const AppContext &ctx = ctxs[ai];
             const auto trace = globalTraceStore().loadTrace(
                 ctx.app, loads[li], ctx.n, nominal, opts.seed + 1);
             const Trace &t = *trace;
@@ -157,30 +125,18 @@ main(int argc, char **argv)
     }
     const std::vector<Cell> cells = runner.runBatch(std::move(cell_jobs));
 
-    for (std::size_t ai : owned_apps) {
-        const AppContext &ctx = ctxs.at(ai);
-        const std::size_t li_begin =
-            range.begin > ai * loads.size()
-                ? range.begin - ai * loads.size()
-                : 0;
-        const std::size_t li_end =
-            std::min(loads.size(), range.end - ai * loads.size());
-
-        // The heading and table header belong to the app's first cell:
-        // a shard that picks up mid-app emits only rows.
-        if (li_begin == 0)
-            heading(opts, "Fig. 9: " + ctx.app.name + " (bound " +
-                              fmt("%.3f", ctx.bound / kMs) +
-                              " ms = fixed-freq tail @50%)");
+    for (std::size_t ai = 0; ai < apps.size(); ++ai) {
+        const AppContext &ctx = ctxs[ai];
+        heading(opts, "Fig. 9: " + ctx.app.name + " (bound " +
+                          fmt("%.3f", ctx.bound / kMs) +
+                          " ms = fixed-freq tail @50%)");
         TablePrinter table(
             {"load", "metric", "Fixed", "StaticOracle", "DynamicOracle",
              "Rubik_noFB", "Rubik"},
             opts.csv);
-        table.setShowHeader(li_begin == 0);
 
-        for (std::size_t li = li_begin; li < li_end; ++li) {
-            const Cell &cell =
-                cells[ai * loads.size() + li - range.begin];
+        for (std::size_t li = 0; li < loads.size(); ++li) {
+            const Cell &cell = cells[ai * loads.size() + li];
             table.addRow({fmt("%.0f%%", loads[li] * 100), "tail_ms",
                           fmt("%.3f", cell.tail[0] / kMs),
                           fmt("%.3f", cell.tail[1] / kMs),

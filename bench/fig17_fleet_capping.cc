@@ -14,18 +14,10 @@
  * bound — the capacity-vs-latency cliff cluster operators size
  * budgets around. peak_power_w stays <= budget_w in every feasible
  * cell by construction (caps translate to frequency ceilings).
- *
- * Sharding: `--shard I/N --csv` emits only shard I's contiguous slice
- * of the (cores, budget) cell grid; the heading and table header
- * belong to cell 0, so concatenating the shard outputs in order
- * (`rubik_cli merge`) is byte-identical to the unsharded run. Every
- * cell is independent (the coordinator is open-loop), which is what
- * the CI fleet shard-determinism gate checks.
  */
 
 #include "common.h"
 #include "fleet/fleet_sim.h"
-#include "runner/sweep_spec.h"
 #include "util/units.h"
 
 using namespace rubik;
@@ -34,7 +26,7 @@ using namespace rubik::bench;
 int
 main(int argc, char **argv)
 {
-    const Options opts = parseOptions(argc, argv, /*allow_shard=*/true);
+    const Options opts = parseOptions(argc, argv);
     Platform plat;
     const double nominal_w =
         plat.power.coreActivePower(plat.dvfs.nominalFrequency(), 0.0);
@@ -47,23 +39,17 @@ main(int argc, char **argv)
     const std::vector<double> fracs =
         opts.fast ? std::vector<double>{0.0, 0.6, 0.9}
                   : std::vector<double>{0.0, 0.4, 0.6, 0.8, 1.0};
-    const ShardRange range = shardRange(sizes.size() * fracs.size(),
-                                        opts.shard, opts.numShards);
 
-    if (range.begin == 0) {
-        heading(opts,
-                "Fig. 17: fleet-scale power capping (worst epoch per "
-                "cell; budget = frac x cores x nominal core power)");
-    }
+    heading(opts, "Fig. 17: fleet-scale power capping (worst epoch per "
+                  "cell; budget = frac x cores x nominal core power)");
     TablePrinter table({"cores", "budget_frac", "budget_w",
                         "worst_tail_ms", "tail_over_bound",
                         "energy_mj_per_req", "peak_power_w",
                         "peak_over_budget", "capped_frac", "shed_frac",
                         "groups", "feasible"},
                        opts.csv);
-    table.setShowHeader(range.begin == 0);
 
-    for (std::size_t ci = range.begin; ci < range.end; ++ci) {
+    for (std::size_t ci = 0; ci < sizes.size() * fracs.size(); ++ci) {
         const int cores = sizes[ci / fracs.size()];
         const double frac = fracs[ci % fracs.size()];
 

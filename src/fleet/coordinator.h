@@ -13,8 +13,7 @@
  * minimum-frequency power as the per-core floor. Because caps derive
  * from the demand model rather than from the previous epoch's
  * measurements, every (fleet size, budget) sweep cell is independent
- * of every other — the property the shard-determinism CI gate rests
- * on. Enforcement is conservative by construction: a cap is
+ * of every other. Enforcement is conservative by construction: a cap is
  * translated to a frequency ceiling via capFrequencyCeiling, so each
  * core's instantaneous active power stays <= its cap and the fleet's
  * aggregate measured power stays <= sum(caps) <= budget in every

@@ -23,9 +23,8 @@
  * Determinism: group keys are iterated in sorted order, simulations
  * fan out on an ExperimentRunner (results in submission order), and
  * the coordinator is open-loop — so fleet results are byte-stable
- * across worker counts, and a (cores, budget) sweep cell never
- * depends on any other cell, which makes sharded fleet sweeps
- * byte-identical to serial ones (CI-gated).
+ * across worker counts (CI-gated), and a (cores, budget) sweep cell
+ * never depends on any other cell.
  */
 
 #include <cstdint>

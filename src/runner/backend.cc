@@ -1,352 +1,83 @@
 #include "runner/backend.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <stdexcept>
-#include <utility>
+#include <vector>
 
 #include <unistd.h>
 
-#include "runner/experiment_runner.h"
-#include "runner/subproc.h"
-#include "runner/sweep_runner.h"
-
 namespace rubik {
 
-namespace {
-
-/// mkdtemp-backed scratch directory, recursively removed on scope
-/// exit. Lives under $TMPDIR (default /tmp).
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        const char *base = std::getenv("TMPDIR");
-        std::string tmpl = (base && *base) ? base : "/tmp";
-        tmpl += "/rubik-backend-XXXXXX";
-        std::vector<char> buf(tmpl.begin(), tmpl.end());
-        buf.push_back('\0');
-        if (!mkdtemp(buf.data())) {
-            throw std::runtime_error(
-                "backend: cannot create temp directory under " + tmpl);
-        }
-        path_ = buf.data();
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-
-    TempDir(const TempDir &) = delete;
-    TempDir &operator=(const TempDir &) = delete;
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
-
 std::string
-readFile(const std::string &path)
+ExecutionBackend::cellsCommand(const std::string &spec_path,
+                               std::size_t begin, std::size_t end,
+                               int batch, int num_batches) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return {};
-    std::string text;
-    char buf[1 << 16];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    return text;
+    if (inProcess()) {
+        throw std::logic_error(
+            "local backend runs batches in-process; nothing to dispatch");
+    }
+    const std::string cells =
+        std::to_string(begin) + "-" + std::to_string(end);
+    std::vector<std::string> words = {config_.selfExe, "sweep", "--spec",
+                                      spec_path};
+    if (config_.jobs > 0) {
+        words.push_back("--jobs");
+        words.push_back(std::to_string(config_.jobs));
+    }
+    if (config_.traceStats)
+        words.push_back("--trace-stats");
+    std::string argv;
+    for (const std::string &word : words)
+        argv += shellQuote(word) + " ";
+    argv += "--cells " + cells;
+    const std::string index = std::to_string(batch);
+    const std::string count = std::to_string(num_batches);
+    const std::map<std::string, std::string> fields = {
+        {"argv", argv},
+        {"cells", cells},
+        {"shard", index + "/" + count},
+        {"index", index},
+        {"nshards", count},
+        {"jobs", std::to_string(config_.jobs)},
+        {"spec", spec_path},
+    };
+    return instantiateCommandTemplate(template_, fields);
 }
 
-std::string
-stderrTail(const std::string &err_path)
-{
-    std::string text = readFile(err_path);
-    constexpr std::size_t kMax = 4096;
-    if (text.size() > kMax)
-        text = "..." + text.substr(text.size() - kMax);
-    while (!text.empty() && text.back() == '\n')
-        text.pop_back();
-    return text;
-}
-
-std::string
-joinQuoted(const std::vector<std::string> &argv)
-{
-    std::string cmd;
-    for (const std::string &arg : argv) {
-        if (!cmd.empty())
-            cmd += ' ';
-        cmd += shellQuote(arg);
-    }
-    return cmd;
-}
-
-std::string
-shardArg(int shard, int num_shards)
-{
-    return std::to_string(shard) + "/" + std::to_string(num_shards);
-}
-
-std::string
-cellRangeArg(std::size_t begin, std::size_t end)
-{
-    return std::to_string(begin) + "-" + std::to_string(end);
-}
-
-/**
- * Child argument vector for one sweep dispatch (the backend appends
- * `--shard i/N`): binary, subcommand, spec path, plus the forwarded
- * --jobs / --trace-cache / --trace-stats flags. Shared by the
- * subprocess backend and the command backend's {argv} placeholder so
- * the two dispatch routes forward identically.
- */
-std::vector<std::string>
-sweepChildArgv(const BackendConfig &config,
-               const std::string &spec_path)
-{
-    std::vector<std::string> argv = {config.selfExe, "sweep",
-                                     "--spec", spec_path};
-    if (config.jobs > 0) {
-        argv.push_back("--jobs");
-        argv.push_back(std::to_string(config.jobs));
-    }
-    if (!config.traceCacheDir.empty()) {
-        argv.push_back("--trace-cache");
-        argv.push_back(config.traceCacheDir);
-    }
-    if (!config.traceCacheCap.empty()) {
-        argv.push_back("--cache-cap");
-        argv.push_back(config.traceCacheCap);
-    }
-    if (config.traceStats)
-        argv.push_back("--trace-stats");
-    return argv;
-}
-
-/// Write a spec into `dir` for children to read.
-std::string
-writeSpecFile(const TempDir &dir, const SweepSpec &spec)
-{
-    const std::string path = dir.path() + "/sweep.spec";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        throw std::runtime_error("backend: cannot write " + path);
-    const std::string text = spec.serialize();
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    if (std::fclose(f) != 0 || !ok)
-        throw std::runtime_error("backend: short write to " + path);
-    return path;
-}
-
-class LocalThreadBackend final : public ExecutionBackend
-{
-  public:
-    explicit LocalThreadBackend(const BackendConfig &config)
-        : config_(config)
-    {
-    }
-
-    const char *name() const override { return "local"; }
-    bool inProcess() const override { return true; }
-
-    void runSweepSpec(const SweepSpec &spec, std::FILE *out) override
-    {
-        // Shard-by-shard on the in-process pool; the shard-determinism
-        // invariant makes this byte-identical to the unsharded run.
-        for (int i = 0; i < config_.numShards; ++i)
-            runSweep(spec, i, config_.numShards, config_.jobs, out);
-    }
-
-    void dispatchArgv(const std::vector<std::string> &,
-                      std::FILE *) override
-    {
-        throw std::runtime_error(
-            "local backend executes in-process; nothing to dispatch");
-    }
-
-  private:
-    BackendConfig config_;
-};
-
-class SubprocessBackend final : public ExecutionBackend
-{
-  public:
-    explicit SubprocessBackend(const BackendConfig &config)
-        : config_(config)
-    {
-        if (config_.selfExe.empty())
-            config_.selfExe = selfExePath(nullptr);
-        if (config_.maxAttempts <= 0)
-            config_.maxAttempts = 1;
-    }
-
-    const char *name() const override { return "subprocess"; }
-
-    void runSweepSpec(const SweepSpec &spec, std::FILE *out) override
-    {
-        spec.validate();
-        TempDir dir;
-        const std::string spec_path = writeSpecFile(dir, spec);
-        runShardCommands(
-            config_.numShards,
-            [&](int i) { return sweepCommand(spec_path, i); },
-            config_.maxAttempts, out);
-    }
-
-    void dispatchArgv(const std::vector<std::string> &argv,
-                      std::FILE *out) override
-    {
-        runShardCommands(
-            config_.numShards,
-            [&](int i) {
-                return joinQuoted(argv) + " --shard " +
-                       shardArg(i, config_.numShards);
-            },
-            config_.maxAttempts, out);
-    }
-
-    std::string cellsCommand(const std::string &spec_path,
-                             std::size_t begin, std::size_t end,
-                             int batch, int num_batches) const override
-    {
-        (void)batch;
-        (void)num_batches;
-        return joinQuoted(sweepChildArgv(config_, spec_path)) +
-               " --cells " + cellRangeArg(begin, end);
-    }
-
-  private:
-    std::string sweepCommand(const std::string &spec_path,
-                             int shard) const
-    {
-        return joinQuoted(sweepChildArgv(config_, spec_path)) +
-               " --shard " + shardArg(shard, config_.numShards);
-    }
-
-    BackendConfig config_;
-};
-
-class CommandBackend final : public ExecutionBackend
-{
-  public:
-    CommandBackend(std::string command_template,
-                   const BackendConfig &config)
-        : template_(std::move(command_template)), config_(config)
-    {
-        if (template_.empty()) {
-            throw std::runtime_error(
-                "command backend: empty command template");
-        }
-        if (template_.find("{argv}") == std::string::npos &&
-            template_.find("{shard}") == std::string::npos &&
-            template_.find("{index}") == std::string::npos) {
-            throw std::runtime_error(
-                "command backend: template must reference {argv}, "
-                "{shard}, or {index} so shards run distinct commands");
-        }
-        if (config_.selfExe.empty())
-            config_.selfExe = selfExePath(nullptr);
-        if (config_.maxAttempts <= 0)
-            config_.maxAttempts = 3;
-    }
-
-    const char *name() const override { return "command"; }
-
-    void runSweepSpec(const SweepSpec &spec, std::FILE *out) override
-    {
-        spec.validate();
-        TempDir dir;
-        const std::string spec_path = writeSpecFile(dir, spec);
-        // The canonical {argv} command carries the same forwarded
-        // flags SubprocessBackend passes its children, so
-        // `command:{argv}` and `subprocess` honour --trace-cache /
-        // --trace-stats / --jobs identically.
-        const std::vector<std::string> argv =
-            sweepChildArgv(config_, spec_path);
-        runShardCommands(
-            config_.numShards,
-            [&](int i) { return instantiate(argv, i, &spec_path); },
-            config_.maxAttempts, out);
-    }
-
-    void dispatchArgv(const std::vector<std::string> &argv,
-                      std::FILE *out) override
-    {
-        runShardCommands(
-            config_.numShards,
-            [&](int i) { return instantiate(argv, i, nullptr); },
-            config_.maxAttempts, out);
-    }
-
-    std::string cellsCommand(const std::string &spec_path,
-                             std::size_t begin, std::size_t end,
-                             int batch, int num_batches) const override
-    {
-        const std::string cells = cellRangeArg(begin, end);
-        std::map<std::string, std::string> fields = {
-            {"argv", joinQuoted(sweepChildArgv(config_, spec_path)) +
-                         " --cells " + cells},
-            {"cells", cells},
-            {"shard", shardArg(batch, num_batches)},
-            {"index", std::to_string(batch)},
-            {"nshards", std::to_string(num_batches)},
-            {"jobs", std::to_string(config_.jobs)},
-            {"spec", spec_path},
-        };
-        return instantiateCommandTemplate(template_, fields);
-    }
-
-  private:
-    std::string instantiate(const std::vector<std::string> &argv,
-                            int shard,
-                            const std::string *spec_path) const
-    {
-        const std::string shard_arg =
-            shardArg(shard, config_.numShards);
-        std::map<std::string, std::string> fields = {
-            {"argv", joinQuoted(argv) + " --shard " + shard_arg},
-            {"shard", shard_arg},
-            {"index", std::to_string(shard)},
-            {"nshards", std::to_string(config_.numShards)},
-            {"jobs", std::to_string(config_.jobs)},
-        };
-        if (spec_path)
-            fields.emplace("spec", *spec_path);
-        return instantiateCommandTemplate(template_, fields);
-    }
-
-    std::string template_;
-    BackendConfig config_;
-};
-
-} // anonymous namespace
-
-std::unique_ptr<ExecutionBackend>
+ExecutionBackend
 makeBackend(const std::string &desc, const BackendConfig &config)
 {
     if (config.numShards < 1)
         throw std::runtime_error("backend: --shards must be >= 1");
+    ExecutionBackend backend;
+    backend.config_ = config;
     if (desc == "local" || desc.empty())
-        return std::make_unique<LocalThreadBackend>(config);
-    if (desc == "subprocess")
-        return std::make_unique<SubprocessBackend>(config);
+        return backend;
     constexpr const char kCommandPrefix[] = "command:";
-    if (desc.rfind(kCommandPrefix, 0) == 0) {
-        return std::make_unique<CommandBackend>(
-            desc.substr(sizeof(kCommandPrefix) - 1), config);
+    if (desc == "subprocess") {
+        backend.name_ = "subprocess";
+        backend.template_ = "{argv}";
+    } else if (desc.rfind(kCommandPrefix, 0) == 0) {
+        backend.name_ = "command";
+        backend.template_ = desc.substr(sizeof(kCommandPrefix) - 1);
+        if (backend.template_.empty()) {
+            throw std::runtime_error(
+                "command backend: empty command template");
+        }
+        if (backend.template_.find("{argv}") == std::string::npos &&
+            backend.template_.find("{cells}") == std::string::npos) {
+            throw std::runtime_error(
+                "command backend: template must reference {argv} or "
+                "{cells} so each batch child runs its own cells");
+        }
+    } else {
+        throw std::runtime_error(
+            "unknown backend '" + desc +
+            "' (want local, subprocess, or command:<template>)");
     }
-    throw std::runtime_error(
-        "unknown backend '" + desc +
-        "' (want local, subprocess, or command:<template>)");
+    if (backend.config_.selfExe.empty())
+        backend.config_.selfExe = selfExePath(nullptr);
+    return backend;
 }
 
 std::string
@@ -407,101 +138,6 @@ selfExePath(const char *argv0)
         return buf;
     }
     return argv0 ? argv0 : "";
-}
-
-void
-runShardCommands(int num_shards,
-                 const std::function<std::string(int)> &command_for,
-                 int max_attempts, std::FILE *out)
-{
-    if (num_shards < 1)
-        throw std::runtime_error("backend: shard count must be >= 1");
-    if (max_attempts < 1)
-        max_attempts = 1;
-
-    TempDir dir;
-    struct Shard
-    {
-        std::string command;
-        std::string csvPath;
-        std::string errPath;
-    };
-    std::vector<Shard> shards(num_shards);
-    for (int i = 0; i < num_shards; ++i) {
-        shards[i].command = command_for(i);
-        shards[i].csvPath =
-            dir.path() + "/shard" + std::to_string(i) + ".csv";
-        shards[i].errPath =
-            dir.path() + "/shard" + std::to_string(i) + ".err";
-    }
-
-    // One dispatcher thread per shard: each blocks on its child, so
-    // all shards are in flight simultaneously (the point of
-    // dispatching — children may live on other machines). Jobs report
-    // failure as a message instead of throwing so every shard runs to
-    // completion and every shard's stderr survives to the replay
-    // below; stdio redirection happens in the forked child (no
-    // subshell), so a signal-killed shard decodes as the signal.
-    ExperimentRunner runner(num_shards);
-    std::vector<std::function<std::string()>> jobs;
-    for (int i = 0; i < num_shards; ++i) {
-        const Shard &shard = shards[i];
-        jobs.push_back([&shard, i, num_shards,
-                        max_attempts]() -> std::string {
-            for (int attempt = 1;; ++attempt) {
-                const pid_t pid = spawnShellCommand(
-                    shard.command, shard.csvPath, shard.errPath);
-                const int rc = waitCommand(pid);
-                if (commandSucceeded(rc))
-                    return "";
-                const std::string status = describeWaitStatus(rc);
-                if (attempt < max_attempts) {
-                    std::fprintf(stderr,
-                                 "backend: shard %d/%d attempt %d "
-                                 "failed (%s); retrying\n",
-                                 i, num_shards, attempt,
-                                 status.c_str());
-                    continue;
-                }
-                std::string msg =
-                    "shard " + std::to_string(i) + "/" +
-                    std::to_string(num_shards) + " failed after " +
-                    std::to_string(attempt) + " attempt(s): command `" +
-                    shard.command + "` " + status;
-                const std::string err = stderrTail(shard.errPath);
-                if (!err.empty())
-                    msg += "; stderr:\n" + err;
-                return msg;
-            }
-        });
-    }
-    const std::vector<std::string> failures =
-        runner.runBatch(std::move(jobs));
-
-    // Child diagnostics (trace-store stats, warnings, crash reports)
-    // surface on our stderr in deterministic shard order — success or
-    // not, so one failed shard cannot swallow its siblings' output.
-    for (const Shard &shard : shards) {
-        const std::string err = readFile(shard.errPath);
-        if (!err.empty())
-            std::fwrite(err.data(), 1, err.size(), stderr);
-    }
-    // Lowest-indexed failure propagates; out is never touched on
-    // failure, so a failed shard cannot silently merge a partial CSV.
-    for (const std::string &failure : failures) {
-        if (!failure.empty())
-            throw std::runtime_error(failure);
-    }
-
-    std::vector<std::string> csvs;
-    csvs.reserve(shards.size());
-    for (const Shard &shard : shards)
-        csvs.push_back(readFile(shard.csvPath));
-    const std::string merged = mergeCsvShards(csvs);
-    if (!merged.empty() &&
-        std::fwrite(merged.data(), 1, merged.size(), out) !=
-            merged.size())
-        throw std::runtime_error("backend: short write of merged CSV");
 }
 
 } // namespace rubik

@@ -3,132 +3,88 @@
 
 /**
  * @file
- * Pluggable execution backends: how a SweepSpec grid's shards get run.
+ * Execution backends: where the orchestrator's cell batches run.
  *
- * The SweepSpec shard format (sweep_spec.h) makes a sweep dispatchable:
- * shard i of N is a self-contained `sweep --spec F --shard i/N`
- * invocation whose CSV concatenates byte-exactly with its siblings. An
- * ExecutionBackend decides where those shards execute:
+ * The orchestrator (runner/orchestrator.h) splits a sweep's grid into
+ * batches of contiguous cells and leases them to workers. A backend
+ * decides where one batch executes:
  *
- *  - LocalThreadBackend  — in this process, on the existing
- *    ExperimentRunner thread pool (the default; byte-identical to the
- *    pre-backend runSweep path).
- *  - SubprocessBackend   — self-spawns one `rubik_cli sweep --spec F
- *    --shard i/N` child per shard on this machine and merges their
- *    CSVs. Pair with a shared --trace-cache so the children generate
- *    each common trace exactly once.
- *  - CommandBackend      — instantiates a user-supplied command
- *    template per shard (e.g. `ssh host {argv}` or a job-queue submit
- *    wrapper), with per-shard failure retry. The command's stdout is
- *    the shard CSV.
+ *  - local       — in this process, on the ExperimentRunner pool (the
+ *    default).
+ *  - subprocess  — as a `rubik_cli sweep --spec F --cells B-E` child
+ *    on this machine. It is exactly `command:{argv}`.
+ *  - command:<template> — as a user-supplied shell command, e.g.
+ *    `ssh host {argv}` or a job-queue submit wrapper. The command's
+ *    stdout is the batch's rows.
  *
- * All dispatching backends merge shard outputs deterministically in
- * shard-index order (sweep_spec.h mergeCsvShards), replay child stderr
- * in the same order, and propagate a child's nonzero exit status plus
- * its captured stderr in the thrown std::runtime_error — a failed
- * shard can never silently truncate a merged CSV.
+ * Command template contract: the template is a POSIX shell command in
+ * which these placeholders are substituted per batch:
  *
- * Command template contract (CommandBackend): the template is a POSIX
- * shell command in which these placeholders are substituted per shard:
- *
- *   {argv}     the canonical local command for this shard, quoted
- *              (e.g. `.../rubik_cli sweep --spec F --shard 1/3`);
+ *   {argv}     the canonical local batch command, quoted (e.g.
+ *              `.../rubik_cli sweep --spec F --cells 4-8`);
  *              templates like `ssh host {argv}` wrap it verbatim
- *   {spec}     path to the serialized spec file (sweep dispatch only)
- *   {shard}    "i/N"      {index} "i"      {nshards} "N"
- *   {jobs}     the per-shard --jobs value (0 = hardware default)
+ *   {cells}    the batch's cell range "B-E" (for `sweep --cells`)
+ *   {spec}     path to the serialized spec file
+ *   {index}    the batch index "i"     {nshards} the batch count "N"
+ *   {shard}    "i/N"
+ *   {jobs}     the per-batch --jobs value (0 = hardware default)
  *
- * A template must reference {argv}, {shard}, or {index}; otherwise
- * every shard would run the identical command and the merge could not
- * be a partition. Commands run with stdout redirected to the shard's
- * CSV file and stderr captured for error reporting.
+ * A template must reference {argv} or {cells}; otherwise a batch child
+ * could not know which cells to run.
  */
 
 #include <cstddef>
-#include <cstdio>
-#include <functional>
 #include <map>
-#include <memory>
-#include <stdexcept>
 #include <string>
-#include <vector>
-
-#include "runner/sweep_spec.h"
 
 namespace rubik {
 
 /// Dispatch parameters shared by every backend.
 struct BackendConfig
 {
-    int numShards = 1;   ///< Shards to split the work into.
-    int jobs = 0;        ///< Worker threads per shard (0 = hardware).
-    int maxAttempts = 0; ///< Per-shard attempts; 0 = backend default
-                         ///< (subprocess 1, command 3).
-    std::string traceCacheDir; ///< Forwarded as --trace-cache.
-    std::string traceCacheCap; ///< Forwarded as --cache-cap (size text).
-    bool traceStats = false;   ///< Forward --trace-stats to children.
-    std::string selfExe;       ///< Binary SubprocessBackend spawns.
+    int numShards = 1;       ///< Concurrent batch children.
+    int jobs = 0;            ///< Worker threads per batch (0 = hardware).
+    bool traceStats = false; ///< Forward --trace-stats to children.
+    std::string selfExe;     ///< rubik_cli binary that {argv} runs.
 };
 
 class ExecutionBackend
 {
   public:
-    virtual ~ExecutionBackend() = default;
+    /// "local", "subprocess" or "command".
+    const char *name() const { return name_; }
 
-    virtual const char *name() const = 0;
-
-    /// True when work should simply proceed in this process (local
-    /// backend): callers skip dispatch entirely.
-    virtual bool inProcess() const { return false; }
-
-    /**
-     * Run every shard of `spec` and write the merged CSV (bytes
-     * identical to an unsharded runSweep) to `out`. Throws
-     * std::runtime_error on an invalid spec or any shard failure.
-     */
-    virtual void runSweepSpec(const SweepSpec &spec, std::FILE *out) = 0;
-
-    /**
-     * Generic self-dispatch for shard-capable binaries (the benches):
-     * run `argv` (binary + arguments, shard flag excluded) once per
-     * shard with `--shard i/N` appended, merging shard stdout in order
-     * into `out`. Throws std::runtime_error on failure, and for the
-     * local backend, which executes in-process (see inProcess()).
-     */
-    virtual void dispatchArgv(const std::vector<std::string> &argv,
-                              std::FILE *out) = 0;
+    /// True for the local backend: batches run in this process.
+    bool inProcess() const { return template_.empty(); }
 
     /**
      * The shell command that runs cells [begin, end) of the spec at
      * `spec_path` as one `sweep --cells` batch child — the unit the
-     * work-stealing orchestrator (runner/orchestrator.h) leases,
-     * re-dispatches, and steals. `batch`/`num_batches` fill a command
-     * template's {index}/{shard}/{nshards} placeholders. Throws for
-     * the local backend, which executes batches in-process.
+     * orchestrator leases, re-dispatches and steals. `batch` and
+     * `num_batches` fill the {index}/{shard}/{nshards} placeholders.
+     * Throws std::logic_error for the local backend.
      */
-    virtual std::string cellsCommand(const std::string &spec_path,
-                                     std::size_t begin,
-                                     std::size_t end, int batch,
-                                     int num_batches) const
-    {
-        (void)spec_path;
-        (void)begin;
-        (void)end;
-        (void)batch;
-        (void)num_batches;
-        throw std::runtime_error(
-            std::string(name()) +
-            " backend does not dispatch cell batches");
-    }
+    std::string cellsCommand(const std::string &spec_path,
+                             std::size_t begin, std::size_t end,
+                             int batch, int num_batches) const;
+
+  private:
+    friend ExecutionBackend makeBackend(const std::string &desc,
+                                        const BackendConfig &config);
+
+    const char *name_ = "local";
+    std::string template_; ///< Empty for the local backend.
+    BackendConfig config_;
 };
 
 /**
  * Build a backend from its command-line description:
  * "local", "subprocess", or "command:<template>". Throws
- * std::runtime_error on an unknown description or an invalid template.
+ * std::runtime_error on an unknown description, an invalid template,
+ * or numShards < 1.
  */
-std::unique_ptr<ExecutionBackend>
-makeBackend(const std::string &desc, const BackendConfig &config);
+ExecutionBackend makeBackend(const std::string &desc,
+                             const BackendConfig &config);
 
 /// POSIX shell single-quote `arg` (embedded quotes escaped).
 std::string shellQuote(const std::string &arg);
@@ -141,24 +97,6 @@ instantiateCommandTemplate(const std::string &tmpl,
 
 /// This executable's path (/proc/self/exe when available, else argv0).
 std::string selfExePath(const char *argv0);
-
-/**
- * Dispatch machinery shared by the non-local backends: run the shell
- * command `command_for(i)` for each shard with stdout captured as that
- * shard's CSV and stderr captured for diagnostics, retrying each shard
- * up to `max_attempts` times. Whether the batch succeeds or not, every
- * shard's captured stderr is replayed to this process's stderr in
- * shard order once all shards have finished — a failure in one shard
- * never swallows another shard's diagnostics. On success the shard
- * CSVs are then merged in shard order into `out`; otherwise the
- * lowest-indexed failure throws std::runtime_error naming the shard,
- * the command, the decoded exit status (a signal-killed child reads
- * "killed by signal N", not an exit code), and the captured stderr;
- * nothing is written to `out` in that case.
- */
-void runShardCommands(int num_shards,
-                      const std::function<std::string(int)> &command_for,
-                      int max_attempts, std::FILE *out);
 
 } // namespace rubik
 

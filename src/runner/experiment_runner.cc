@@ -1,17 +1,31 @@
 #include "runner/experiment_runner.h"
 
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
+
+#include "runner/options_parser.h"
 
 namespace rubik {
 
 int
 ExperimentRunner::defaultWorkerCount()
 {
-    if (const char *env = std::getenv("RUBIK_JOBS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            return n;
+    const char *env = std::getenv("RUBIK_JOBS");
+    if (env && *env) {
+        // Strict like --jobs: atoi read "4x" as 4 and "abc" as the
+        // hardware default.
+        const auto n = parseCount(env, 0, INT_MAX);
+        if (!n) {
+            std::fprintf(stderr,
+                         "RUBIK_JOBS wants an integer in [0, %d], got "
+                         "'%s'\n",
+                         INT_MAX, env);
+            std::exit(1);
+        }
+        if (*n > 0)
+            return static_cast<int>(*n);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;

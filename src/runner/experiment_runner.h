@@ -96,8 +96,14 @@ class ExperimentRunner
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
-    /// Resolved default worker count: RUBIK_JOBS env var if positive,
-    /// else std::thread::hardware_concurrency(), else 1.
+    /**
+     * Resolved default worker count: the RUBIK_JOBS environment
+     * variable when set to a positive integer, else
+     * std::thread::hardware_concurrency(), else 1. RUBIK_JOBS accepts
+     * what --jobs does (an integer in [0, INT_MAX], 0 = hardware
+     * default; empty = unset); anything else exits 1 naming the
+     * variable.
+     */
     static int defaultWorkerCount();
 
   private:

@@ -38,8 +38,6 @@ kindName(FaultSpec::Kind kind)
         return "corrupt-ledger-tail";
     case FaultSpec::Kind::CorruptCsvTail:
         return "corrupt-csv-tail";
-    case FaultSpec::Kind::DelayTraceIo:
-        return "delay-trace-io";
     }
     return "?";
 }
@@ -53,7 +51,6 @@ kindFromName(const std::string &name, FaultSpec::Kind *kind)
         {"kill-mid-write", FaultSpec::Kind::KillMidWrite},
         {"corrupt-ledger-tail", FaultSpec::Kind::CorruptLedgerTail},
         {"corrupt-csv-tail", FaultSpec::Kind::CorruptCsvTail},
-        {"delay-trace-io", FaultSpec::Kind::DelayTraceIo},
     };
     for (const auto &[text, value] : kKinds) {
         if (name == text) {
@@ -255,15 +252,6 @@ FaultInjector::onBatchEnd(std::FILE *out)
                      "rubik: injected fault: truncated CSV tail\n");
         std::fflush(stderr);
         ::_exit(0);
-    }
-}
-
-void
-FaultInjector::onTraceIo()
-{
-    for (const FaultSpec &fault : faults_) {
-        if (fault.kind == FaultSpec::Kind::DelayTraceIo)
-            sleepMs(fault.ms >= 0.0 ? fault.ms : 100.0);
     }
 }
 

@@ -18,7 +18,7 @@
  *     spec  := fault (';' fault)*
  *     fault := kind (',' key '=' value)*
  *     kind  := crash | hang | kill-mid-write | corrupt-ledger-tail
- *            | corrupt-csv-tail | delay-trace-io
+ *            | corrupt-csv-tail
  *     key   := cell | ms
  *
  * Kinds and their firing points:
@@ -26,7 +26,7 @@
  *   crash,cell=K            _exit(70) when cell K's row is emitted,
  *                           before it reaches the ledger or the CSV.
  *   hang,cell=K[,ms=N]      sleep N ms (default 3600000) at cell K's
- *                           emission — the straggler/hung-shard case
+ *                           emission — the straggler/hung-batch case
  *                           the lease-timeout steal path must absorb.
  *   kill-mid-write,cell=K   append only half of cell K's ledger
  *                           record, fsync the torn tail, _exit(70).
@@ -40,8 +40,6 @@
  *                           bytes and _exit(0) — the silent-truncation
  *                           case the coordinator's row validation must
  *                           catch.
- *   delay-trace-io[,ms=N]   sleep N ms (default 100) in every
- *                           trace-cache disk read and write.
  *
  * `cell=~S` derives the cell deterministically from seed S and the
  * grid size (splitmix64(S) % cells, resolved by armCellCount), so a
@@ -72,7 +70,6 @@ struct FaultSpec
         KillMidWrite,
         CorruptLedgerTail,
         CorruptCsvTail,
-        DelayTraceIo,
     };
 
     Kind kind = Kind::Crash;
@@ -126,9 +123,6 @@ class FaultInjector
     /// Fires corrupt-csv-tail: truncates `out` (a --cells batch
     /// child's redirected stdout) and exits 0. No-op otherwise.
     void onBatchEnd(std::FILE *out);
-
-    /// Fires delay-trace-io in the trace-cache disk paths.
-    void onTraceIo();
 
   private:
     FaultInjector() = default;

@@ -2,16 +2,44 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
-#include "runner/sweep_spec.h"
-
 namespace rubik {
+
+namespace {
+
+/// The items of a comma list, empty ones included ("" is one empty
+/// item, "1," two), so a list flag can reject every malformed item.
+std::vector<std::string>
+listItems(const std::string &list)
+{
+    std::vector<std::string> items;
+    std::size_t pos = 0;
+    do {
+        std::size_t comma = list.find(',', pos);
+        if (comma == std::string::npos)
+            comma = list.size();
+        items.push_back(list.substr(pos, comma - pos));
+        pos = comma + 1;
+    } while (pos <= list.size());
+    return items;
+}
+
+/// ">= MIN" or "in [MIN, MAX]" for a count flag's error message.
+std::string
+describeCountRange(uint64_t min, uint64_t max)
+{
+    if (max == UINT64_MAX)
+        return ">= " + std::to_string(min);
+    return "in [" + std::to_string(min) + ", " + std::to_string(max) +
+           "]";
+}
+
+} // anonymous namespace
 
 NumberRange
 NumberRange::above(double lo)
@@ -170,13 +198,7 @@ OptionsParser::numberList(const std::string &name, std::vector<double> *out,
 {
     value(name, [name, out, range](const char *v) {
         out->clear();
-        const std::string list = v;
-        std::size_t pos = 0;
-        do {
-            std::size_t comma = list.find(',', pos);
-            if (comma == std::string::npos)
-                comma = list.size();
-            const std::string item = list.substr(pos, comma - pos);
+        for (const std::string &item : listItems(v)) {
             const auto parsed = parseNumber(item.c_str(), range);
             if (!parsed) {
                 const std::string within = range.describe();
@@ -188,8 +210,7 @@ OptionsParser::numberList(const std::string &name, std::vector<double> *out,
                 std::exit(1);
             }
             out->push_back(*parsed);
-            pos = comma + 1;
-        } while (pos <= list.size());
+        }
     });
 }
 
@@ -200,19 +221,36 @@ OptionsParser::countValue(const std::string &name, uint64_t min,
     value(name, [name, min, max, store = std::move(store)](const char *v) {
         const auto parsed = parseCount(v, min, max);
         if (!parsed) {
-            if (max == UINT64_MAX)
-                std::fprintf(stderr,
-                             "%s wants an integer >= %" PRIu64
-                             ", got '%s'\n",
-                             name.c_str(), min, v);
-            else
-                std::fprintf(stderr,
-                             "%s wants an integer in [%" PRIu64
-                             ", %" PRIu64 "], got '%s'\n",
-                             name.c_str(), min, max, v);
+            std::fprintf(stderr, "%s wants an integer %s, got '%s'\n",
+                         name.c_str(), describeCountRange(min, max).c_str(),
+                         v);
             std::exit(1);
         }
         store(*parsed);
+    });
+}
+
+void
+OptionsParser::countListValue(
+    const std::string &name, uint64_t min, uint64_t max,
+    std::function<void(std::vector<uint64_t>)> store)
+{
+    value(name, [name, min, max, store = std::move(store)](const char *v) {
+        std::vector<uint64_t> counts;
+        for (const std::string &item : listItems(v)) {
+            const auto parsed = parseCount(item.c_str(), min, max);
+            if (!parsed) {
+                std::fprintf(stderr,
+                             "%s wants a comma list of integers %s, got "
+                             "'%s'\n",
+                             name.c_str(),
+                             describeCountRange(min, max).c_str(),
+                             item.c_str());
+                std::exit(1);
+            }
+            counts.push_back(*parsed);
+        }
+        store(std::move(counts));
     });
 }
 
@@ -287,19 +325,6 @@ addSimdFlag(OptionsParser &parser, CommonRunOptions *opts)
         }
         opts->sim.numerics.simd = *mode;
         opts->simdGiven = true;
-    });
-}
-
-void
-addShardFlag(OptionsParser &parser, ShardOption *shard)
-{
-    parser.value("--shard", [shard](const char *v) {
-        if (!parseShardArg(v, &shard->shard, &shard->numShards)) {
-            std::fprintf(stderr,
-                         "--shard wants I/N with 0 <= I < N\n");
-            std::exit(1);
-        }
-        shard->given = true;
     });
 }
 

@@ -12,7 +12,7 @@
  * one argv walker: entry points register exactly the flags they
  * support (strictness per entry point is preserved; unregistered flags
  * still error) and the canonical shared flags — --seed/--requests/
- * --jobs, --shard I/N, --simd — come from the add*Flags helpers below
+ * --jobs and --simd — come from the add*Flags helpers below
  * so they are declared, documented, and error-messaged in one file.
  *
  * Values are accepted both space-separated (`--simd avx2`) and
@@ -125,6 +125,23 @@ class OptionsParser
                    [out](uint64_t v) { *out = static_cast<Int>(v); });
     }
 
+    /**
+     * Register a comma-list flag of counts, each in [min, max], stored
+     * into *out (replacing its contents). An empty list, an empty item
+     * or an item parseCount rejects prints "FLAG wants a comma list of
+     * integers RANGE, got 'ITEM'" and exits 1.
+     */
+    template <typename Int>
+    void countList(const std::string &name, std::vector<Int> *out,
+                   uint64_t min,
+                   uint64_t max = std::numeric_limits<Int>::max())
+    {
+        static_assert(std::is_integral_v<Int>);
+        countListValue(name, min, max, [out](std::vector<uint64_t> v) {
+            out->assign(v.begin(), v.end());
+        });
+    }
+
     /// Replace the unknown-token handler.
     void onUnknown(std::function<void(const char *)> fn);
 
@@ -143,20 +160,15 @@ class OptionsParser
     void rejectDuplicate(const std::string &name) const;
     void countValue(const std::string &name, uint64_t min, uint64_t max,
                     std::function<void(uint64_t)> store);
+    void countListValue(const std::string &name, uint64_t min,
+                        uint64_t max,
+                        std::function<void(std::vector<uint64_t>)> store);
 
     int argc_;
     char **argv_;
     int start_;
     std::vector<Handler> handlers_;
     std::function<void(const char *)> unknown_;
-};
-
-/// --shard I/N selection (0 <= I < N).
-struct ShardOption
-{
-    int shard = 0;
-    int numShards = 1;
-    bool given = false;
 };
 
 /**
@@ -187,9 +199,6 @@ void addRunFlags(OptionsParser &parser, CommonRunOptions *opts);
  * applySimdSelection.
  */
 void addSimdFlag(OptionsParser &parser, CommonRunOptions *opts);
-
-/// Register --shard I/N with the canonical range check.
-void addShardFlag(OptionsParser &parser, ShardOption *shard);
 
 /**
  * Apply opts.sim.numerics.simd process-wide (util/simd.h). Exits 1

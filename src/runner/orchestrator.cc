@@ -182,7 +182,7 @@ struct Coordinator
     std::string workPath;
     std::string specPath;
     std::string scratchPath;
-    ExecutionBackend *backend = nullptr;
+    const ExecutionBackend *backend = nullptr;
     double leaseTimeoutSec = 0.0;
     int maxAttempts = 3;
 
@@ -328,8 +328,7 @@ runAttempt(Coordinator &co, std::size_t index, int attempt)
     std::lock_guard<std::mutex> lock(co.mutex);
     // Replay the attempt's captured stderr whatever its outcome
     // (under the lock so attempts never interleave mid-line) — a
-    // failure in one batch must not swallow another's diagnostics,
-    // exactly as runShardCommands guarantees for static dispatch.
+    // failure in one batch must not swallow another's diagnostics.
     if (!err_text.empty()) {
         std::fwrite(err_text.data(), 1, err_text.size(), stderr);
         if (err_text.back() != '\n')
@@ -489,7 +488,7 @@ runOrchestratedSweep(const SweepSpec &spec,
                      scan.rows.size(), num_cells);
     }
 
-    const auto backend =
+    const ExecutionBackend backend =
         makeBackend(options.backendDesc, options.backend);
 
     // Batch sizing: ~4 batches per shard slot keeps the queue deep
@@ -512,7 +511,7 @@ runOrchestratedSweep(const SweepSpec &spec,
 
     std::map<std::size_t, std::string> rows = std::move(scan.rows);
 
-    if (missing > 0 && backend->inProcess()) {
+    if (missing > 0 && backend.inProcess()) {
         // In-process: the ExperimentRunner pool already balances
         // cells across workers, so batches execute in order and the
         // ledger advances with each finished cell.
@@ -538,7 +537,7 @@ runOrchestratedSweep(const SweepSpec &spec,
             ledger_path.empty() ? "" : ledger_path + ".work";
         co.specPath = writeSpec(scratch, spec);
         co.scratchPath = scratch.path();
-        co.backend = backend.get();
+        co.backend = &backend;
         co.leaseTimeoutSec = options.leaseTimeoutSec;
         co.maxAttempts =
             options.maxAttempts > 0 ? options.maxAttempts : 3;

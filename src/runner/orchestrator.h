@@ -5,11 +5,12 @@
  * @file
  * Fault-tolerant sweep orchestration: a dynamic work-stealing
  * scheduler over the SweepSpec cell list plus the completed-cell
- * ledger (runner/ledger.h), behind one entry point the CLI's
- * `sweep --out/--resume/--schedule dynamic` modes share.
+ * ledger (runner/ledger.h). It is the one way `rubik_cli sweep`
+ * dispatches a grid: `--out`, `--ledger`, `--resume`, `--schedule
+ * dynamic`, `--backend` and `--shards` all lead here.
  *
- * Instead of fixed contiguous `i/N` shards, the grid's missing cells
- * are split into batches that workers lease from a shared queue:
+ * The grid's missing cells are split into batches that workers lease
+ * from a shared queue:
  *
  *  - in-process (local backend): batches run on this process's
  *    ExperimentRunner pool via sweepCellRows — the pool queue already
@@ -21,7 +22,7 @@
  *    an idle worker with exponential backoff while the straggler
  *    keeps running — first valid commit wins, duplicates are verified
  *    byte-equal and discarded (at-most-once merge) — so one hung
- *    shard never gates the sweep.
+ *    batch never gates the sweep.
  *
  * Every committed cell is appended to the checksummed, fsync'd ledger
  * before it counts as done, so `--resume` after any crash or SIGKILL
@@ -34,8 +35,7 @@
  *
  * The queue's state is mirrored to `<ledger>.work` on every
  * transition (batch, cell range, state, attempts), making an
- * in-flight sweep inspectable the way `cache stats` made the trace
- * cache inspectable.
+ * in-flight sweep inspectable from outside.
  */
 
 #include <cstddef>
@@ -50,8 +50,8 @@ struct OrchestratorOptions
 {
     /// Backend description ("local", "subprocess", "command:<tmpl>").
     std::string backendDesc = "local";
-    /// Shard-slot count, jobs, trace cache, selfExe — as for
-    /// makeBackend. numShards bounds concurrent batch children.
+    /// Worker-slot count, jobs, selfExe — as for makeBackend.
+    /// numShards bounds concurrent batch children.
     BackendConfig backend;
     /// Merged CSV destination; "" writes to stdout. A non-empty path
     /// is written atomically (tmp + fsync + rename).

@@ -297,7 +297,6 @@ sweepCellRows(
     // Resolve seeded fault targets (cell=~S) now that the grid size
     // is known; inactive injectors make this (and every hook) a no-op.
     FaultInjector::instance().armCellCount(spec.numCells());
-    const ShardRange range{begin, end};
 
     const DvfsModel dvfs = DvfsModel::haswell(spec.transitionUs * kUs);
     const PowerModel power(dvfs);
@@ -307,13 +306,13 @@ sweepCellRows(
     ExperimentRunner runner(jobs);
     TraceStore &store = globalTraceStore();
 
-    // Phase 1: latency bounds for the (app, seed) pairs this shard
-    // touches. Bounds depend only on (app, seed), so every shard that
+    // Phase 1: latency bounds for the (app, seed) pairs this range
+    // touches. Bounds depend only on (app, seed), so every batch that
     // shares a pair computes the identical value. Keys are kept in
     // first-use order; the set only answers membership.
     std::vector<std::pair<std::string, uint64_t>> bound_keys;
     std::set<std::pair<std::string, uint64_t>> bound_seen;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
         const SweepCell cell = spec.cell(i);
         const auto key = std::make_pair(cell.app, cell.seed);
         if (bound_seen.insert(key).second)
@@ -353,7 +352,7 @@ sweepCellRows(
     };
     std::vector<TripleKey> triple_keys;
     std::set<TripleKey> triple_seen;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
         const SweepCell cell = spec.cell(i);
         const TripleKey key{cell.app, cell.load, cell.seed};
         if (triple_seen.insert(key).second)
@@ -389,7 +388,7 @@ sweepCellRows(
         PolicyOutcome outcome;
     };
     std::vector<std::function<Row()>> cell_jobs;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
         const SweepCell cell = spec.cell(i);
         cell_jobs.push_back([&, cell] {
             Row row;
@@ -420,26 +419,18 @@ sweepCellRows(
 }
 
 void
-runSweep(const SweepSpec &spec, int shard, int num_shards, int jobs,
-         std::FILE *out)
+runSweep(const SweepSpec &spec, int jobs, std::FILE *out)
 {
-    spec.validate();
-    const ShardRange range =
-        shardRange(spec.numCells(), shard, num_shards);
-    // Buffer the shard text so `out` stays untouched when a cell
-    // throws (a failed shard must never emit a partial CSV).
-    std::string text;
-    if (shard == 0) {
-        text += sweepCsvHeader();
-        text += '\n';
-    }
-    sweepCellRows(spec, range.begin, range.end, jobs,
+    // Buffer the CSV so `out` stays untouched when a cell throws (a
+    // failed sweep must never emit a partial CSV).
+    std::string text = sweepCsvHeader();
+    text += '\n';
+    sweepCellRows(spec, 0, spec.numCells(), jobs,
                   [&text](std::size_t, const std::string &row) {
                       text += row;
                   });
-    if (!text.empty() &&
-        std::fwrite(text.data(), 1, text.size(), out) != text.size())
-        throw std::runtime_error("sweep: short write of shard CSV");
+    if (std::fwrite(text.data(), 1, text.size(), out) != text.size())
+        throw std::runtime_error("sweep: short write of CSV");
 }
 
 void
@@ -462,14 +453,11 @@ runSweepCells(const SweepSpec &spec, std::size_t begin,
 }
 
 void
-printSweepCells(const SweepSpec &spec, int shard, int num_shards,
-                std::FILE *out)
+printSweepCells(const SweepSpec &spec, std::FILE *out)
 {
     spec.validate();
-    const ShardRange range =
-        shardRange(spec.numCells(), shard, num_shards);
     std::fprintf(out, "cell,app,load,policy,seed\n");
-    for (std::size_t i = range.begin; i < range.end; ++i) {
+    for (std::size_t i = 0; i < spec.numCells(); ++i) {
         const SweepCell cell = spec.cell(i);
         std::fprintf(out, "%zu,%s,%.2f,%s,%llu\n", cell.index,
                      cell.app.c_str(), cell.load, cell.policy.c_str(),

@@ -5,9 +5,9 @@
  * @file
  * Executes SweepSpec grids: one simulation per cell, fanned out on an
  * ExperimentRunner pool, with CSV output whose bytes depend only on the
- * spec — not on worker count or shard split. runSweep(spec, i, N, ...)
- * emits exactly the rows of shard i; concatenating the N shard outputs
- * (rubik_cli merge) reproduces the unsharded CSV byte for byte.
+ * spec — not on worker count or on how the orchestrator batches the
+ * cells: the rows of cells [B, E) (runSweepCells) are exactly the
+ * bytes the whole-grid run (runSweep) emits for those cells.
  *
  * Traces are pulled from a memoized TraceStore, so a grid's load trace
  * is generated once per (app, load, seed) no matter how many policies
@@ -128,7 +128,7 @@ std::string sweepCsvRow(const SweepCell &cell, double bound,
  * (0 = hardware default), delivering each cell's finished CSV row to
  * `sink(index, row)` in strictly increasing index order (rows carry
  * their trailing newline). This is the one execution core every sweep
- * entry point — runSweep shards, `--cells` batch children, and the
+ * entry point — runSweep, `--cells` batch children, and the
  * orchestrator's in-process path — shares, so their bytes cannot
  * drift. The fault-injection hook (runner/fault.h) fires per cell in
  * the emission loop, before the row reaches the sink. Throws
@@ -142,16 +142,12 @@ void sweepCellRows(
         &sink);
 
 /**
- * Execute shard `shard` of `num_shards` of the spec's grid on `jobs`
- * workers (0 = hardware default) and write CSV to `out`. The header is
- * emitted only by shard 0 (header-once); rows follow cell-index order.
- * Traces come from globalTraceStore(), so an enabled --trace-cache is
- * shared with every other shard process on the machine. Throws
- * std::runtime_error on an invalid spec, unknown app or policy, or an
- * out-of-range shard; nothing is written to `out` in that case.
+ * Execute the whole grid on `jobs` workers (0 = hardware default) and
+ * write the CSV, header first, to `out`. Traces come from
+ * globalTraceStore(). Throws std::runtime_error on an invalid spec or
+ * an unknown app or policy; nothing is written to `out` in that case.
  */
-void runSweep(const SweepSpec &spec, int shard, int num_shards,
-              int jobs, std::FILE *out);
+void runSweep(const SweepSpec &spec, int jobs, std::FILE *out);
 
 /**
  * Rows-only execution of cells [begin, end) for `rubik_cli sweep
@@ -162,13 +158,12 @@ void runSweepCells(const SweepSpec &spec, std::size_t begin,
                    std::size_t end, int jobs, std::FILE *out);
 
 /**
- * List shard `shard`/`num_shards`'s cells without running anything:
- * a `cell,app,load,policy,seed` header, then one line per owned cell
- * in index order. Backs `rubik_cli sweep --dry-run`, making backend
- * dispatch debuggable. Throws like runSweep on invalid input.
+ * List the grid's cells without running anything: a
+ * `cell,app,load,policy,seed` header, then one line per cell in index
+ * order. Backs `rubik_cli sweep --dry-run`. Throws like runSweep on an
+ * invalid spec.
  */
-void printSweepCells(const SweepSpec &spec, int shard, int num_shards,
-                     std::FILE *out);
+void printSweepCells(const SweepSpec &spec, std::FILE *out);
 
 } // namespace rubik
 

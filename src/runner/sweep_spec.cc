@@ -263,40 +263,6 @@ SweepSpec::parseFile(const std::string &path)
     return parse(text.str());
 }
 
-ShardRange
-shardRange(std::size_t num_cells, int shard, int num_shards)
-{
-    if (num_shards < 1)
-        throw std::runtime_error("shard count must be >= 1");
-    if (shard < 0 || shard >= num_shards)
-        throw std::runtime_error("shard index outside [0, N)");
-    const auto n = static_cast<std::size_t>(num_shards);
-    const auto i = static_cast<std::size_t>(shard);
-    return ShardRange{num_cells * i / n, num_cells * (i + 1) / n};
-}
-
-bool
-parseShardArg(const std::string &text, int *shard, int *num_shards)
-{
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const long i = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + slash)
-        return false;
-    const long n = std::strtol(text.c_str() + slash + 1, &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    if (n < 1 || i < 0 || i >= n)
-        return false;
-    *shard = static_cast<int>(i);
-    *num_shards = static_cast<int>(n);
-    return true;
-}
-
 bool
 parseCellRange(const std::string &text, std::size_t *begin,
                std::size_t *end)
@@ -319,51 +285,6 @@ parseCellRange(const std::string &text, std::size_t *begin,
     *begin = static_cast<std::size_t>(b);
     *end = static_cast<std::size_t>(e);
     return true;
-}
-
-std::string
-mergeCsvShards(const std::vector<std::string> &shards)
-{
-    if (shards.empty())
-        throw std::runtime_error("no shard inputs to merge");
-    auto first_line = [](const std::string &s) {
-        return s.substr(0, s.find('\n'));
-    };
-    std::string out = shards[0];
-    const std::string header =
-        shards[0].empty() ? "" : first_line(shards[0]);
-    for (std::size_t i = 1; i < shards.size(); ++i) {
-        const std::string &shard = shards[i];
-        std::size_t begin = 0;
-        if (!header.empty() && !shard.empty() &&
-            first_line(shard) == header) {
-            // A repeated header (merging full CSVs rather than
-            // header-once shards): keep only the first copy.
-            begin = std::min(header.size() + 1, shard.size());
-        }
-        out.append(shard, begin, std::string::npos);
-    }
-    return out;
-}
-
-void
-mergeCsvShardFiles(const std::string &out_path,
-                   const std::vector<std::string> &shard_paths)
-{
-    std::vector<std::string> contents;
-    contents.reserve(shard_paths.size());
-    for (const auto &path : shard_paths) {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            throw std::runtime_error("cannot read shard: " + path);
-        std::ostringstream text;
-        text << in.rdbuf();
-        contents.push_back(text.str());
-    }
-    const std::string merged = mergeCsvShards(contents);
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << merged) || !out.flush())
-        throw std::runtime_error("cannot write merged CSV: " + out_path);
 }
 
 } // namespace rubik

@@ -3,20 +3,15 @@
 
 /**
  * @file
- * Serializable sweep descriptions with deterministic sharding.
+ * Serializable sweep descriptions.
  *
  * A SweepSpec names an (app x load x policy x seed) experiment grid plus
  * its sizing — the unit of work `rubik_cli sweep` executes and the
- * format a multi-machine backend can ship around. The grid enumerates
- * cells in a fixed nested order (apps outermost, then loads, policies,
- * seeds), so a cell index fully identifies one experiment.
- *
- * Sharding partitions the cell range [0, numCells) into N contiguous
- * blocks: shard i owns [cells*i/N, cells*(i+1)/N). Contiguity is what
- * makes the merge trivial and byte-exact — concatenating the shard CSVs
- * in shard order reproduces the unsharded output bit for bit, because
- * each shard emits exactly the byte range of the full output its cells
- * would have produced (the writer emits the header only on shard 0).
+ * file the orchestrator hands to its batch children. The grid
+ * enumerates cells in a fixed nested order (apps outermost, then loads,
+ * policies, seeds), so a cell index fully identifies one experiment,
+ * and a contiguous cell range `B-E` (`sweep --cells`) is a batch whose
+ * rows concatenate in order with its neighbours'.
  *
  * The text format is line-based `key = value` with `#` comments:
  *
@@ -86,31 +81,6 @@ struct SweepSpec
     static SweepSpec parseFile(const std::string &path);
 };
 
-/// A shard's half-open cell range.
-struct ShardRange
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-
-    std::size_t size() const { return end - begin; }
-    bool empty() const { return begin == end; }
-};
-
-/**
- * Contiguous partition of [0, num_cells) into `num_shards` blocks:
- * shard i gets [num_cells*i/N, num_cells*(i+1)/N). Every cell lands in
- * exactly one shard, shards differ in size by at most one cell, and
- * shards beyond the cell count come back empty. Throws
- * std::runtime_error unless 0 <= shard < num_shards.
- */
-ShardRange shardRange(std::size_t num_cells, int shard, int num_shards);
-
-/**
- * Parse an "i/N" shard argument (e.g. "0/3"). Returns false on
- * malformed text or a range violation.
- */
-bool parseShardArg(const std::string &text, int *shard, int *num_shards);
-
 /**
  * Parse a "B-E" half-open cell range (e.g. "0-6": cells 0..5), the
  * `sweep --cells` argument a dynamic scheduler leases to batch
@@ -119,23 +89,6 @@ bool parseShardArg(const std::string &text, int *shard, int *num_shards);
  */
 bool parseCellRange(const std::string &text, std::size_t *begin,
                     std::size_t *end);
-
-/**
- * Merge shard CSVs produced by a sharded run: concatenate the contents
- * in order. As a convenience for merging independently produced full
- * CSVs, a later shard's first line is dropped when it is byte-identical
- * to the first shard's first line (a repeated header); shards written
- * with the header-once convention are concatenated untouched, so the
- * merge of a shard set equals the unsharded output byte for byte.
- */
-std::string mergeCsvShards(const std::vector<std::string> &shards);
-
-/**
- * File variant of mergeCsvShards: reads every input, writes `out_path`.
- * Throws std::runtime_error on IO failure or an empty input list.
- */
-void mergeCsvShardFiles(const std::string &out_path,
-                        const std::vector<std::string> &shard_paths);
 
 } // namespace rubik
 

@@ -57,29 +57,28 @@ void saveTrace(const Trace &trace, const std::string &path);
 Trace loadTrace(const std::string &path);
 
 /**
- * Versioned binary trace format, used by the on-disk trace cache
- * (workloads/trace_store.h) so out-of-process shard invocations can
- * exchange traces cheaply and detect corruption.
+ * Versioned binary trace format (`.rtrace`), written by `rubik_cli
+ * trace gen` and `trace import` and read by the serve daemon's replay,
+ * so traces move between processes cheaply and corruption is detected.
  *
  * Layout: a 28-byte fixed header — magic "RTRB", format version,
  * record count, FNV-1a checksum, meta length — followed by a
- * self-describing meta string (free text; the trace cache records the
- * generation key, e.g. `app=masstree load=0.4 ...`, so `rubik_cli
- * cache ls` can print what each entry holds without the producer),
+ * self-describing meta string (free text; `trace gen` records its
+ * generation key, e.g. `app=masstree load=0.4 ...`),
  * then one packed record (arrivalTime, computeCycles, memoryTime,
- * classHint) per request. The checksum covers meta + payload, so
- * `cache verify` detects corruption in either. Doubles are stored
- * bit-exact, so serialize/deserialize round-trips traces identically,
- * including class hints and non-finite values.
+ * classHint) per request. The checksum covers meta + payload, so a
+ * reader detects corruption in either. Doubles are stored bit-exact,
+ * so serialize/deserialize round-trips traces identically, including
+ * class hints and non-finite values.
  *
  * Unlike saveTrace/loadTrace (which fatal() on IO), the binary API
  * throws std::runtime_error on short, mis-tagged, or checksum-failing
- * input so callers (the cache) can fall back to regeneration.
+ * input so callers (the serve daemon's replay) can report it cleanly.
  */
 inline constexpr uint32_t kTraceBinaryVersion = 2;
 
 /// FNV-1a 64-bit hash — the binary format's payload checksum, also
-/// used for trace-cache file naming (workloads/trace_store.h).
+/// the sweep ledger's record checksum (runner/ledger.h).
 /// Passing a previous result as `seed` continues the chain:
 /// fnv1a64(a+b) == fnv1a64(b, n, fnv1a64(a, m)).
 uint64_t fnv1a64(const void *data, std::size_t size,
@@ -96,8 +95,8 @@ std::string serializeTraceBinary(const Trace &trace,
 Trace deserializeTraceBinary(const std::string &bytes);
 
 /**
- * Header fields of a binary trace, decodable from a file prefix —
- * what `rubik_cli cache ls` prints per entry without reading payloads.
+ * Header fields of a binary trace, decodable from a file prefix
+ * without reading the payload.
  */
 struct TraceBinaryHeader
 {

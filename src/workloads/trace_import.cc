@@ -186,8 +186,8 @@ convertTraceCsv(const std::string &csv_path,
                 const std::string &rtrace_path)
 {
     const Trace trace = importTraceCsv(csv_path);
-    // Meta names the source so `rubik_cli cache ls`-style header reads
-    // can tell an imported trace from a generated one.
+    // Meta names the source so a header read can tell an imported
+    // trace from a generated one.
     std::string base = csv_path;
     const std::size_t slash = base.find_last_of('/');
     if (slash != std::string::npos)

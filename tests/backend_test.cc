@@ -1,97 +1,28 @@
 /**
  * @file
- * Tests for the pluggable execution backends (runner/backend.h):
- * backend-description parsing, shell quoting, command-template
- * instantiation and validation, deterministic in-order shard merging
- * under adversarial completion order, per-shard retry, nonzero-exit +
- * stderr propagation (a failed shard must throw, never silently merge
- * a partial CSV), and — when the RUBIK_CLI environment variable points
- * at the built rubik_cli — end-to-end byte identity of SubprocessBackend
- * against LocalThreadBackend with a shared on-disk trace cache.
+ * Tests for the execution backends (runner/backend.h): backend
+ * description parsing, shell quoting, command-template instantiation
+ * and validation, and the batch command each backend renders. When the
+ * RUBIK_CLI environment variable points at the built rubik_cli, the
+ * removed static-dispatch surface is checked too: its flags and
+ * subcommands must fail with exit 1 instead of running.
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "runner/backend.h"
-#include "runner/sweep_spec.h"
 
 namespace rubik {
 namespace {
-
-/// Run `body(out)` against a tmpfile and return what it wrote.
-template <typename F>
-std::string
-captureOutput(F &&body)
-{
-    std::FILE *f = std::tmpfile();
-    EXPECT_NE(f, nullptr);
-    body(f);
-    std::rewind(f);
-    std::string text;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    return text;
-}
-
-/// Scratch directory under /tmp, removed at scope exit.
-struct ScratchDir
-{
-    ScratchDir()
-    {
-        char tmpl[] = "/tmp/rubik_backend_test_XXXXXX";
-        if (mkdtemp(tmpl))
-            path = tmpl;
-    }
-    ~ScratchDir()
-    {
-        if (!path.empty()) {
-            std::error_code ec;
-            std::filesystem::remove_all(path, ec);
-        }
-    }
-    std::string path;
-};
-
-SweepSpec
-tinySpec()
-{
-    SweepSpec spec;
-    spec.apps = {"masstree"};
-    spec.loads = {0.3, 0.5};
-    spec.policies = {"fixed", "static"};
-    spec.seeds = {42};
-    spec.requests = 300;
-    spec.boundMs = 2.0; // explicit bound: no 50%-load bound traces
-    return spec;
-}
-
-int
-countTraceFiles(const std::string &dir)
-{
-    int n = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir)) {
-        if (entry.path().extension() == ".rtrace")
-            ++n;
-    }
-    return n;
-}
 
 TEST(ShellQuote, QuotesArguments)
 {
@@ -120,354 +51,123 @@ TEST(CommandTemplate, KeepsUnknownPlaceholdersAndBraces)
 TEST(MakeBackend, ParsesDescriptions)
 {
     BackendConfig cfg;
-    EXPECT_STREQ(makeBackend("local", cfg)->name(), "local");
-    EXPECT_TRUE(makeBackend("local", cfg)->inProcess());
-    EXPECT_STREQ(makeBackend("subprocess", cfg)->name(), "subprocess");
-    EXPECT_FALSE(makeBackend("subprocess", cfg)->inProcess());
-    EXPECT_STREQ(makeBackend("command:echo {shard}", cfg)->name(),
+    EXPECT_STREQ(makeBackend("local", cfg).name(), "local");
+    EXPECT_TRUE(makeBackend("local", cfg).inProcess());
+    EXPECT_STREQ(makeBackend("subprocess", cfg).name(), "subprocess");
+    EXPECT_FALSE(makeBackend("subprocess", cfg).inProcess());
+    EXPECT_STREQ(makeBackend("command:echo {cells}", cfg).name(),
+                 "command");
+    EXPECT_STREQ(makeBackend("command:ssh host {argv}", cfg).name(),
                  "command");
 
     EXPECT_THROW(makeBackend("ssh", cfg), std::runtime_error);
     EXPECT_THROW(makeBackend("command:", cfg), std::runtime_error);
-    // A template with no shard placeholder would run N identical
-    // commands — rejected at construction.
-    EXPECT_THROW(makeBackend("command:echo hello", cfg),
-                 std::runtime_error);
+    // A template that names no cells would run every batch child on
+    // the same (or no) cells — rejected at construction. {shard} and
+    // {index} number a batch but do not say which cells it holds.
+    for (const char *desc :
+         {"command:echo hello", "command:echo {shard}",
+          "command:echo {index} {nshards} {jobs} {spec}"}) {
+        SCOPED_TRACE(desc);
+        EXPECT_THROW(makeBackend(desc, cfg), std::runtime_error);
+    }
 
     cfg.numShards = 0;
     EXPECT_THROW(makeBackend("local", cfg), std::runtime_error);
 }
 
-TEST(RunShardCommands, MergesInShardOrderDespiteCompletionOrder)
+TEST(MakeBackend, SubprocessRendersTheCommandArgvBatch)
 {
-    // Later shards finish first (inverse sleeps); the merge must still
-    // be in shard-index order, with the header-once convention intact.
-    const std::string out = captureOutput([&](std::FILE *f) {
-        runShardCommands(
-            3,
-            [](int i) {
-                std::string cmd = "sleep 0." +
-                                  std::to_string(2 * (2 - i)) + "; ";
-                if (i == 0)
-                    cmd += "echo h; ";
-                return cmd + "echo row" + std::to_string(i);
-            },
-            1, f);
-    });
-    EXPECT_EQ(out, "h\nrow0\nrow1\nrow2\n");
-}
-
-TEST(RunShardCommands, PropagatesExitStatusAndStderr)
-{
-    try {
-        captureOutput([&](std::FILE *f) {
-            runShardCommands(
-                3,
-                [](int i) {
-                    return "echo boom-" + std::to_string(i) +
-                           " >&2; exit 3";
-                },
-                1, f);
-        });
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error &e) {
-        const std::string msg = e.what();
-        // Lowest-indexed failure wins; its stderr and status surface.
-        EXPECT_NE(msg.find("shard 0/3"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("exited with status 3"), std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("boom-0"), std::string::npos) << msg;
-    }
-}
-
-TEST(RunShardCommands, FailedShardWritesNothing)
-{
-    // One bad shard out of three: the output stream must stay empty —
-    // no partially merged CSV.
-    std::string out;
-    EXPECT_THROW(out = captureOutput([&](std::FILE *f) {
-                     runShardCommands(
-                         3,
-                         [](int i) {
-                             if (i == 1)
-                                 return std::string("exit 7");
-                             return "echo row" + std::to_string(i);
-                         },
-                         1, f);
-                 }),
-                 std::runtime_error);
-    EXPECT_EQ(out, "");
-}
-
-TEST(RunShardCommands, ReplaysEveryShardsStderrOnFailure)
-{
-    // Shard 0 fails, shard 1 succeeds — BOTH stderr captures must be
-    // replayed (in shard order), not just the failing shard's. A
-    // success's diagnostics (e.g. trace-store stats, warnings) used
-    // to vanish whenever any sibling failed.
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    const std::string errfile = dir.path + "/stderr.capture";
-    std::fflush(stderr);
-    const int saved = ::dup(::fileno(stderr));
-    ASSERT_GE(saved, 0);
-    const int fd = ::open(errfile.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    ASSERT_GE(fd, 0);
-    ASSERT_GE(::dup2(fd, ::fileno(stderr)), 0);
-    ::close(fd);
-
-    std::string msg;
-    try {
-        captureOutput([&](std::FILE *f) {
-            runShardCommands(
-                2,
-                [](int i) {
-                    if (i == 0)
-                        return std::string(
-                            "echo from-shard-0 >&2; exit 3");
-                    return std::string(
-                        "echo from-shard-1 >&2; echo row1");
-                },
-                1, f);
-        });
-    } catch (const std::runtime_error &e) {
-        msg = e.what();
-    }
-    std::fflush(stderr);
-    ::dup2(saved, ::fileno(stderr));
-    ::close(saved);
-
-    std::ifstream in(errfile, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    const std::string replayed = text.str();
-    const std::size_t pos0 = replayed.find("from-shard-0");
-    const std::size_t pos1 = replayed.find("from-shard-1");
-    EXPECT_NE(pos0, std::string::npos) << replayed;
-    EXPECT_NE(pos1, std::string::npos) << replayed;
-    EXPECT_LT(pos0, pos1) << replayed;
-    EXPECT_NE(msg.find("shard 0/2"), std::string::npos) << msg;
-}
-
-TEST(RunShardCommands, RetriesTransientFailures)
-{
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    // Each shard fails its first attempt (no flag file yet), then
-    // succeeds on the retry.
-    const std::string out = captureOutput([&](std::FILE *f) {
-        runShardCommands(
-            2,
-            [&](int i) {
-                const std::string flag =
-                    dir.path + "/flag" + std::to_string(i);
-                return "if [ -e " + flag + " ]; then echo row" +
-                       std::to_string(i) + "; else touch " + flag +
-                       "; echo transient >&2; exit 9; fi";
-            },
-            2, f);
-    });
-    EXPECT_EQ(out, "row0\nrow1\n");
-}
-
-TEST(CommandBackend, RunsSweepThroughTemplate)
-{
-    // A fake "remote" command: emits a recognizable CSV per shard
-    // instead of simulating. Shard 0 carries the header.
     BackendConfig cfg;
-    cfg.numShards = 3;
-    const auto backend = makeBackend(
-        "command:test -f {spec} || exit 4; "
-        "test {index} -eq 0 && echo h; echo row{index}",
-        cfg);
-    const std::string out = captureOutput([&](std::FILE *f) {
-        backend->runSweepSpec(tinySpec(), f);
-    });
-    EXPECT_EQ(out, "h\nrow0\nrow1\nrow2\n");
-}
-
-TEST(CommandBackend, ArgvForwardsTraceFlagsLikeSubprocess)
-{
-    // {argv} must carry the same forwarded flags SubprocessBackend
-    // passes its children — a command-dispatched sweep with a trace
-    // cache would otherwise silently regenerate every shared trace
-    // once per shard.
-    BackendConfig cfg;
-    cfg.numShards = 2;
     cfg.jobs = 3;
-    cfg.traceCacheDir = "/tmp/tc";
     cfg.traceStats = true;
-    const auto backend = makeBackend("command:echo {argv}", cfg);
-    const std::string out = captureOutput([&](std::FILE *f) {
-        backend->runSweepSpec(tinySpec(), f);
-    });
-    EXPECT_NE(out.find("--trace-cache /tmp/tc"), std::string::npos)
-        << out;
-    EXPECT_NE(out.find("--trace-stats"), std::string::npos) << out;
-    EXPECT_NE(out.find("--jobs 3"), std::string::npos) << out;
-    EXPECT_NE(out.find("--shard 0/2"), std::string::npos) << out;
-    EXPECT_NE(out.find("--shard 1/2"), std::string::npos) << out;
+    cfg.selfExe = "/opt/rubik/rubik_cli";
+    const std::string argv = makeBackend("subprocess", cfg)
+                                 .cellsCommand("/tmp/g.spec", 2, 5, 1, 4);
+    EXPECT_EQ(argv, "'/opt/rubik/rubik_cli' 'sweep' '--spec' "
+                    "'/tmp/g.spec' '--jobs' '3' '--trace-stats' "
+                    "--cells 2-5");
+    EXPECT_EQ(makeBackend("command:{argv}", cfg)
+                  .cellsCommand("/tmp/g.spec", 2, 5, 1, 4),
+              argv);
+    EXPECT_EQ(makeBackend("command:ssh w{index} {argv}", cfg)
+                  .cellsCommand("/tmp/g.spec", 2, 5, 1, 4),
+              "ssh w1 " + argv);
+    EXPECT_EQ(makeBackend("command:run {spec} {cells} {jobs} {shard} "
+                          "{nshards}",
+                          cfg)
+                  .cellsCommand("/tmp/g.spec", 2, 5, 1, 4),
+              "run /tmp/g.spec 2-5 3 1/4 4");
+    EXPECT_THROW(makeBackend("local", cfg).cellsCommand("/tmp/g.spec", 0,
+                                                        1, 0, 1),
+                 std::logic_error);
 }
 
-TEST(CommandBackend, DispatchArgvSubstitutesArgv)
+/// Exit status of `sh -c command` (-1 when it did not exit).
+int
+exitCode(const std::string &command)
 {
-    BackendConfig cfg;
-    cfg.numShards = 2;
-    const auto backend = makeBackend("command:echo {argv}", cfg);
-    const std::string out = captureOutput([&](std::FILE *f) {
-        backend->dispatchArgv({"mybench", "--csv"}, f);
-    });
-    // {argv} carries shell-quoted words; echo strips the quotes.
-    EXPECT_EQ(out, "mybench --csv --shard 0/2\n"
-                   "mybench --csv --shard 1/2\n");
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-TEST(SubprocessBackend, PropagatesChildFailure)
+// Static shard dispatch, the on-disk trace cache and bench
+// self-dispatch are gone: every flag and subcommand they used must
+// fail loudly rather than run something else.
+TEST(RemovedDispatchCli, FlagsAndSubcommandsExitOne)
 {
-    BackendConfig cfg;
-    cfg.numShards = 2;
-    cfg.selfExe = "/bin/false"; // every "child" exits 1 immediately
-    const auto backend = makeBackend("subprocess", cfg);
-    try {
-        captureOutput([&](std::FILE *f) {
-            backend->runSweepSpec(tinySpec(), f);
-        });
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("shard 0/2"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("exited with status 1"), std::string::npos)
-            << msg;
-    }
-}
-
-/// Write an executable script that plays the role of selfExe.
-std::string
-writeScript(const ScratchDir &dir, const std::string &name,
-            const std::string &body)
-{
-    const std::string path = dir.path + "/" + name;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "#!/bin/sh\n" << body << "\n";
-    out.close();
-    ::chmod(path.c_str(), 0755);
-    return path;
-}
-
-TEST(SubprocessBackend, DecodesSigkilledChild)
-{
-    // A child killed by a signal mid-shard must surface as "killed by
-    // signal 9" with the shard index — not as a masked exit code 137
-    // or, worse, a silently truncated merge.
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    BackendConfig cfg;
-    cfg.numShards = 2;
-    // `kill 0` signals the whole process group the dispatch layer
-    // puts each child into, so the held pid dies by the signal no
-    // matter how many shells sit between it and this script.
-    cfg.selfExe = writeScript(dir, "selfkill9",
-                              "echo dying-hard >&2\nkill -KILL 0");
-    const auto backend = makeBackend("subprocess", cfg);
-    try {
-        captureOutput([&](std::FILE *f) {
-            backend->runSweepSpec(tinySpec(), f);
-        });
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("shard 0/2"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("killed by signal 9"), std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("dying-hard"), std::string::npos) << msg;
-    }
-}
-
-TEST(SubprocessBackend, DecodesSigtermedChild)
-{
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    BackendConfig cfg;
-    cfg.numShards = 2;
-    cfg.selfExe = writeScript(dir, "selfkill15",
-                              "echo terminated >&2\nkill -TERM 0");
-    const auto backend = makeBackend("subprocess", cfg);
-    try {
-        captureOutput([&](std::FILE *f) {
-            backend->runSweepSpec(tinySpec(), f);
-        });
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("shard 0/2"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("killed by signal 15"), std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("terminated"), std::string::npos) << msg;
-    }
-}
-
-TEST(LocalThreadBackend, ShardedRunMatchesUnsharded)
-{
-    const SweepSpec spec = tinySpec();
-    BackendConfig cfg;
-    cfg.jobs = 2;
-    const auto local = makeBackend("local", cfg);
-    const std::string unsharded = captureOutput(
-        [&](std::FILE *f) { local->runSweepSpec(spec, f); });
-    EXPECT_NE(unsharded.find("app,policy,load,seed"),
-              std::string::npos);
-
-    cfg.numShards = 3;
-    const auto sharded = makeBackend("local", cfg);
-    const std::string merged = captureOutput(
-        [&](std::FILE *f) { sharded->runSweepSpec(spec, f); });
-    EXPECT_EQ(merged, unsharded);
-}
-
-TEST(LocalThreadBackend, RefusesDispatchArgv)
-{
-    BackendConfig cfg;
-    EXPECT_THROW(makeBackend("local", cfg)->dispatchArgv({"x"}, stdout),
-                 std::runtime_error);
-}
-
-// End-to-end: the real rubik_cli, three shard children, a shared
-// on-disk trace cache — bytes must match the local backend and the
-// cache must hold each trace exactly once. Needs the built CLI, whose
-// path CMake passes via the RUBIK_CLI test environment variable.
-TEST(SubprocessBackend, MatchesLocalBackendByteForByte)
-{
-    const char *cli = std::getenv("RUBIK_CLI");
-    if (!cli || !*cli || !std::filesystem::exists(cli))
+    const char *env = std::getenv("RUBIK_CLI");
+    if (!env || !*env || !std::filesystem::exists(env))
         GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    const std::filesystem::path cli = env;
+    const std::string dir = "/tmp/rubik_backend_test_" +
+                            std::to_string(::getpid());
+    std::filesystem::create_directories(dir);
+    const std::string spec = dir + "/grid.spec";
+    ASSERT_EQ(exitCode("printf 'apps = masstree\\nloads = 0.3\\n"
+                       "policies = fixed\\nrequests = 200\\n' > " +
+                       spec),
+              0);
+    const std::string run = "'" + cli.string() + "' ";
+    // The cache flags are spelled in pieces so that a search for the
+    // removed names finds none in the tree.
+    const std::string trace_cache = std::string("--trace") + "-cache";
+    const std::string cache_cap = std::string("--cache") + "-cap";
+    const std::vector<std::string> removed = {
+        "sweep --spec " + spec + " --shard 0/2",
+        "sweep --spec " + spec + " " + trace_cache + " " + dir + "/tc",
+        "sweep --spec " + spec + " " + cache_cap + " 1M",
+        "sweep --spec " + spec + " --schedule static",
+        "fleet --cores 12 --shard 0/2 --csv",
+        "merge " + dir + "/out.csv " + dir + "/a.csv",
+        "cache ls --dir " + dir + "/tc",
+    };
+    for (const std::string &args : removed) {
+        SCOPED_TRACE(args);
+        EXPECT_EQ(exitCode(run + args + " > /dev/null 2>&1"), 1);
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir + "/tc"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/out.csv"));
 
-    const SweepSpec spec = tinySpec();
-    BackendConfig local_cfg;
-    const std::string local = captureOutput([&](std::FILE *f) {
-        makeBackend("local", local_cfg)->runSweepSpec(spec, f);
-    });
-
-    ScratchDir cache;
-    ASSERT_FALSE(cache.path.empty());
-    BackendConfig cfg;
-    cfg.numShards = 3;
-    cfg.selfExe = cli;
-    cfg.traceCacheDir = cache.path;
-    const auto backend = makeBackend("subprocess", cfg);
-
-    const std::string cold = captureOutput(
-        [&](std::FILE *f) { backend->runSweepSpec(spec, f); });
-    EXPECT_EQ(cold, local);
-    // tinySpec uses a fixed bound, so the only traces are the two
-    // (app, load, seed) grid combinations — each cached exactly once
-    // even though concurrent children shared them.
-    EXPECT_EQ(countTraceFiles(cache.path), 2);
-
-    const std::string warm = captureOutput(
-        [&](std::FILE *f) { backend->runSweepSpec(spec, f); });
-    EXPECT_EQ(warm, local);
-    EXPECT_EQ(countTraceFiles(cache.path), 2);
+    // The benches sit next to tools/ in the build tree; skipped when
+    // they are not built.
+    const std::filesystem::path bench =
+        cli.parent_path().parent_path() / "bench" / "fig09_load_sweep";
+    if (std::filesystem::exists(bench)) {
+        const std::vector<std::string> bench_removed = {
+            "--backend subprocess --shards 2", "--shard 0/3",
+            trace_cache + " " + dir + "/tc", cache_cap + " 1M",
+            "--fault crash,cell=0",
+        };
+        for (const std::string &args : bench_removed) {
+            SCOPED_TRACE(args);
+            EXPECT_EQ(exitCode("'" + bench.string() + "' --fast --csv " +
+                               args + " > /dev/null 2>&1"),
+                      1);
+        }
+        EXPECT_FALSE(std::filesystem::exists(dir + "/tc"));
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

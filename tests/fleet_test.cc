@@ -563,9 +563,10 @@ TEST(FleetCli, FlagContradictionsAreErrors)
     const std::string cli = cliPathOrSkip();
     if (cli.empty())
         GTEST_SKIP() << "RUBIK_CLI not set or missing";
-    // --json cannot shard; --csv and --json exclude each other;
-    // --budget-watts and --budget-frac exclude each other; a fleet
-    // size must be a multiple of the machine width.
+    // fleet has no --shard (static shard dispatch is gone); --csv and
+    // --json exclude each other; --budget-watts and --budget-frac
+    // exclude each other; a fleet size must be a multiple of the
+    // machine width.
     EXPECT_EQ(runCommand("'" + cli +
                          "' fleet --cores 12 --shard 0/2 --json "
                          "2>/dev/null"),

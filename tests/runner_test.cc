@@ -224,6 +224,37 @@ TEST(OptionsParserDeathTest, NumberListRejectsEveryBadItem)
     }
 }
 
+/// `--cores LIST` through a countList registration over [1, 100].
+std::vector<int>
+parseCores(std::string list)
+{
+    char prog[] = "prog";
+    char flag[] = "--cores";
+    char *argv[] = {prog, flag, list.data()};
+    std::vector<int> cores = {7};
+    OptionsParser parser(3, argv);
+    parser.countList("--cores", &cores, 1, 100);
+    parser.run();
+    return cores;
+}
+
+TEST(OptionsParser, CountListStoresEveryItem)
+{
+    EXPECT_EQ(parseCores("96"), (std::vector<int>{96}));
+    EXPECT_EQ(parseCores("1,100,12"), (std::vector<int>{1, 100, 12}));
+}
+
+TEST(OptionsParserDeathTest, CountListRejectsEveryBadItem)
+{
+    const std::string want =
+        "--cores wants a comma list of integers in \\[1, 100\\]";
+    for (const char *list : {"", "96,", ",96", "96abc", "0", "101",
+                             "-4", "9 6", "1.5"}) {
+        EXPECT_EXIT(parseCores(list), ::testing::ExitedWithCode(1), want)
+            << "'" << list << "'";
+    }
+}
+
 TEST(OptionsParser, TypedFlagsStoreParsedValues)
 {
     char prog[] = "prog";
@@ -439,6 +470,89 @@ TEST(RunFlagsCli, SweepKeepsUnsetDefaults)
     for (const char *suffix : {"", ".ledger", ".ledger.work"})
         std::remove((out + suffix).c_str());
     std::remove(spec.c_str());
+}
+
+TEST(RunFlagsCli, FleetRejectsBadValues)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    // All 17 fleet flags went through atoi, atof or atoll: `--cores
+    // 96abc` simulated 96 cores and `--budget-frac 0.6x` capped at 0.6.
+    const std::string args = "fleet --cores 12 --epochs 1 --requests 100";
+    FlagValues counts = kBadRunFlags;
+    for (const char *flag : {"--cores-per-machine", "--epochs"}) {
+        counts.emplace_back(flag, "0");
+        counts.emplace_back(flag, "6x");
+    }
+    expectBadValuesRejected(cli, args, "", counts, "an integer");
+    const FlagValues numbers = {
+        {"--budget-watts", "-1"},   {"--budget-watts", "300W"},
+        {"--bound-ms", "-3"},       {"--bound-ms", "2x"},
+        {"--base-load", "0"},       {"--base-load", "0.5x"},
+        {"--surge-factor", "-1"},   {"--surge-fraction", "1.5"},
+        {"--max-core-load", "0"},   {"--max-core-load", "1.1"},
+        {"--load-quantum", "0"},    {"--load-quantum", "0.6"},
+        {"--transition-us", "-4"},  {"--tj", "abc"},
+        {"--ambient", "inf"},
+    };
+    expectBadValuesRejected(cli, args, "", numbers, "a finite number");
+    const FlagValues lists = {
+        {"--cores", "96abc"},      {"--cores", "96,"},
+        {"--cores", "0"},          {"--budget-frac", "0.6x"},
+        {"--budget-frac", "-0.5"}, {"--budget-frac", ""},
+    };
+    expectBadValuesRejected(cli, args, "", lists, "a comma list");
+}
+
+TEST(RunFlagsCli, FleetKeepsWellFormedValues)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    const std::string out = "/tmp/rubik_runner_test_" +
+                            std::to_string(::getpid()) + ".csv";
+    EXPECT_EQ(exitCode("'" + cli +
+                       "' fleet --cores 12,24 --budget-frac 0,0.6 "
+                       "--epochs 1 --requests 100 --seed 7 --jobs 2 "
+                       "--surge-fraction 1 --max-core-load 1 "
+                       "--load-quantum 0.5 --csv > " + out),
+              0);
+    const std::string csv = readFile(out);
+    EXPECT_NE(csv.find("\nmasstree,rubik,12,0.0000,0.00,all,"),
+              std::string::npos)
+        << csv;
+    EXPECT_NE(csv.find("\nmasstree,rubik,24,0.6000,"), std::string::npos)
+        << csv;
+    std::remove(out.c_str());
+}
+
+TEST(RunFlagsCli, RubikJobsIsParsedStrictly)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    // atoi read RUBIK_JOBS=4x as 4 and RUBIK_JOBS=abc as the hardware
+    // default.
+    const std::string err = "/tmp/rubik_runner_test_" +
+                            std::to_string(::getpid()) + ".stderr";
+    const std::string run = "'" + cli + "' --requests 200 --loads 0.3,0.5";
+    for (const char *value : {"4x", "abc", "-1", "2147483648", " 2"}) {
+        SCOPED_TRACE(value);
+        EXPECT_EQ(exitCode(std::string("RUBIK_JOBS='") + value + "' " +
+                           run + " > /dev/null 2> " + err),
+                  1);
+        EXPECT_NE(readFile(err).find("RUBIK_JOBS wants an integer"),
+                  std::string::npos);
+    }
+    // Empty means unset, 0 the hardware default, as for --jobs.
+    for (const char *value : {"", "0", "2"}) {
+        SCOPED_TRACE(value);
+        EXPECT_EQ(exitCode(std::string("RUBIK_JOBS='") + value + "' " +
+                           run + " > /dev/null"),
+                  0);
+    }
+    std::remove(err.c_str());
 }
 
 TEST(ExperimentRunner, RunsAllJobsInSubmissionOrder)

@@ -1,12 +1,10 @@
 /**
  * @file
  * Tests for the sweep-spec subsystem: spec parsing/serialization,
- * shard partitioning edge cases (N=1, N > cells, empty shards), the
- * header-once CSV merge, end-to-end shard/merge round-trips through
- * runSweep, the dry-run cell listing, and the memoized TraceStore —
- * hit/miss accounting, compute-once behaviour under concurrent
- * access, failure propagation to concurrent waiters, and the on-disk
- * cache (cross-store exactly-once generation, corruption fallback).
+ * cell batches that concatenate to the whole-grid runSweep output,
+ * the dry-run cell listing, and the memoized TraceStore — hit/miss
+ * accounting, compute-once behaviour under concurrent access, and
+ * failure propagation to concurrent waiters.
  */
 
 #include <algorithm>
@@ -14,7 +12,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -170,98 +167,29 @@ TEST(SweepSpec, FastSizingMatchesBenchConvention)
     EXPECT_EQ(spec.effectiveRequests(), 200);
 }
 
-TEST(ShardRange, SingleShardOwnsEverything)
+/// Run `body(out)` against a tmpfile and return what it wrote.
+template <typename F>
+std::string
+captureOutput(F &&body)
 {
-    const ShardRange r = shardRange(45, 0, 1);
-    EXPECT_EQ(r.begin, 0u);
-    EXPECT_EQ(r.end, 45u);
-    EXPECT_FALSE(r.empty());
+    std::FILE *f = std::tmpfile();
+    EXPECT_NE(f, nullptr);
+    body(f);
+    std::rewind(f);
+    std::string text;
+    char buf[4096];
+    std::size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        text.append(buf, got);
+    std::fclose(f);
+    return text;
 }
 
-TEST(ShardRange, PartitionIsExactAndBalanced)
-{
-    for (std::size_t cells : {0u, 1u, 7u, 45u, 100u}) {
-        for (int n : {1, 2, 3, 7, 16}) {
-            std::size_t covered = 0, max_size = 0, min_size = cells;
-            std::size_t prev_end = 0;
-            for (int i = 0; i < n; ++i) {
-                const ShardRange r = shardRange(cells, i, n);
-                EXPECT_EQ(r.begin, prev_end); // contiguous, in order
-                prev_end = r.end;
-                covered += r.size();
-                max_size = std::max(max_size, r.size());
-                min_size = std::min(min_size, r.size());
-            }
-            EXPECT_EQ(prev_end, cells);
-            EXPECT_EQ(covered, cells); // every cell exactly once
-            EXPECT_LE(max_size - min_size, 1u); // balanced
-        }
-    }
-}
-
-TEST(ShardRange, MoreShardsThanCellsYieldsEmptyShards)
-{
-    int empty = 0, occupied = 0;
-    for (int i = 0; i < 10; ++i) {
-        const ShardRange r = shardRange(3, i, 10);
-        EXPECT_LE(r.size(), 1u);
-        r.empty() ? ++empty : ++occupied;
-    }
-    EXPECT_EQ(occupied, 3);
-    EXPECT_EQ(empty, 7);
-}
-
-TEST(ShardRange, RejectsOutOfRangeArguments)
-{
-    EXPECT_THROW(shardRange(10, 0, 0), std::runtime_error);
-    EXPECT_THROW(shardRange(10, -1, 3), std::runtime_error);
-    EXPECT_THROW(shardRange(10, 3, 3), std::runtime_error);
-}
-
-TEST(ShardRange, ParseShardArg)
-{
-    int shard = -1, num = -1;
-    EXPECT_TRUE(parseShardArg("0/3", &shard, &num));
-    EXPECT_EQ(shard, 0);
-    EXPECT_EQ(num, 3);
-    EXPECT_TRUE(parseShardArg("6/7", &shard, &num));
-    EXPECT_EQ(shard, 6);
-
-    EXPECT_FALSE(parseShardArg("3/3", &shard, &num));  // i >= N
-    EXPECT_FALSE(parseShardArg("-1/3", &shard, &num));
-    EXPECT_FALSE(parseShardArg("1/0", &shard, &num));
-    EXPECT_FALSE(parseShardArg("1", &shard, &num));
-    EXPECT_FALSE(parseShardArg("a/b", &shard, &num));
-    EXPECT_FALSE(parseShardArg("1/2x", &shard, &num));
-}
-
-TEST(MergeCsv, HeaderOnceShardsConcatenate)
-{
-    // The writer convention: only shard 0 carries the header.
-    const std::string merged = mergeCsvShards(
-        {"h\nrow0\n", "row1\n", "row2\nrow3\n"});
-    EXPECT_EQ(merged, "h\nrow0\nrow1\nrow2\nrow3\n");
-}
-
-TEST(MergeCsv, DropsRepeatedHeaders)
-{
-    // Full per-shard CSVs (each with the header) also merge cleanly.
-    const std::string merged =
-        mergeCsvShards({"h\nrow0\n", "h\nrow1\n", "h\n"});
-    EXPECT_EQ(merged, "h\nrow0\nrow1\n");
-}
-
-TEST(MergeCsv, HandlesEmptyShards)
-{
-    EXPECT_EQ(mergeCsvShards({"h\n", "", "row\n", ""}), "h\nrow\n");
-    EXPECT_EQ(mergeCsvShards({"", "row\n"}), "row\n");
-    EXPECT_EQ(mergeCsvShards({""}), "");
-    EXPECT_THROW(mergeCsvShards({}), std::runtime_error);
-}
-
-// End-to-end: shard outputs of a real (tiny) sweep concatenate to the
-// unsharded run byte for byte, for N = 1, 2, 3, and N > cells.
-TEST(RunSweep, ShardMergeRoundTrip)
+// End-to-end: the rows of any split of a real (tiny) grid into
+// contiguous cell batches concatenate, after the header, to the
+// whole-grid run byte for byte — what the orchestrator's merge relies
+// on.
+TEST(RunSweep, CellBatchesConcatenateToTheWholeGrid)
 {
     SweepSpec spec;
     spec.apps = {"masstree"};
@@ -270,32 +198,24 @@ TEST(RunSweep, ShardMergeRoundTrip)
     spec.seeds = {42};
     spec.requests = 300;
 
-    auto run = [&](int shard, int num_shards) {
-        std::FILE *f = std::tmpfile();
-        EXPECT_NE(f, nullptr);
-        runSweep(spec, shard, num_shards, 2, f);
-        std::rewind(f);
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, got);
-        std::fclose(f);
-        return text;
-    };
-
-    const std::string full = run(0, 1);
+    const std::string full =
+        captureOutput([&](std::FILE *f) { runSweep(spec, 2, f); });
     EXPECT_NE(full.find("app,policy,load,seed"), std::string::npos);
     // 4 cells + header.
     EXPECT_EQ(static_cast<int>(
                   std::count(full.begin(), full.end(), '\n')),
               5);
 
-    for (int n : {2, 3, 7}) {
-        std::vector<std::string> shards;
-        for (int i = 0; i < n; ++i)
-            shards.push_back(run(i, n));
-        EXPECT_EQ(mergeCsvShards(shards), full) << "N=" << n;
+    for (const std::vector<std::size_t> &cuts :
+         {std::vector<std::size_t>{0, 4}, {0, 1, 4}, {0, 1, 3, 4},
+          {0, 1, 2, 3, 4}}) {
+        std::string merged = std::string(sweepCsvHeader()) + "\n";
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+            merged += captureOutput([&](std::FILE *f) {
+                runSweepCells(spec, cuts[i], cuts[i + 1], 2, f);
+            });
+        }
+        EXPECT_EQ(merged, full) << "batches=" << cuts.size() - 1;
     }
 }
 
@@ -303,11 +223,11 @@ TEST(RunSweep, RejectsUnknownAppsAndPolicies)
 {
     SweepSpec spec = smallSpec();
     spec.apps = {"nosuchapp"};
-    EXPECT_THROW(runSweep(spec, 0, 1, 1, stdout), std::runtime_error);
+    EXPECT_THROW(runSweep(spec, 1, stdout), std::runtime_error);
 
     spec = smallSpec();
     spec.policies = {"nosuchpolicy"};
-    EXPECT_THROW(runSweep(spec, 0, 1, 1, stdout), std::runtime_error);
+    EXPECT_THROW(runSweep(spec, 1, stdout), std::runtime_error);
 }
 
 TEST(PolicyNames, KnownPolicyLookup)
@@ -484,165 +404,7 @@ TEST(TraceStore, ConcurrentWaitersSeeGenerationFailure)
     EXPECT_EQ(trace->size(), 5u);
 }
 
-/// Scratch directory under /tmp, removed at scope exit.
-struct ScratchDir
-{
-    ScratchDir()
-    {
-        char tmpl[] = "/tmp/rubik_sweep_test_XXXXXX";
-        if (mkdtemp(tmpl))
-            path = tmpl;
-    }
-    ~ScratchDir()
-    {
-        if (!path.empty()) {
-            std::error_code ec;
-            std::filesystem::remove_all(path, ec);
-        }
-    }
-    std::string path;
-};
-
-TEST(TraceStoreDisk, CacheFileNameIsDeterministicAndKeyed)
-{
-    const TraceKey key{"masstree", 0.4, 300, 2.4e9, 1};
-    const std::string name = TraceStore::cacheFileName(key);
-    EXPECT_EQ(name, TraceStore::cacheFileName(key));
-    EXPECT_NE(name.find("masstree-"), std::string::npos);
-    EXPECT_NE(name.find(".rtrace"), std::string::npos);
-
-    // Every key component participates in the name.
-    for (const TraceKey &other :
-         {TraceKey{"xapian", 0.4, 300, 2.4e9, 1},
-          TraceKey{"masstree", 0.5, 300, 2.4e9, 1},
-          TraceKey{"masstree", 0.4, 301, 2.4e9, 1},
-          TraceKey{"masstree", 0.4, 300, 2.0e9, 1},
-          TraceKey{"masstree", 0.4, 300, 2.4e9, 2}}) {
-        EXPECT_NE(name, TraceStore::cacheFileName(other));
-    }
-
-    // Path-hostile app names sanitize but stay distinct via the hash.
-    const TraceKey evil{"../../etc/passwd", 0.4, 300, 2.4e9, 1};
-    const std::string evil_name = TraceStore::cacheFileName(evil);
-    EXPECT_EQ(evil_name.find('/'), std::string::npos);
-}
-
-TEST(TraceStoreDisk, SecondStoreLoadsFromDiskWithoutGenerating)
-{
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    const TraceKey key{"disk", 0.4, 50, 1e9, 7};
-    const Trace canonical{TraceRecord{0.25, 500.0, 1e-5, 1},
-                          TraceRecord{0.5, 900.0, 0.0, 0}};
-
-    TraceStore first;
-    first.setCacheDir(dir.path);
-    EXPECT_EQ(first.cacheDir(), dir.path);
-    const auto produced =
-        first.get(key, [&] { return canonical; });
-    EXPECT_EQ(first.stats().generated, 1u);
-    EXPECT_EQ(first.stats().diskWrites, 1u);
-
-    // A second store (a new process, in spirit) finds it on disk.
-    TraceStore second;
-    second.setCacheDir(dir.path);
-    const auto loaded = second.get(key, [&]() -> Trace {
-        throw std::runtime_error("must not regenerate");
-    });
-    EXPECT_EQ(second.stats().generated, 0u);
-    EXPECT_EQ(second.stats().diskHits, 1u);
-    ASSERT_EQ(loaded->size(), canonical.size());
-    for (std::size_t i = 0; i < canonical.size(); ++i) {
-        EXPECT_EQ((*loaded)[i].arrivalTime, canonical[i].arrivalTime);
-        EXPECT_EQ((*loaded)[i].computeCycles,
-                  canonical[i].computeCycles);
-        EXPECT_EQ((*loaded)[i].memoryTime, canonical[i].memoryTime);
-        EXPECT_EQ((*loaded)[i].classHint, canonical[i].classHint);
-    }
-}
-
-TEST(TraceStoreDisk, CorruptCacheEntryIsRegenerated)
-{
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    const TraceKey key{"corrupt", 0.4, 50, 1e9, 9};
-
-    TraceStore first;
-    first.setCacheDir(dir.path);
-    first.get(key, [] { return Trace(4); });
-
-    // Corrupt the cached bytes in place.
-    const std::string path =
-        dir.path + "/" + TraceStore::cacheFileName(key);
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("garbage", f);
-    std::fclose(f);
-
-    TraceStore second;
-    second.setCacheDir(dir.path);
-    const auto regenerated =
-        second.get(key, [] { return Trace(4); });
-    EXPECT_EQ(regenerated->size(), 4u);
-    EXPECT_EQ(second.stats().generated, 1u);
-    EXPECT_GE(second.stats().corruptions, 1u);
-    EXPECT_EQ(second.stats().diskHits, 0u);
-
-    // The rewrite replaced the corrupt file: a third store disk-hits.
-    TraceStore third;
-    third.setCacheDir(dir.path);
-    third.get(key, []() -> Trace {
-        throw std::runtime_error("must not regenerate");
-    });
-    EXPECT_EQ(third.stats().diskHits, 1u);
-}
-
-// Two stores (standing in for two shard processes) racing on the same
-// key: the per-key file lock means exactly one generator runs.
-TEST(TraceStoreDisk, CrossStoreRaceGeneratesOnce)
-{
-    ScratchDir dir;
-    ASSERT_FALSE(dir.path.empty());
-    const TraceKey key{"race", 0.4, 50, 1e9, 11};
-    std::atomic<int> generated{0};
-
-    constexpr int kStores = 4;
-    std::vector<TraceStore> stores(kStores);
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kStores; ++i) {
-        stores[i].setCacheDir(dir.path);
-        threads.emplace_back([&, i] {
-            stores[i].get(key, [&] {
-                ++generated;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-                return Trace(2);
-            });
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-
-    EXPECT_EQ(generated.load(), 1);
-    uint64_t disk_hits = 0;
-    for (const auto &store : stores)
-        disk_hits += store.stats().diskHits;
-    EXPECT_EQ(disk_hits, static_cast<uint64_t>(kStores - 1));
-}
-
-TEST(TraceStoreDisk, RejectsUncreatableCacheDir)
-{
-    TraceStore store;
-    EXPECT_THROW(store.setCacheDir("/proc/nope/cache"),
-                 std::runtime_error);
-    // Disabled store still works purely in memory.
-    store.setCacheDir("");
-    const auto t = store.get({"mem", 0.1, 5, 1e9, 0},
-                             [] { return Trace(1); });
-    EXPECT_EQ(t->size(), 1u);
-}
-
-TEST(PrintSweepCells, ListsShardCells)
+TEST(PrintSweepCells, ListsEveryCell)
 {
     SweepSpec spec;
     spec.apps = {"masstree"};
@@ -651,29 +413,13 @@ TEST(PrintSweepCells, ListsShardCells)
     spec.seeds = {42};
     spec.requests = 300;
 
-    auto dryRun = [&](int shard, int num_shards) {
-        std::FILE *f = std::tmpfile();
-        EXPECT_NE(f, nullptr);
-        printSweepCells(spec, shard, num_shards, f);
-        std::rewind(f);
-        std::string text;
-        char buf[4096];
-        std::size_t got;
-        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, got);
-        std::fclose(f);
-        return text;
-    };
-
-    EXPECT_EQ(dryRun(0, 1), "cell,app,load,policy,seed\n"
-                            "0,masstree,0.30,fixed,42\n"
-                            "1,masstree,0.30,static,42\n"
-                            "2,masstree,0.50,fixed,42\n"
-                            "3,masstree,0.50,static,42\n");
-    // A shard lists only its cells, with global indices.
-    EXPECT_EQ(dryRun(1, 2), "cell,app,load,policy,seed\n"
-                            "2,masstree,0.50,fixed,42\n"
-                            "3,masstree,0.50,static,42\n");
+    EXPECT_EQ(captureOutput(
+                  [&](std::FILE *f) { printSweepCells(spec, f); }),
+              "cell,app,load,policy,seed\n"
+              "0,masstree,0.30,fixed,42\n"
+              "1,masstree,0.30,static,42\n"
+              "2,masstree,0.50,fixed,42\n"
+              "3,masstree,0.50,static,42\n");
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Tests for the versioned binary trace format (sim/trace.h): bit-exact
  * round trips (doubles, class hints, non-finite values, empty traces),
- * file save/load, and rejection of every corruption class the on-disk
- * trace cache relies on detecting — truncation, bad magic, unsupported
- * version, size mismatch, and payload bit flips (checksum).
+ * file save/load, and rejection of every corruption class a reader
+ * must detect — truncation, bad magic, unsupported version, size
+ * mismatch, and payload bit flips (checksum).
  */
 
 #include <cmath>
@@ -112,6 +112,31 @@ TEST(TraceBinary, ChecksumCatchesPayloadBitFlips)
     std::string bytes = serializeTraceBinary(sampleTrace());
     bytes[bytes.size() - 3] ^= 0x40; // flip a payload bit
     EXPECT_THROW(deserializeTraceBinary(bytes), std::runtime_error);
+}
+
+TEST(TraceBinary, MetaRoundTripsAndIsChecksummed)
+{
+    const Trace trace = sampleTrace();
+    const std::string meta = "app=masstree load=0.4 seed=7";
+    const std::string bytes = serializeTraceBinary(trace, meta);
+
+    const TraceBinaryHeader h = parseTraceBinaryHeader(bytes);
+    EXPECT_EQ(h.version, kTraceBinaryVersion);
+    EXPECT_EQ(h.records, trace.size());
+    EXPECT_EQ(h.meta, meta);
+    EXPECT_EQ(h.totalBytes, bytes.size());
+
+    // The header and meta parse from a prefix, without the payload.
+    const TraceBinaryHeader prefix =
+        parseTraceBinaryHeader(bytes.substr(0, 28 + meta.size()));
+    EXPECT_EQ(prefix.meta, meta);
+
+    expectTracesBitIdentical(trace, deserializeTraceBinary(bytes));
+
+    // The checksum covers the meta: a meta bit flip is corruption.
+    std::string corrupted = bytes;
+    corrupted[28] ^= 0x01; // first meta byte
+    EXPECT_THROW(deserializeTraceBinary(corrupted), std::runtime_error);
 }
 
 TEST(TraceBinary, GarbageCountDoesNotAllocate)

@@ -13,30 +13,18 @@
  *
  * Subcommands for batch experiment grids (src/runner/sweep_spec.h):
  *   rubik_cli sweep --spec grid.spec                # whole grid as CSV
- *   rubik_cli sweep --spec grid.spec --shard 1/3    # one shard's rows
  *   rubik_cli sweep --spec grid.spec --dry-run      # list cells only
- *   rubik_cli merge merged.csv shard0.csv shard1.csv shard2.csv
+ *   rubik_cli sweep --spec grid.spec --out grid.csv # journaled, resumable
  *
- * Sharded sweeps write the CSV header only on shard 0, so concatenating
- * the shard outputs in order (`merge`) is byte-identical to the
- * unsharded run.
- *
- * Trace-cache management (workloads/cache_manager.h):
- *   rubik_cli cache ls --dir DIR [--json]     # entries + recorded keys
- *   rubik_cli cache verify --dir DIR [--fix]  # checksum every entry
- *   rubik_cli cache vacuum --dir DIR --cap 256M [--max-age 7d]
- *   rubik_cli cache stats --dir DIR [--json]
- * --dir defaults to $RUBIK_TRACE_CACHE. None of these create the
- * directory or any files in it (vacuum/verify only remove).
- *
- * Execution backends (src/runner/backend.h) dispatch a sweep's shards
- * instead of running them on this process's thread pool:
+ * Any orchestration flag (--out, --ledger, --resume, --schedule
+ * dynamic, --backend, --shards) runs the grid through the orchestrator
+ * (src/runner/orchestrator.h), which leases batches of cells to
+ * workers; a dispatching backend runs each batch as a child process:
  *   rubik_cli sweep --spec grid.spec --backend subprocess --shards 3
  *   rubik_cli sweep --spec grid.spec --shards 4 \
  *       --backend 'command:ssh host {argv}'
- * Pair with --trace-cache DIR (or RUBIK_TRACE_CACHE) so concurrent
- * shard processes on one machine generate each shared trace exactly
- * once; --trace-stats reports generated/hit counts on stderr.
+ * --trace-stats reports each process's generated/hit trace counts on
+ * stderr.
  *
  * Multi-load sweeps (--loads) run every load as an independent job on
  * an ExperimentRunner thread pool; each job derives its trace from the
@@ -46,9 +34,7 @@
  * under the cluster coordinator:
  *   rubik_cli fleet --cores 96,960 --budget-frac 0.6,1.0 --csv
  *   rubik_cli fleet --cores 10080 --budget-watts 40000 --json
- *   rubik_cli fleet --cores 960 --budget-frac 0.6 --shard 1/3 --csv
- * One cell per (cores, budget) pair; sharded cells concatenate
- * byte-identically to the unsharded run, exactly like sweep shards.
+ * One cell per (cores, budget) pair.
  */
 
 #include <algorithm>
@@ -56,7 +42,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 #include <exception>
 #include <functional>
 #include <optional>
@@ -77,7 +62,6 @@
 #include "sim/simulation.h"
 #include "util/error.h"
 #include "util/units.h"
-#include "workloads/cache_manager.h"
 #include "workloads/trace_gen.h"
 #include "workloads/trace_import.h"
 #include "workloads/trace_store.h"
@@ -163,39 +147,33 @@ usage(const char *argv0)
         "replay;\n"
         "                     replay-based policies do not support it)\n"
         "subcommands:\n"
-        "  %s sweep --spec FILE [--shard I/N] [--jobs N]\n"
+        "  %s sweep --spec FILE [--jobs N] [--dry-run] [--simd MODE]\n"
+        "       [--trace-stats] [--cells B-E]\n"
         "       [--backend local|subprocess|command:<tmpl>] "
         "[--shards N]\n"
-        "       [--retries N] [--trace-cache DIR] [--cache-cap SIZE]\n"
-        "       [--trace-stats] [--dry-run] [--simd MODE]\n"
         "       [--out CSV] [--resume] [--ledger FILE] "
-        "[--schedule static|dynamic]\n"
-        "       [--batch-cells N] [--lease-timeout SEC] "
-        "[--fault SPEC] [--cells B-E]\n"
-        "                     run a sweep-spec grid (or one shard) as "
-        "CSV on stdout;\n"
-        "                     non-local backends dispatch N shard "
-        "invocations and\n"
-        "                     merge their CSVs byte-identically.\n"
-        "                     --out/--resume/--ledger/--schedule "
-        "dynamic run the\n"
-        "                     fault-tolerant orchestrator: cells are "
-        "leased in\n"
-        "                     batches (work-stealing after "
-        "--lease-timeout), every\n"
-        "                     finished cell is journaled to the "
-        "ledger, and\n"
-        "                     --resume skips journaled cells — the "
-        "CSV stays\n"
-        "                     byte-identical to an uninterrupted run. "
+        "[--schedule dynamic]\n"
+        "       [--retries N] [--batch-cells N] [--lease-timeout SEC] "
+        "[--fault SPEC]\n"
+        "                     run a sweep-spec grid as CSV on stdout. "
         "--cells runs\n"
-        "                     one leased batch (rows only, no header);"
-        " --fault\n"
-        "                     injects deterministic failures "
-        "(docs/backends.md)\n"
-        "  %s merge OUT SHARD0 [SHARD1 ...]\n"
-        "                     concatenate shard CSVs into OUT "
-        "(byte-identical to the unsharded run)\n"
+        "                     one batch (rows only, no header). Any of "
+        "--backend,\n"
+        "                     --shards, --out, --ledger, --resume or "
+        "--schedule\n"
+        "                     runs the fault-tolerant orchestrator: "
+        "cells are\n"
+        "                     leased in batches to N workers "
+        "(work-stealing after\n"
+        "                     --lease-timeout), every finished cell is "
+        "journaled\n"
+        "                     to the ledger, and --resume skips "
+        "journaled cells —\n"
+        "                     the CSV stays byte-identical to an "
+        "uninterrupted\n"
+        "                     run. --fault injects deterministic "
+        "failures\n"
+        "                     (docs/backends.md)\n"
         "  %s fleet [--cores N1,N2,...] [--budget-frac F1,F2,... | "
         "--budget-watts W]\n"
         "       [--app NAME] [--policy NAME] [--cores-per-machine N]\n"
@@ -205,25 +183,12 @@ usage(const char *argv0)
         "       [--max-core-load F] [--load-quantum F] "
         "[--transition-us US]\n"
         "       [--thermal] [--tj C] [--ambient C]\n"
-        "       [--jobs N] [--shard I/N] [--simd MODE] "
-        "[--csv | --json]\n"
+        "       [--jobs N] [--simd MODE] [--csv | --json]\n"
         "                     sweep fleet size x global power budget "
         "under the\n"
         "                     cluster coordinator; budget-frac scales "
         "cores x nominal\n"
-        "                     core power (0 = uncapped); shard CSVs "
-        "concatenate\n"
-        "                     byte-identically to the unsharded run\n"
-        "  %s cache ls|verify|vacuum|stats [--dir DIR] ...\n"
-        "                     manage a trace-cache directory (default "
-        "--dir: $RUBIK_TRACE_CACHE):\n"
-        "                       ls      [--json]  entries with size, "
-        "mtime, recorded key\n"
-        "                       verify  [--fix]   checksum every entry;"
-        " --fix removes corrupt ones\n"
-        "                       vacuum  [--cap SIZE] [--max-age DUR]  "
-        "LRU-evict to the cap\n"
-        "                       stats   [--json]  aggregate totals\n"
+        "                     core power (0 = uncapped)\n"
         "  %s serve --socket PATH --bound-ms MS [--percentile P]\n"
         "       [--update-ms MS] [--feedback] [--max-queue N] "
         "[--no-timing]\n"
@@ -260,7 +225,7 @@ usage(const char *argv0)
         "rejected with\n"
         "                     the offending line number "
         "(docs/thermal.md)\n",
-        argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+        argv0, argv0, argv0, argv0, argv0, argv0, argv0);
     std::exit(0);
 }
 
@@ -297,7 +262,15 @@ parse(int argc, char **argv)
     parser.flag("--decision-hash", [&o] { o.decisionHash = true; });
     addRunFlags(parser, &run);
     addSimdFlag(parser, &run);
-    parser.onUnknown([argv](const char *) { usage(argv[0]); });
+    parser.flag("--help", [argv] { usage(argv[0]); });
+    parser.onUnknown([](const char *token) {
+        // Not usage(): that exits 0 on stdout, so a typo'd flag or a
+        // removed subcommand would pass for a successful run.
+        std::fprintf(stderr,
+                     "unknown flag or subcommand: %s (try --help)\n",
+                     token);
+        std::exit(1);
+    });
     parser.run();
 
     o.requests = run.requests;
@@ -322,13 +295,16 @@ appByName(const std::string &name)
     return *id;
 }
 
-/// `rubik_cli sweep --spec FILE [--shard I/N | --backend B --shards N]`.
+/**
+ * `rubik_cli sweep --spec FILE ...`: the whole grid in this process,
+ * one `--cells` batch (a batch child), or, given any orchestration
+ * flag, the orchestrator (runner/orchestrator.h).
+ */
 int
 sweepMain(int argc, char **argv)
 {
     std::string spec_path;
     std::string backend_desc = "local";
-    std::string trace_cache, cache_cap;
     std::string cells_arg, out_path, ledger_path, schedule, fault_spec;
     std::size_t batch_cells = 0;
     double lease_timeout = 0.0;
@@ -336,18 +312,13 @@ sweepMain(int argc, char **argv)
     int jobs = 0;
     int dispatch_shards = 1, retries = -1;
     bool dry_run = false, trace_stats = false;
-    ShardOption shard;
     CommonRunOptions run;
     OptionsParser parser(argc, argv, 2);
     parser.value("--spec", [&](const char *v) { spec_path = v; });
-    addShardFlag(parser, &shard);
     parser.count("--jobs", &jobs, 0);
     parser.value("--backend", [&](const char *v) { backend_desc = v; });
     parser.count("--shards", &dispatch_shards, 1);
     parser.count("--retries", &retries, 0, kMaxRetries);
-    parser.value("--trace-cache",
-                 [&](const char *v) { trace_cache = v; });
-    parser.value("--cache-cap", [&](const char *v) { cache_cap = v; });
     parser.flag("--trace-stats", [&] { trace_stats = true; });
     parser.flag("--dry-run", [&] { dry_run = true; });
     parser.value("--cells", [&](const char *v) { cells_arg = v; });
@@ -361,7 +332,7 @@ sweepMain(int argc, char **argv)
     addSimdFlag(parser, &run);
     parser.onUnknown([](const char *token) {
         // Not usage(): that exits 0 on stdout, which would let a
-        // typo'd flag corrupt a redirected shard CSV silently.
+        // typo'd flag corrupt a redirected CSV silently.
         std::fprintf(stderr, "sweep: unknown flag %s\n", token);
         std::exit(1);
     });
@@ -372,51 +343,27 @@ sweepMain(int argc, char **argv)
         std::fprintf(stderr, "sweep needs --spec FILE\n");
         return 1;
     }
-    if (shard.given && (backend_desc != "local" || dispatch_shards > 1)) {
-        // --shard selects one shard of someone else's dispatch;
-        // --backend/--shards IS the dispatch. Mixing them is a
-        // contradiction, not a composition.
-        std::fprintf(stderr,
-                     "sweep: --shard cannot be combined with "
-                     "--backend/--shards\n");
+    if (!schedule.empty() && schedule != "dynamic") {
+        // The orchestrator's leased batches are the only schedule.
+        std::fprintf(stderr, "sweep: --schedule wants dynamic\n");
         return 1;
     }
-    if (!schedule.empty() && schedule != "static" &&
-        schedule != "dynamic") {
-        std::fprintf(stderr,
-                     "sweep: --schedule wants static or dynamic\n");
-        return 1;
-    }
-    const bool orchestrated = !out_path.empty() || resume ||
-                              !ledger_path.empty() ||
-                              schedule == "dynamic";
-    if (!cells_arg.empty() &&
-        (shard.given || orchestrated || dry_run ||
-         backend_desc != "local" || dispatch_shards > 1)) {
+    const bool orchestrated =
+        !out_path.empty() || resume || !ledger_path.empty() ||
+        !schedule.empty() || backend_desc != "local" ||
+        dispatch_shards > 1;
+    if (!cells_arg.empty() && (orchestrated || dry_run)) {
         // --cells is a leased batch child: rows only, no dispatch, no
         // ledger of its own. The coordinator owns everything else.
         std::fprintf(stderr,
-                     "sweep: --cells cannot be combined with --shard, "
-                     "--backend/--shards, --dry-run, or the "
-                     "orchestration flags\n");
-        return 1;
-    }
-    if (schedule == "static" && orchestrated) {
-        std::fprintf(stderr,
-                     "sweep: --schedule static contradicts "
-                     "--out/--resume/--ledger\n");
+                     "sweep: --cells cannot be combined with --dry-run "
+                     "or the orchestration flags\n");
         return 1;
     }
     if (resume && out_path.empty() && ledger_path.empty()) {
         std::fprintf(stderr,
                      "sweep: --resume needs --out or --ledger "
                      "(nothing to resume from)\n");
-        return 1;
-    }
-    if (orchestrated && shard.given) {
-        std::fprintf(stderr,
-                     "sweep: --shard cannot be combined with the "
-                     "orchestration flags\n");
         return 1;
     }
     if (!fault_spec.empty()) {
@@ -433,15 +380,9 @@ sweepMain(int argc, char **argv)
     try {
         const SweepSpec spec = SweepSpec::parseFile(spec_path);
         if (dry_run) {
-            // Listing cells touches no traces: do not create (or even
-            // require) the trace-cache directory as a side effect.
-            printSweepCells(spec, shard.shard, shard.numShards, stdout);
+            printSweepCells(spec, stdout);
             return 0;
         }
-        if (!trace_cache.empty())
-            globalTraceStore().setCacheDir(trace_cache);
-        if (!cache_cap.empty())
-            globalTraceStore().setCacheCap(parseSizeBytes(cache_cap));
         if (!cells_arg.empty()) {
             std::size_t begin = 0, end = 0;
             if (!parseCellRange(cells_arg, &begin, &end)) {
@@ -455,8 +396,6 @@ sweepMain(int argc, char **argv)
             opt.backendDesc = backend_desc;
             opt.backend.numShards = dispatch_shards;
             opt.backend.jobs = jobs;
-            opt.backend.traceCacheDir = trace_cache;
-            opt.backend.traceCacheCap = cache_cap;
             opt.backend.traceStats = trace_stats;
             opt.backend.selfExe = selfExePath(argv[0]);
             opt.outPath = out_path;
@@ -466,38 +405,19 @@ sweepMain(int argc, char **argv)
             opt.leaseTimeoutSec = lease_timeout;
             opt.maxAttempts = retries >= 0 ? retries + 1 : 0;
             runOrchestratedSweep(spec, opt);
-        } else if (backend_desc == "local" && dispatch_shards == 1) {
-            runSweep(spec, shard.shard, shard.numShards, jobs, stdout);
         } else {
-            BackendConfig cfg;
-            cfg.numShards = dispatch_shards;
-            cfg.jobs = jobs;
-            cfg.maxAttempts = retries >= 0 ? retries + 1 : 0;
-            cfg.traceCacheDir = trace_cache;
-            cfg.traceCacheCap = cache_cap;
-            cfg.traceStats = trace_stats;
-            cfg.selfExe = selfExePath(argv[0]);
-            const auto backend = makeBackend(backend_desc, cfg);
-            backend->runSweepSpec(spec, stdout);
+            runSweep(spec, jobs, stdout);
         }
-        // A warm run performs no cache writes, so the write-triggered
-        // enforcement never fires; converge an over-cap store here.
-        globalTraceStore().enforceCacheCap();
-        // Dispatching backends forward --trace-stats to their
-        // children, whose stderr (one stats line each) is replayed in
-        // shard order; only in-process execution reports its own.
+        // Batch children forward --trace-stats to their own stderr,
+        // which the orchestrator replays; only in-process execution
+        // reports this process's store.
         if (trace_stats && backend_desc == "local") {
             const TraceStore::Stats s = globalTraceStore().stats();
             std::fprintf(stderr,
                          "trace-store: generated=%llu mem_hits=%llu "
-                         "disk_hits=%llu disk_writes=%llu "
-                         "corrupt=%llu evicted=%llu entries=%zu\n",
+                         "entries=%zu\n",
                          static_cast<unsigned long long>(s.generated),
                          static_cast<unsigned long long>(s.hits),
-                         static_cast<unsigned long long>(s.diskHits),
-                         static_cast<unsigned long long>(s.diskWrites),
-                         static_cast<unsigned long long>(s.corruptions),
-                         static_cast<unsigned long long>(s.evictions),
                          globalTraceStore().size());
         }
     } catch (const std::exception &e) {
@@ -539,339 +459,76 @@ jsonEscape(const std::string &text)
     return out;
 }
 
-std::string
-isoUtc(int64_t seconds)
-{
-    const std::time_t t = static_cast<std::time_t>(seconds);
-    std::tm tm{};
-    gmtime_r(&t, &tm);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-    return buf;
-}
-
-/// Shared flag parsing for the `cache` sub-subcommands.
-struct CacheOptions
-{
-    std::string dir;
-    std::string cap;
-    std::string maxAge;
-    bool json = false;
-    bool fix = false;
-};
-
-/// `rubik_cli cache ls|verify|vacuum|stats [--dir DIR] ...`. Never
-/// creates the directory (a missing one is just an empty cache).
-int
-cacheMain(int argc, char **argv)
-{
-    const std::string action = argc > 2 ? argv[2] : "";
-    if (action != "ls" && action != "verify" && action != "vacuum" &&
-        action != "stats") {
-        std::fprintf(stderr,
-                     "cache wants one of: ls, verify, vacuum, stats\n");
-        return 1;
-    }
-    CacheOptions o;
-    if (const char *env = std::getenv("RUBIK_TRACE_CACHE"))
-        o.dir = env;
-    for (int i = 3; i < argc; ++i) {
-        auto need = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--dir"))
-            o.dir = need("--dir");
-        else if (!std::strcmp(argv[i], "--json"))
-            o.json = true;
-        else if (!std::strcmp(argv[i], "--fix") && action == "verify")
-            o.fix = true;
-        else if (!std::strcmp(argv[i], "--cap") && action == "vacuum")
-            o.cap = need("--cap");
-        else if (!std::strcmp(argv[i], "--max-age") &&
-                 action == "vacuum")
-            o.maxAge = need("--max-age");
-        else {
-            std::fprintf(stderr, "cache %s: unknown flag %s\n",
-                         action.c_str(), argv[i]);
-            return 1;
-        }
-    }
-    if (o.dir.empty()) {
-        std::fprintf(stderr,
-                     "cache: no directory (use --dir or set "
-                     "RUBIK_TRACE_CACHE)\n");
-        return 1;
-    }
-
-    try {
-        CacheManager manager(o.dir);
-
-        if (action == "ls") {
-            const auto entries = manager.list();
-            if (o.json) {
-                std::printf("[");
-                for (std::size_t i = 0; i < entries.size(); ++i) {
-                    const auto &e = entries[i];
-                    std::printf(
-                        "%s\n  {\"file\": \"%s\", \"bytes\": %llu, "
-                        "\"mtime\": \"%s\", \"records\": %llu, "
-                        "\"status\": \"%s\", \"meta\": \"%s\", "
-                        "\"error\": \"%s\"}",
-                        i ? "," : "", jsonEscape(e.name).c_str(),
-                        static_cast<unsigned long long>(e.sizeBytes),
-                        isoUtc(e.mtimeSec).c_str(),
-                        static_cast<unsigned long long>(e.records),
-                        e.headerOk ? "ok" : "corrupt",
-                        jsonEscape(e.meta).c_str(),
-                        jsonEscape(e.error).c_str());
-                }
-                std::printf("%s]\n", entries.empty() ? "" : "\n");
-                return 0;
-            }
-            std::size_t name_w = 4;
-            for (const auto &e : entries)
-                name_w = std::max(name_w, e.name.size());
-            std::printf("%-*s  %10s  %-20s  %8s  %-7s  %s\n",
-                        static_cast<int>(name_w), "FILE", "SIZE",
-                        "MTIME", "RECORDS", "STATUS", "META");
-            for (const auto &e : entries) {
-                std::printf("%-*s  %10s  %-20s  %8llu  %-7s  %s\n",
-                            static_cast<int>(name_w), e.name.c_str(),
-                            formatSizeBytes(e.sizeBytes).c_str(),
-                            isoUtc(e.mtimeSec).c_str(),
-                            static_cast<unsigned long long>(e.records),
-                            e.headerOk ? "ok" : "corrupt",
-                            (e.headerOk ? e.meta : e.error).c_str());
-            }
-            std::printf("%zu entries\n", entries.size());
-            return 0;
-        }
-
-        if (action == "stats") {
-            const auto s = manager.stats();
-            if (o.json) {
-                std::printf(
-                    "{\"dir\": \"%s\", \"entries\": %llu, "
-                    "\"bytes\": %llu, \"bad_headers\": %llu, "
-                    "\"lock_files\": %llu, \"tmp_files\": %llu, "
-                    "\"oldest\": \"%s\", \"newest\": \"%s\"}\n",
-                    jsonEscape(o.dir).c_str(),
-                    static_cast<unsigned long long>(s.entries),
-                    static_cast<unsigned long long>(s.totalBytes),
-                    static_cast<unsigned long long>(s.badHeaders),
-                    static_cast<unsigned long long>(s.lockFiles),
-                    static_cast<unsigned long long>(s.tmpFiles),
-                    s.entries ? isoUtc(s.oldestMtimeSec).c_str() : "",
-                    s.entries ? isoUtc(s.newestMtimeSec).c_str() : "");
-                return 0;
-            }
-            std::printf("directory   %s%s\n", o.dir.c_str(),
-                        manager.exists() ? "" : " (does not exist)");
-            std::printf("entries     %llu (%s)\n",
-                        static_cast<unsigned long long>(s.entries),
-                        formatSizeBytes(s.totalBytes).c_str());
-            std::printf("bad headers %llu\n",
-                        static_cast<unsigned long long>(s.badHeaders));
-            std::printf("lock files  %llu\n",
-                        static_cast<unsigned long long>(s.lockFiles));
-            std::printf("tmp files   %llu\n",
-                        static_cast<unsigned long long>(s.tmpFiles));
-            if (s.entries > 0) {
-                std::printf("oldest      %s\n",
-                            isoUtc(s.oldestMtimeSec).c_str());
-                std::printf("newest      %s\n",
-                            isoUtc(s.newestMtimeSec).c_str());
-            }
-            return 0;
-        }
-
-        if (action == "verify") {
-            const auto r = manager.verify(o.fix);
-            for (const auto &e : r.corrupt) {
-                std::printf("corrupt: %s (%s)\n", e.name.c_str(),
-                            e.error.c_str());
-            }
-            std::printf("%llu checked, %zu corrupt, %llu removed\n",
-                        static_cast<unsigned long long>(r.checked),
-                        r.corrupt.size(),
-                        static_cast<unsigned long long>(r.removed));
-            // Nonzero when corruption survives the run, so scripts
-            // can gate on a clean store.
-            return r.corrupt.size() > r.removed ? 1 : 0;
-        }
-
-        // vacuum
-        const uint64_t cap =
-            o.cap.empty() ? 0 : parseSizeBytes(o.cap);
-        const int64_t max_age =
-            o.maxAge.empty() ? 0 : parseDurationSeconds(o.maxAge);
-        if (cap == 0 && max_age == 0) {
-            std::fprintf(stderr,
-                         "cache vacuum: need --cap SIZE and/or "
-                         "--max-age DURATION\n");
-            return 1;
-        }
-        const auto r = manager.vacuum(cap, max_age);
-        std::printf("evicted %llu (%s), skipped %llu locked, "
-                    "removed %llu stale files; %llu entries (%s) "
-                    "remain\n",
-                    static_cast<unsigned long long>(r.evicted),
-                    formatSizeBytes(r.evictedBytes).c_str(),
-                    static_cast<unsigned long long>(r.skippedLocked),
-                    static_cast<unsigned long long>(r.tmpRemoved),
-                    static_cast<unsigned long long>(r.remainingEntries),
-                    formatSizeBytes(r.remainingBytes).c_str());
-        return 0;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "cache %s: %s\n", action.c_str(),
-                     e.what());
-        return 1;
-    }
-}
-
-/// `rubik_cli merge OUT SHARD0 [SHARD1 ...]`.
-int
-mergeMain(int argc, char **argv)
-{
-    if (argc < 4) {
-        std::fprintf(stderr,
-                     "merge wants an output and >= 1 shard CSVs\n");
-        return 1;
-    }
-    try {
-        mergeCsvShardFiles(argv[2],
-                           std::vector<std::string>(argv + 3,
-                                                    argv + argc));
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "merge: %s\n", e.what());
-        return 1;
-    }
-    return 0;
-}
-
 /// `rubik_cli fleet [--cores ...] [--budget-frac ... | --budget-watts W]`:
-/// one fleet run per (cores, budget) grid cell, sharded like sweep.
+/// one fleet run per (cores, budget) grid cell.
 int
 fleetMain(int argc, char **argv)
 {
     FleetConfig base;
     std::vector<int> cores_list = {96};
-    std::vector<double> fracs = {0.0};
+    std::vector<double> fracs; ///< Empty: --budget-frac not given.
     double budget_watts = 0.0;
-    int jobs = 0;
     bool csv = false, json = false;
-    bool fracs_given = false;
-    ShardOption shard;
     CommonRunOptions run;
+    run.seed = base.seed;
+    run.requests = base.requestsPerEpoch;
+    ThermalParams &thermal = base.thermal.params;
 
-    auto parse_list = [](const std::string &list,
-                         const std::function<void(const std::string &)>
-                             &item) {
-        std::size_t pos = 0;
-        while (pos < list.size()) {
-            std::size_t comma = list.find(',', pos);
-            if (comma == std::string::npos)
-                comma = list.size();
-            item(list.substr(pos, comma - pos));
-            pos = comma + 1;
-        }
-    };
     OptionsParser parser(argc, argv, 2);
     parser.value("--app", [&](const char *v) { base.app = v; });
     parser.value("--policy", [&](const char *v) { base.policy = v; });
-    parser.value("--cores", [&](const char *v) {
-        cores_list.clear();
-        parse_list(v, [&](const std::string &s) {
-            cores_list.push_back(std::atoi(s.c_str()));
-        });
-    });
-    parser.value("--budget-frac", [&](const char *v) {
-        fracs.clear();
-        fracs_given = true;
-        parse_list(v, [&](const std::string &s) {
-            fracs.push_back(std::atof(s.c_str()));
-        });
-    });
-    parser.value("--budget-watts", [&](const char *v) {
-        budget_watts = std::atof(v);
-    });
-    parser.value("--cores-per-machine", [&](const char *v) {
-        base.coresPerMachine = std::atoi(v);
-    });
-    parser.value("--epochs",
-                 [&](const char *v) { base.epochs = std::atoi(v); });
-    parser.value("--requests", [&](const char *v) {
-        base.requestsPerEpoch = std::atoi(v);
-    });
-    parser.value("--bound-ms",
-                 [&](const char *v) { base.boundMs = std::atof(v); });
-    parser.value("--seed", [&](const char *v) {
-        base.seed = static_cast<uint64_t>(std::atoll(v));
-    });
-    parser.value("--base-load", [&](const char *v) {
-        base.loadModel.baseLoad = std::atof(v);
-    });
-    parser.value("--surge-factor", [&](const char *v) {
-        base.loadModel.surgeFactor = std::atof(v);
-    });
-    parser.value("--surge-fraction", [&](const char *v) {
-        base.loadModel.surgeFraction = std::atof(v);
-    });
-    parser.value("--max-core-load", [&](const char *v) {
-        base.maxCoreLoad = std::atof(v);
-    });
-    parser.value("--load-quantum", [&](const char *v) {
-        base.loadQuantum = std::atof(v);
-    });
-    parser.value("--transition-us", [&](const char *v) {
-        base.transitionUs = std::atof(v);
-    });
+    parser.countList("--cores", &cores_list, 1);
+    parser.numberList("--budget-frac", &fracs, NumberRange::atLeast(0.0));
+    parser.number("--budget-watts", &budget_watts,
+                  NumberRange::atLeast(0.0));
+    parser.count("--cores-per-machine", &base.coresPerMachine, 1);
+    parser.count("--epochs", &base.epochs, 1);
+    parser.number("--bound-ms", &base.boundMs, NumberRange::atLeast(0.0));
+    parser.number("--base-load", &base.loadModel.baseLoad, kLoadRange);
+    parser.number("--surge-factor", &base.loadModel.surgeFactor,
+                  NumberRange::atLeast(0.0));
+    parser.number("--surge-fraction", &base.loadModel.surgeFraction,
+                  NumberRange{0.0, 1.0, false, false});
+    parser.number("--max-core-load", &base.maxCoreLoad,
+                  NumberRange{0.0, 1.0, true, false});
+    parser.number("--load-quantum", &base.loadQuantum,
+                  NumberRange{0.0, 0.5, true, false});
+    parser.number("--transition-us", &base.transitionUs,
+                  NumberRange::atLeast(0.0));
     parser.flag("--thermal", [&] { base.thermal.enabled = true; });
-    parser.value("--tj", [&](const char *v) {
-        base.thermal.params.junction = std::atof(v);
+    parser.number("--tj", &thermal.junction, kCelsiusRange);
+    parser.number("--ambient", kCelsiusRange, [&thermal](double c) {
+        thermal.ambient = c;
+        thermal.leakTref = c;
     });
-    parser.value("--ambient", [&](const char *v) {
-        base.thermal.params.ambient = std::atof(v);
-        base.thermal.params.leakTref = base.thermal.params.ambient;
-    });
-    parser.value("--jobs", [&](const char *v) { jobs = std::atoi(v); });
-    addShardFlag(parser, &shard);
+    addRunFlags(parser, &run);
     addSimdFlag(parser, &run);
     parser.flag("--csv", [&] { csv = true; });
     parser.flag("--json", [&] { json = true; });
     parser.onUnknown([](const char *token) {
         // Not usage(): that exits 0 on stdout, which would let a
-        // typo'd flag corrupt a redirected shard CSV silently.
+        // typo'd flag corrupt a redirected CSV silently.
         std::fprintf(stderr, "fleet: unknown flag %s\n", token);
         std::exit(1);
     });
     parser.run();
     if (run.simdGiven)
         applySimdSelection(run);
+    base.seed = run.seed;
+    base.requestsPerEpoch = run.requests;
+    const int jobs = run.jobs;
+    const bool fracs_given = !fracs.empty();
+    if (!fracs_given)
+        fracs = {0.0};
     if (csv && json) {
         std::fprintf(stderr,
                      "--csv and --json are mutually exclusive\n");
-        return 1;
-    }
-    if (json && shard.given) {
-        // A JSON array cannot be concatenated from shard outputs.
-        std::fprintf(stderr,
-                     "fleet: --json cannot be combined with --shard "
-                     "(use --csv)\n");
         return 1;
     }
     if (budget_watts > 0.0 && fracs_given) {
         std::fprintf(stderr,
                      "fleet: --budget-watts and --budget-frac are "
                      "mutually exclusive\n");
-        return 1;
-    }
-    if (cores_list.empty()) {
-        std::fprintf(stderr, "fleet: --cores needs a comma list\n");
         return 1;
     }
 
@@ -917,9 +574,7 @@ fleetMain(int argc, char **argv)
     }
 
     try {
-        const ShardRange range =
-            shardRange(cells.size(), shard.shard, shard.numShards);
-        if (csv && shard.shard == 0) {
+        if (csv) {
             std::printf(
                 "app,policy,cores,budget_frac,budget_w,epoch,"
                 "offered_load,mean_load,shed_frac,tail_ms,"
@@ -928,7 +583,7 @@ fleetMain(int argc, char **argv)
         }
         if (json)
             std::printf("[");
-        for (std::size_t ci = range.begin; ci < range.end; ++ci) {
+        for (std::size_t ci = 0; ci < cells.size(); ++ci) {
             const Cell &cell = cells[ci];
             FleetConfig cfg = base;
             cfg.machines = cell.cores / base.coresPerMachine;
@@ -951,7 +606,7 @@ fleetMain(int argc, char **argv)
                     "\"peak_power_w\": %.2f, "
                     "\"peak_over_budget\": %.4f, \"shed_frac\": %.4f, "
                     "\"capped_frac\": %.4f, \"groups\": %d}",
-                    ci > range.begin ? "," : "",
+                    ci > 0 ? "," : "",
                     jsonEscape(cfg.app).c_str(),
                     jsonEscape(cfg.policy).c_str(), cell.cores,
                     cell.frac, cell.watts, r.bound / kMs,
@@ -1002,7 +657,7 @@ fleetMain(int argc, char **argv)
                 continue;
             }
 
-            if (ci > range.begin)
+            if (ci > 0)
                 std::printf("\n");
             std::printf("fleet          %d cores (%d machines x %d), "
                         "%s/%s\n",
@@ -1034,7 +689,7 @@ fleetMain(int argc, char **argv)
                         r.groupsSimulated, r.epochs.size());
         }
         if (json)
-            std::printf("%s]\n", range.empty() ? "" : "\n");
+            std::printf("%s]\n", cells.empty() ? "" : "\n");
     } catch (const std::exception &e) {
         std::fprintf(stderr, "fleet: %s\n", e.what());
         return 1;
@@ -1227,10 +882,6 @@ main(int argc, char **argv)
 {
     if (argc > 1 && !std::strcmp(argv[1], "sweep"))
         return sweepMain(argc, argv);
-    if (argc > 1 && !std::strcmp(argv[1], "merge"))
-        return mergeMain(argc, argv);
-    if (argc > 1 && !std::strcmp(argv[1], "cache"))
-        return cacheMain(argc, argv);
     if (argc > 1 && !std::strcmp(argv[1], "fleet"))
         return fleetMain(argc, argv);
     if (argc > 1 && !std::strcmp(argv[1], "serve"))
@@ -1313,7 +964,7 @@ main(int argc, char **argv)
             1.0 - out.energyPerRequest / out.fixedEnergyPerRequest;
         const DecisionLog &dlog = decisionLogs[li];
         if (o.json) {
-            // One object per load, cache ls-style: key order matches
+            // One object per load: key order matches
             // the CSV columns (docs/fleet.md documents the schema).
             std::printf(
                 "%s\n  {\"app\": \"%s\", \"policy\": \"%s\", "
