@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/error.h"
 #include "util/fft.h"
@@ -186,55 +187,72 @@ DiscreteDistribution::rebinMasses(const double *src, std::size_t src_len,
                                   double src_width, double new_width,
                                   std::size_t new_buckets)
 {
-    std::vector<double> out(new_buckets, 0.0);
-    // Batch the per-bucket edge divides (each source bucket [a, b)
-    // maps to fractional target coordinates [a, b)/new_width); the
-    // vector kernel computes the identical per-element expressions.
-    static thread_local std::vector<double> lo_edges, hi_edges;
-    lo_edges.resize(src_len);
-    hi_edges.resize(src_len);
-    simdKernels().rebinEdgesAll(lo_edges.data(), hi_edges.data(), src_len,
-                                src_width, new_width);
+    // Source bucket [a, b) spreads its mass uniformly over the target
+    // buckets it covers. The dispatched kernel gives each source its
+    // first target and its two-target weights (1 and 0 when it lies in
+    // one bucket); a source spanning more targets gets the general
+    // segment loop below.
+    static thread_local std::vector<std::uint32_t> target;
+    static thread_local std::vector<double> w_lo, w_hi;
+    target.resize(src_len);
+    w_lo.resize(src_len);
+    w_hi.resize(src_len);
+    simdKernels().rebinSplitAll(target.data(), w_lo.data(), w_hi.data(),
+                                src_len, src_width, new_width,
+                                new_buckets - 1);
+
+    // out[j] and out[j + 1] live in registers while the sources map
+    // there. Targets never decrease with the source index, so each
+    // bucket still receives its shares in source order, and the sums
+    // round exactly as adding into memory did: a source inside one
+    // bucket adds mass * 1 (its mass) and mass * 0 (+0.0, which leaves
+    // a nonnegative sum unchanged). The slot past the top bucket only
+    // ever holds those zeros.
+    std::vector<double> out(new_buckets + 1, 0.0);
+    std::size_t j = 0;
+    double acc0 = 0.0, acc1 = 0.0;
     for (std::size_t i = 0; i < src_len; ++i) {
+        const std::size_t lo = target[i];
+        if (lo != j) {
+            out[j] = acc0;
+            if (lo == j + 1) {
+                acc0 = acc1;
+            } else {
+                out[j + 1] = acc1;
+                acc0 = out[lo];
+            }
+            acc1 = out[lo + 1];
+            j = lo;
+        }
+        if (w_hi[i] >= 0.0) {
+            acc0 += src[i] * w_lo[i];
+            acc1 += src[i] * w_hi[i];
+            continue;
+        }
         if (src[i] == 0.0)
             continue;
-        // Source bucket [a, b) spreads its mass uniformly over the target.
-        const double lo_f = lo_edges[i];
-        const double hi_f = hi_edges[i];
-        auto lo = static_cast<std::size_t>(lo_f);
-        auto hi = static_cast<std::size_t>(hi_f);
-        lo = std::min(lo, new_buckets - 1);
-        hi = std::min(hi, new_buckets - 1);
-        if (lo == hi) {
-            out[lo] += src[i];
-            continue;
-        }
+        out[j] = acc0;
+        out[j + 1] = acc1;
+        // The kernel's edge expressions, then the segment loop.
+        const double a = static_cast<double>(i) * src_width;
+        const double lo_f = a / new_width;
+        const double hi_f = (a + src_width) / new_width;
         const double span = hi_f - lo_f;
-        if (hi == lo + 1) {
-            // Two-target straddle (every source bucket, whenever the
-            // source width does not exceed the target width): the
-            // general loop's segment expressions with j resolved, so
-            // the weights round identically. lo is unclamped here
-            // (clamping forces lo == hi), hence seg_lo == lo_f for
-            // j == lo and seg_lo == hi for j == hi.
-            const double bound = static_cast<double>(hi);
-            const double w1 =
-                std::max(0.0, std::min(hi_f, bound) - lo_f) / span;
-            const double w2 =
-                std::max(0.0, std::min(hi_f, bound + 1.0) - bound) /
-                span;
-            out[lo] += src[i] * w1;
-            out[hi] += src[i] * w2;
-            continue;
-        }
-        for (std::size_t j = lo; j <= hi; ++j) {
-            const double seg_lo = std::max(lo_f, static_cast<double>(j));
+        const std::size_t hi =
+            std::min(static_cast<std::size_t>(hi_f), new_buckets - 1);
+        for (std::size_t k = lo; k <= hi; ++k) {
+            const double seg_lo = std::max(lo_f, static_cast<double>(k));
             const double seg_hi =
-                std::min(hi_f, static_cast<double>(j + 1));
+                std::min(hi_f, static_cast<double>(k + 1));
             const double w = std::max(0.0, seg_hi - seg_lo) / span;
-            out[j] += src[i] * w;
+            out[k] += src[i] * w;
         }
+        acc0 = out[j];
+        acc1 = out[j + 1];
     }
+    out[j] = acc0;
+    out[j + 1] = acc1;
+    out.pop_back();
     return out;
 }
 
@@ -250,6 +268,21 @@ DiscreteDistribution::rebin(double new_width, std::size_t new_buckets) const
 DiscreteDistribution
 DiscreteDistribution::convolveWith(const DiscreteDistribution &other,
                                    const ConvolveOptions &opts) const
+{
+    return convolve(other, opts.useFft, nullptr);
+}
+
+DiscreteDistribution
+DiscreteDistribution::convolveWith(const DiscreteDistribution &other,
+                                   OperandSpectrum &other_spectrum) const
+{
+    return convolve(other, true, &other_spectrum);
+}
+
+DiscreteDistribution
+DiscreteDistribution::convolve(const DiscreteDistribution &other,
+                               bool use_fft,
+                               OperandSpectrum *other_spectrum) const
 {
     // Scratch reused across calls: the FFT buffers, the raw convolution
     // and the edge-split arena. Thread-local so ExperimentRunner jobs
@@ -287,10 +320,36 @@ DiscreteDistribution::convolveWith(const DiscreteDistribution &other,
     }
 
     std::vector<double> &raw = ws.raw;
-    if (opts.useFft)
-        fftConvolvePlanned(lhs->p_, rhs->p_, ws.fft, raw);
-    else
+    if (!use_fft) {
         raw = directConvolve(lhs->p_, rhs->p_);
+    } else if (!other_spectrum) {
+        fftConvolvePlanned(lhs->p_, rhs->p_, ws.fft, raw);
+    } else {
+        // fftConvolvePlanned with the right operand's transform taken
+        // from the caller's spectrum: the rebinned operand depends only
+        // on the common width, so (width, transform size) identify it.
+        const std::size_t out_size = lhs->p_.size() + rhs->p_.size() - 1;
+        const std::size_t n = fftConvolveSize(out_size);
+        const FftPlan &plan = FftPlan::forSize(n);
+        OperandSpectrum &spec = *other_spectrum;
+        if (spec.width != common || spec.data.size() != n) {
+            spec.width = common;
+            spec.data.resize(n);
+            plan.forwardReal(rhs->p_.data(), rhs->p_.size(),
+                             spec.data.data());
+        }
+        ws.fft.fa.resize(n);
+        if (lhs == rhs) {
+            // A self product: the left transform is the same spectrum.
+            std::copy(spec.data.begin(), spec.data.end(),
+                      ws.fft.fa.begin());
+        } else {
+            plan.forwardReal(lhs->p_.data(), lhs->p_.size(),
+                             ws.fft.fa.data());
+        }
+        fftConvolveSpectra(plan, ws.fft.fa.data(), spec.data.data(),
+                           out_size, raw);
+    }
 
     // Index-domain convolution places the sum of two bucket midpoints,
     // (i+0.5)w + (j+0.5)w = (i+j+1)w, exactly on the edge between output

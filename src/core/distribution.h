@@ -26,6 +26,7 @@
  * chain allocates nothing beyond its results.
  */
 
+#include <complex>
 #include <cstddef>
 #include <vector>
 
@@ -40,6 +41,21 @@ struct ConvolveOptions
     /// FFT path (paper's choice); the direct path is exact and used for
     /// testing.
     bool useFft = true;
+};
+
+/**
+ * The forward FFT spectrum of one convolution right operand, kept by a
+ * caller that convolves many distributions with the same operand (a
+ * tail table's mixture). convolveWith() fills it on first use and
+ * reuses it while the common bucket width and the transform size
+ * match, recomputing it otherwise. One spectrum serves one right
+ * operand only.
+ */
+struct OperandSpectrum
+{
+    double width = 0.0; ///< Common bucket width it was taken at.
+    /// The transform; its size is the transform length.
+    std::vector<std::complex<double>> data;
 };
 
 /**
@@ -116,6 +132,17 @@ class DiscreteDistribution
         const DiscreteDistribution &other,
         const ConvolveOptions &opts = {}) const;
 
+    /**
+     * The FFT convolveWith(other), taking other's spectrum from
+     * `other_spectrum` (filled on a miss) instead of transforming it
+     * again; a self product (`&other == this`) runs no forward
+     * transform when the spectrum hits. Bitwise identical to
+     * convolveWith(other).
+     */
+    DiscreteDistribution convolveWith(
+        const DiscreteDistribution &other,
+        OperandSpectrum &other_spectrum) const;
+
     /// Rebin to a new bucket width/count (mass split proportionally).
     DiscreteDistribution rebin(double new_width,
                                std::size_t new_buckets) const;
@@ -133,6 +160,12 @@ class DiscreteDistribution
     void normalize();
     /// Recompute cdf_ from p_ (sequential prefix sums).
     void rebuildCdf();
+
+    /// Both convolveWith overloads: the FFT path uses `other_spectrum`
+    /// when it is non-null.
+    DiscreteDistribution convolve(const DiscreteDistribution &other,
+                                  bool use_fft,
+                                  OperandSpectrum *other_spectrum) const;
 
     /// The rebin() mass-splitting loop on raw arrays, shared with the
     /// convolution trim/rebin stage.

@@ -65,25 +65,8 @@ RubikBoostController::selectFrequency(const CoreView &core)
     if (!mixTable_)
         return std::min(dvfs_.maxFrequency(), ceiling);
 
-    const TargetTailTable *table = tableFor(core.classHints[0]);
-    const double now = core.now;
-    const std::size_t row = table->rowForElapsed(core.elapsedCycles);
-
-    // RubikController::analyticalFloor's walk, with the same stop at
-    // the ceiling.
-    double needed = 0.0;
-    for (std::size_t position = 0; position < core.count; ++position) {
-        const double t_i = now - core.arrivals[position];
-        const double m_i = table->tailMemTime(row, position);
-        const double slack = internalTarget_ - t_i - m_i;
-        if (slack <= 0.0)
-            return std::min(dvfs_.maxFrequency(), ceiling);
-        const double c_i = table->tailCycles(row, position);
-        needed = std::max(needed, c_i / slack);
-        if (needed >= ceiling)
-            break;
-    }
-    return std::min(dvfs_.quantizeUp(needed), ceiling);
+    return tableFrequency(*tableFor(core.classHints[0]), core,
+                          internalTarget_, dvfs_, ceiling);
 }
 
 void

@@ -6,6 +6,38 @@
 
 namespace rubik {
 
+double
+tableFrequency(const TargetTailTable &table, const CoreView &core,
+               double target, const DvfsModel &dvfs, double ceiling)
+{
+    const double now = core.now;
+    const std::size_t row = table.rowForElapsed(core.elapsedCycles);
+    const double stop = dvfs.ceilingThreshold(ceiling);
+
+    // Lane walk over the contiguous arrival-time window: position 0 is
+    // the in-service request, the rest the FIFO queue.
+    double needed = 0.0;
+    for (std::size_t position = 0; position < core.count; ++position) {
+        const double t_i = now - core.arrivals[position];
+        const double m_i = table.tailMemTime(row, position);
+        const double slack = target - t_i - m_i;
+        if (slack <= 0.0) {
+            // Already past the bound for this request's tail: all we can
+            // do is run flat out.
+            return std::min(dvfs.maxFrequency(), ceiling);
+        }
+        const double c_i = table.tailCycles(row, position);
+        needed = std::max(needed, c_i / slack);
+        // Once quantizeUp(needed) reaches the ceiling (or f_max) the
+        // answer is fixed: quantizeUp is monotone, whatever the
+        // positions left unread would add. Stop before their chain
+        // steps run.
+        if (needed - 1.0 > stop)
+            break;
+    }
+    return std::min(dvfs.quantizeUp(needed), ceiling);
+}
+
 RubikController::RubikController(const DvfsModel &dvfs,
                                  const RubikConfig &config)
     : dvfs_(dvfs), cfg_(config),
@@ -36,35 +68,6 @@ RubikController::reset()
 }
 
 double
-RubikController::analyticalFloor(const CoreView &core, double ceiling) const
-{
-    const double now = core.now;
-    const std::size_t row = table_->rowForElapsed(core.elapsedCycles);
-
-    // Lane walk over the contiguous arrival-time window: position 0 is
-    // the in-service request, the rest the FIFO queue.
-    double needed = 0.0;
-    for (std::size_t position = 0; position < core.count; ++position) {
-        const double t_i = now - core.arrivals[position];
-        const double m_i = table_->tailMemTime(row, position);
-        const double slack = internalTarget_ - t_i - m_i;
-        if (slack <= 0.0) {
-            // Already past the bound for this request's tail: all we can
-            // do is run flat out.
-            return dvfs_.maxFrequency();
-        }
-        const double c_i = table_->tailCycles(row, position);
-        needed = std::max(needed, c_i / slack);
-        // The ceiling is a grid frequency, so quantizeUp(needed) is at
-        // or above it from here on, whatever the positions left unread
-        // would add: stop before their chain steps run.
-        if (needed >= ceiling)
-            break;
-    }
-    return needed;
-}
-
-double
 RubikController::selectFrequency(const CoreView &core)
 {
     // A coordinator-assigned power cap bounds every choice below,
@@ -79,8 +82,7 @@ RubikController::selectFrequency(const CoreView &core)
     if (!table_) // warming up: be conservative
         return std::min(dvfs_.maxFrequency(), ceiling);
 
-    const double needed = analyticalFloor(core, ceiling);
-    return std::min(dvfs_.quantizeUp(needed), ceiling);
+    return tableFrequency(*table_, core, internalTarget_, dvfs_, ceiling);
 }
 
 void

@@ -63,6 +63,21 @@ struct RubikConfig
 };
 
 /**
+ * Eq. 2 over the requests in the system, read from `table` at the
+ * in-flight request's row against the internal latency target
+ * `target`: the smallest grid frequency meeting every request's tail,
+ * capped at `ceiling`, or the capped maximum frequency once a request
+ * has no slack left. The walk stops once quantizeUp(needed) reaches
+ * `ceiling` (or the maximum frequency): `needed` only grows with
+ * position, so the positions left unread cannot change the answer,
+ * and their chain steps never run. RubikController and
+ * RubikBoostController both decide here.
+ */
+double tableFrequency(const TargetTailTable &table, const CoreView &core,
+                      double target, const DvfsModel &dvfs,
+                      double ceiling);
+
+/**
  * The Rubik DVFS policy.
  */
 class RubikController : public DvfsPolicy
@@ -100,10 +115,6 @@ class RubikController : public DvfsPolicy
     /// @}
 
   private:
-    /// Frequency floor from Eq. 2 over the requests in the system, read
-    /// only until it reaches `ceiling` (the most the caller will pick).
-    double analyticalFloor(const CoreView &core, double ceiling) const;
-
     const DvfsModel &dvfs_;
     RubikConfig cfg_;
     Profiler profiler_;

@@ -30,7 +30,7 @@ TargetTailTable::build(const DiscreteDistribution &s0_compute,
                  "percentile must be in (0,1)");
     const auto side = [](const DiscreteDistribution &s0,
                          const DiscreteDistribution &mix) {
-        return Side{s0, mix, mix.mean(), mix.variance(), {}, {}};
+        return Side{s0, mix, &s0 == &mix, {}, {}, {}, {}};
     };
     return TargetTailTable(config, side(s0_compute, mix_compute),
                            side(s0_memory, mix_memory));
@@ -62,28 +62,58 @@ TargetTailTable::TargetTailTable(const TailTableConfig &config,
     }
 }
 
+DiscreteDistribution
+TargetTailTable::boundaryS0(const Side &side, std::size_t b) const
+{
+    // The conditional at the b-th row quantile of this side's own S_0
+    // distribution.
+    const double q =
+        static_cast<double>(b) / static_cast<double>(config_.rows);
+    const double omega = b == 0 ? 0.0 : side.s0.quantile(q);
+    return side.s0.conditionalOnElapsed(omega);
+}
+
+const TargetTailTable::Moments &
+TargetTailTable::s0Moments(const Side &side, std::size_t b) const
+{
+    std::optional<Moments> &m = side.chains[b].moments;
+    if (!m) {
+        const DiscreteDistribution s0 = boundaryS0(side, b);
+        m = Moments{s0.mean(), s0.variance()};
+    }
+    return *m;
+}
+
 const TargetTailTable::Chain &
 TargetTailTable::extendChain(const Side &side, std::size_t b,
                              std::size_t position) const
 {
     Chain &c = side.chains[b];
     if (c.tails.empty()) {
-        // The boundary's conditional S_0|ω, at the b-th row quantile of
-        // this side's own S_0 distribution.
-        const double q =
-            static_cast<double>(b) / static_cast<double>(config_.rows);
-        const double omega = b == 0 ? 0.0 : side.s0.quantile(q);
-        c.cur = side.s0.conditionalOnElapsed(omega);
-        c.mean = c.cur->mean();
-        c.var = c.cur->variance();
         c.tails.reserve(config_.positions);
-        c.tails.push_back(c.cur->quantileUpper(config_.percentile));
+        if (b == 0 && side.s0IsMix) {
+            // S_0|0 of a plain table is the mixture: no copy, and the
+            // first step is the mixture's self product.
+            c.tails.push_back(side.mix.quantileUpper(config_.percentile));
+        } else {
+            c.cur = boundaryS0(side, b);
+            c.tails.push_back(c.cur->quantileUpper(config_.percentile));
+        }
     }
 
     ConvolveOptions opts;
     opts.useFft = config_.useFft;
     while (c.tails.size() <= position) {
-        *c.cur = c.cur->convolveWith(side.mix, opts);
+        if (c.tails.size() == 1) {
+            // The first step convolves with the unchanged mixture, so
+            // every chain of the side shares its spectrum.
+            const DiscreteDistribution &s0 = c.cur ? *c.cur : side.mix;
+            c.cur = config_.useFft
+                        ? s0.convolveWith(side.mix, side.mixSpectrum)
+                        : s0.convolveWith(side.mix, opts);
+        } else {
+            *c.cur = c.cur->convolveWith(side.mix, opts);
+        }
         ++convolutions_;
         // Adding nonnegative work cannot shrink a quantile; clamp out
         // discretization noise so the table is monotone in position
@@ -130,12 +160,16 @@ TargetTailTable::evaluate(const Side &side, std::size_t row,
 
     // Gaussian CLT extension: S_i = S_0 + i * S. Clamped to the last
     // exact entry so the table stays monotone across the switchover.
-    const Chain &lo = side.chains[row];
-    const Chain &hi =
-        side.chains[config_.conservativeRowBounds ? row + 1 : row];
+    const Moments &lo = s0Moments(side, row);
+    const Moments &hi = config_.conservativeRowBounds
+                            ? s0Moments(side, row + 1)
+                            : lo;
+    if (!side.mixMoments)
+        side.mixMoments = Moments{side.mix.mean(), side.mix.variance()};
+    const Moments &mix = *side.mixMoments;
     const double i = static_cast<double>(position);
-    const double mean = std::max(lo.mean, hi.mean) + i * side.mean;
-    const double var = std::max(lo.var, hi.var) + i * side.var;
+    const double mean = std::max(lo.mean, hi.mean) + i * mix.mean;
+    const double var = std::max(lo.var, hi.var) + i * mix.var;
     return std::max(mean + zp_ * std::sqrt(std::max(0.0, var)),
                     tails.back());
 }

@@ -123,17 +123,26 @@ class TargetTailTable
     uint64_t convolutions() const { return convolutions_; }
 
   private:
+    /// First and second moments of a distribution (the CLT extension's
+    /// inputs).
+    struct Moments
+    {
+        double mean = 0.0;
+        double var = 0.0;
+    };
+
     /// One row boundary's convolution chain: tails of S_0|ω ⊛ S^(⊛i).
     struct Chain
     {
         /// Exact tails for positions 0 .. size()-1; empty until started.
         std::vector<double> tails;
-        /// Distribution behind tails.back(); dropped once the chain
-        /// reaches its last exact position.
+        /// Distribution behind tails.back(); empty while the chain is
+        /// at S_0|0 of a plain table (that is the mixture itself), and
+        /// dropped once the chain reaches its last exact position.
         std::optional<DiscreteDistribution> cur;
-        /// Moments of the conditional S_0|ω (the CLT extension's S_0).
-        double mean = 0.0;
-        double var = 0.0;
+        /// Moments of the conditional S_0|ω, computed when a CLT entry
+        /// of the row is first read.
+        std::optional<Moments> moments;
     };
 
     /// One resource's half of the table (compute cycles or memory time):
@@ -142,8 +151,14 @@ class TargetTailTable
     {
         DiscreteDistribution s0;  ///< In-flight request's distribution.
         DiscreteDistribution mix; ///< Queued requests' distribution.
-        double mean = 0.0;        ///< Mixture moments (CLT extension).
-        double var = 0.0;
+        /// s0 is the mixture (a plain, not class-aware, table), so row
+        /// 0's S_0|0 is bitwise the mixture.
+        bool s0IsMix = false;
+        /// Mixture moments, computed with the first CLT read.
+        mutable std::optional<Moments> mixMoments;
+        /// The mixture's FFT spectrum, shared by every chain's first
+        /// step (later steps rebin the mixture to wider buckets).
+        mutable OperandSpectrum mixSpectrum;
         /// Chains per row boundary (rows + 1 when conservativeRowBounds).
         mutable std::vector<Chain> chains;
         /// Per row: the max over its boundaries' tails, as far as read.
@@ -171,6 +186,10 @@ class TargetTailTable
     /// `position`.
     const Chain &extendChain(const Side &side, std::size_t b,
                              std::size_t position) const;
+    /// Boundary `b`'s conditional S_0|ω.
+    DiscreteDistribution boundaryS0(const Side &side, std::size_t b) const;
+    /// The moments of boundary `b`'s S_0|ω, computed on first use.
+    const Moments &s0Moments(const Side &side, std::size_t b) const;
 
     TailTableConfig config_;
     std::vector<double> rowBounds_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.h"
 #include "util/units.h"
@@ -52,6 +53,19 @@ DvfsModel::quantizeUp(double freq) const
     if (it == freqs_.end())
         return freqs_.back();
     return *it;
+}
+
+double
+DvfsModel::ceilingThreshold(double ceiling) const
+{
+    // Uncapped walks (ceiling f_max) skip the search.
+    const auto it = ceiling >= freqs_.back()
+                        ? freqs_.end() - 1
+                        : std::lower_bound(freqs_.begin(), freqs_.end(),
+                                           ceiling);
+    if (it == freqs_.begin())
+        return -std::numeric_limits<double>::infinity();
+    return *(it - 1);
 }
 
 double

@@ -65,6 +65,16 @@ class DvfsModel
     /// Largest grid frequency <= freq (min frequency if below the grid).
     double quantizeDown(double freq) const;
 
+    /**
+     * The largest grid frequency below min(ceiling, maxFrequency()),
+     * or -infinity when there is none. For finite f,
+     * f - 1.0 > ceilingThreshold(ceiling) exactly when quantizeUp(f)
+     * >= min(ceiling, maxFrequency()): the 1.0 is quantizeUp's own
+     * slop, subtracted the same way. A walk whose floor only grows
+     * tests its stop with one comparison instead of a search.
+     */
+    double ceilingThreshold(double ceiling) const;
+
     /// Index of the grid frequency closest to f (for residency histograms).
     std::size_t indexOf(double freq) const;
 

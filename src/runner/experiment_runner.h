@@ -75,10 +75,25 @@ class ExperimentRunner
     template <typename T>
     std::vector<T> runBatch(std::vector<std::function<T()>> jobs)
     {
-        std::vector<std::future<T>> futures;
-        futures.reserve(jobs.size());
-        for (auto &job : jobs)
-            futures.push_back(submit(std::move(job)));
+        std::vector<std::size_t> order(jobs.size());
+        for (std::size_t i = 0; i < order.size(); ++i)
+            order[i] = i;
+        return runBatch(std::move(jobs), order);
+    }
+
+    /**
+     * runBatch, but the pool starts the jobs in `start_order` (a
+     * permutation of the job indices; longest first, say). Results
+     * still come back, and failures are still rethrown, in index
+     * order, so the outcome does not depend on the start order.
+     */
+    template <typename T>
+    std::vector<T> runBatch(std::vector<std::function<T()>> jobs,
+                            const std::vector<std::size_t> &start_order)
+    {
+        std::vector<std::future<T>> futures(jobs.size());
+        for (const std::size_t i : start_order)
+            futures[i] = submit(std::move(jobs[i]));
         for (auto &f : futures)
             f.wait();
         std::vector<T> results;

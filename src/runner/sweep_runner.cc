@@ -1,8 +1,10 @@
 #include "runner/sweep_runner.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <tuple>
@@ -380,7 +382,10 @@ sweepCellRows(
             prepared.emplace(triple_keys[i], std::move(batch[i]));
     }
 
-    // Phase 3: one job per owned cell, rows in cell-index order.
+    // Phase 3: one job per owned cell, rows in cell-index order. A
+    // cell's cost grows with its trace's simulated span, so the pool
+    // starts the longest spans first (ties by index) instead of ending
+    // on a long cell that started last.
     struct Row
     {
         SweepCell cell;
@@ -388,8 +393,11 @@ sweepCellRows(
         PolicyOutcome outcome;
     };
     std::vector<std::function<Row()>> cell_jobs;
+    std::vector<double> spans;
     for (std::size_t i = begin; i < end; ++i) {
         const SweepCell cell = spec.cell(i);
+        spans.push_back(traceDuration(
+            *prepared.at({cell.app, cell.load, cell.seed}).trace));
         cell_jobs.push_back([&, cell] {
             Row row;
             row.cell = cell;
@@ -406,7 +414,14 @@ sweepCellRows(
             return row;
         });
     }
-    const std::vector<Row> rows = runner.runBatch(std::move(cell_jobs));
+    std::vector<std::size_t> longest_first(cell_jobs.size());
+    std::iota(longest_first.begin(), longest_first.end(), 0);
+    std::stable_sort(longest_first.begin(), longest_first.end(),
+                     [&spans](std::size_t a, std::size_t b) {
+                         return spans[a] > spans[b];
+                     });
+    const std::vector<Row> rows =
+        runner.runBatch(std::move(cell_jobs), longest_first);
 
     for (const Row &row : rows) {
         // Crash/hang faults fire here, before the row is delivered —

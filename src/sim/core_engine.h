@@ -511,7 +511,12 @@ CoreEngine::processEvents()
         }
     }
 
-    if (busy() && remainingServiceTime(freq_) <= kTimeEps) {
+    // A remainder below half an ulp of the clock (possible past 2^14 s,
+    // where that exceeds kTimeEps) can never be advanced through:
+    // now_ + left == now_, so it completes now too. Below 2^14 s the
+    // second test implies the first.
+    const double left = remainingServiceTime(freq_);
+    if (busy() && (left <= kTimeEps || now_ + left == now_)) {
         const std::size_t h = head_;
         CompletedRequest done;
         done.id = id_[h];

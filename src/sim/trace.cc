@@ -21,11 +21,15 @@ annotateClasses(Trace &trace, double quantile, double nominal_freq)
     service.reserve(trace.size());
     for (const auto &r : trace)
         service.push_back(r.serviceTime(nominal_freq));
-    std::sort(service.begin(), service.end());
-    const auto rank = static_cast<std::size_t>(
-        quantile * static_cast<double>(service.size()));
-    const double threshold =
-        service[std::min(rank, service.size() - 1)];
+    // The rank-th smallest service time: nth_element places exactly
+    // the element a full sort would put there.
+    const auto rank = std::min(
+        static_cast<std::size_t>(quantile *
+                                 static_cast<double>(service.size())),
+        service.size() - 1);
+    const auto nth = service.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(service.begin(), nth, service.end());
+    const double threshold = *nth;
     for (auto &r : trace)
         r.classHint = r.serviceTime(nominal_freq) > threshold ? 1 : 0;
 }

@@ -13,37 +13,6 @@
 
 namespace rubik {
 
-namespace {
-
-/// buf = x zero-padded to n complex values, in one pass (assign() plus
-/// a scatter of the real parts would touch the buffer twice).
-void
-loadRealPadded(const std::vector<double> &x, std::size_t n,
-               std::vector<std::complex<double>> &buf)
-{
-    buf.resize(n);
-    double *d = reinterpret_cast<double *>(buf.data());
-    const std::size_t m = x.size();
-    for (std::size_t i = 0; i < m; ++i) {
-        d[2 * i] = x[i];
-        d[2 * i + 1] = 0.0;
-    }
-    std::fill(d + 2 * m, d + 2 * n, 0.0);
-}
-
-/// Smallest power of two >= out_size: the transform length of a linear
-/// convolution with that output size.
-std::size_t
-fftConvolveSize(std::size_t out_size)
-{
-    std::size_t n = 1;
-    while (n < out_size)
-        n <<= 1;
-    return n;
-}
-
-} // anonymous namespace
-
 void
 fft(std::vector<std::complex<double>> &a, bool invert)
 {
@@ -85,15 +54,26 @@ fft(std::vector<std::complex<double>> &a, bool invert)
     }
 }
 
-FftPlan::FftPlan(std::size_t n)
-    : n_(n), invN_(1.0 / static_cast<double>(n))
+std::size_t
+fftConvolveSize(std::size_t out_size)
 {
-    // Record the same swaps the unplanned bit-reversal performs.
+    std::size_t n = 1;
+    while (n < out_size)
+        n <<= 1;
+    return n;
+}
+
+FftPlan::FftPlan(std::size_t n)
+    : n_(n), invN_(1.0 / static_cast<double>(n)), rev_(n, 0)
+{
+    // The permutation the unplanned bit-reversal's swaps apply: the
+    // same j recurrence, with rev_[i] = j (and rev_[j] = i).
     for (std::size_t i = 1, j = 0; i < n; ++i) {
         std::size_t bit = n >> 1;
         for (; j & bit; bit >>= 1)
             j ^= bit;
         j ^= bit;
+        rev_[i] = static_cast<std::uint32_t>(j);
         if (i < j)
             swaps_.emplace_back(static_cast<std::uint32_t>(i),
                                 static_cast<std::uint32_t>(j));
@@ -175,6 +155,25 @@ FftPlan::run(std::vector<std::complex<double>> &a, bool invert) const
     run(a.data(), invert);
 }
 
+void
+FftPlan::forwardReal(const double *x, std::size_t len,
+                     std::complex<double> *out) const
+{
+    RUBIK_ASSERT(len <= n_, "input longer than the plan");
+    // Slot i of the bit-reversed input holds element rev_[i]: exactly
+    // what the swap pass would leave in a zero-padded copy of x.
+    double *d = reinterpret_cast<double *>(out);
+    for (std::size_t i = 0; i < n_; ++i) {
+        const std::size_t j = rev_[i];
+        d[2 * i] = j < len ? x[j] : 0.0;
+        d[2 * i + 1] = 0.0;
+    }
+    if (n_ > 1)
+        simdKernels().fftPasses(d, reinterpret_cast<const double *>(
+                                       fwd_.data()),
+                                n_, 1.0);
+}
+
 std::vector<double>
 fftConvolve(const std::vector<double> &a, const std::vector<double> &b)
 {
@@ -216,20 +215,29 @@ fftConvolvePlanned(const std::vector<double> &a,
     const std::size_t n = fftConvolveSize(out_size);
     const FftPlan &plan = FftPlan::forSize(n);
 
-    loadRealPadded(a, n, scratch.fa);
-    plan.run(scratch.fa.data(), false);
-    loadRealPadded(b, n, scratch.fb);
-    plan.run(scratch.fb.data(), false);
+    scratch.fa.resize(n);
+    scratch.fb.resize(n);
+    plan.forwardReal(a.data(), a.size(), scratch.fa.data());
+    plan.forwardReal(b.data(), b.size(), scratch.fb.data());
+    fftConvolveSpectra(plan, scratch.fa.data(), scratch.fb.data(),
+                       out_size, out);
+}
+
+void
+fftConvolveSpectra(const FftPlan &plan, std::complex<double> *fa,
+                   const std::complex<double> *fb, std::size_t out_size,
+                   std::vector<double> &out)
+{
     // Pointwise product on raw doubles: same ops (rounded identically)
     // as the std::complex multiply, minus the NaN-recovery checks.
     const SimdKernels &kern = simdKernels();
-    double *fa = reinterpret_cast<double *>(scratch.fa.data());
-    const double *fb = reinterpret_cast<const double *>(scratch.fb.data());
-    kern.complexMulAll(fa, fb, n);
-    plan.run(scratch.fa.data(), true);
+    double *a = reinterpret_cast<double *>(fa);
+    kern.complexMulAll(a, reinterpret_cast<const double *>(fb),
+                       plan.size());
+    plan.run(fa, true);
 
     out.resize(out_size);
-    kern.clampRealAll(fa, out.data(), out_size);
+    kern.clampRealAll(a, out.data(), out_size);
 }
 
 std::vector<double>

@@ -16,12 +16,15 @@
  * generated by the same incremental recurrence as the unplanned fft(), so
  * planned transforms are bitwise identical to it — the plan only removes
  * the per-call trigonometry, the twiddle-update multiply chain, and (via
- * FftScratch) all per-call allocation.
+ * FftScratch) all per-call allocation. A real input is loaded straight
+ * into bit-reversed order (forwardReal), so a forward transform of
+ * probability masses runs no swap or zero-padding pass.
  */
 
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace rubik {
@@ -37,7 +40,7 @@ void fft(std::vector<std::complex<double>> &a, bool invert);
 
 /**
  * Precomputed transform plan for one power-of-two size: the bit-reversal
- * swap list plus forward/inverse twiddle tables. Plans are immutable once
+ * permutation plus forward/inverse twiddle tables. Plans are immutable once
  * built; forSize() returns a shared, never-evicted instance and is safe
  * to call from many threads concurrently (sweeps run convolutions from
  * every ExperimentRunner job).
@@ -57,6 +60,16 @@ class FftPlan
     void run(std::complex<double> *a, bool invert) const;
     void run(std::vector<std::complex<double>> &a, bool invert) const;
 
+    /**
+     * Forward transform of the real sequence x[0..len) zero-padded to
+     * size() (len <= size()), written to out[0..size()). Each input is
+     * loaded straight into its bit-reversed slot, so there is no swap
+     * or padding pass; bitwise identical to run(a, false) on the
+     * zero-padded complex copy of x.
+     */
+    void forwardReal(const double *x, std::size_t len,
+                     std::complex<double> *out) const;
+
   private:
     explicit FftPlan(std::size_t n);
 
@@ -64,7 +77,12 @@ class FftPlan
     /// 1/n. n is a power of two, so multiplying by it is bitwise
     /// identical to the unplanned transform's division and much cheaper.
     double invN_ = 1.0;
-    /// (i, j) pairs with i < j to swap during bit reversal.
+    /// Bit-reversal permutation: slot i of the reordered input holds
+    /// element rev_[i].
+    std::vector<std::uint32_t> rev_;
+    /// The same permutation as (i, rev_[i]) pairs with i < rev_[i]:
+    /// the swaps run() performs (a list is cheaper to walk than rev_
+    /// with a branch per slot).
     std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps_;
     /// Twiddles for all stages, concatenated: the stage with half-length
     /// h = len/2 owns entries [h - 1, 2h - 1), generated by the same
@@ -95,6 +113,21 @@ std::vector<double> fftConvolve(const std::vector<double> &a,
 void fftConvolvePlanned(const std::vector<double> &a,
                         const std::vector<double> &b, FftScratch &scratch,
                         std::vector<double> &out);
+
+/// Transform length of a linear convolution with `out_size` outputs:
+/// the smallest power of two >= out_size.
+std::size_t fftConvolveSize(std::size_t out_size);
+
+/**
+ * The second half of fftConvolvePlanned, for callers that hold the
+ * operands' forward spectra (FftPlan::forwardReal): fa[i] *= fb[i],
+ * the inverse transform in place in fa, then the clamped real parts
+ * of its first out_size values into `out` (resized). fa and fb hold
+ * plan.size() values.
+ */
+void fftConvolveSpectra(const FftPlan &plan, std::complex<double> *fa,
+                        const std::complex<double> *fb,
+                        std::size_t out_size, std::vector<double> &out);
 
 /**
  * Direct O(n*m) linear convolution of two real sequences.

@@ -99,14 +99,35 @@ scalarDivideAll(double *p, std::size_t count, double denom)
 }
 
 void
-scalarRebinEdgesAll(double *lo_f, double *hi_f, std::size_t count,
-                    double src_width, double new_width)
+scalarRebinSplitAll(std::uint32_t *target, double *w_lo, double *w_hi,
+                    std::size_t count, double src_width, double new_width,
+                    std::size_t last)
 {
     for (std::size_t i = 0; i < count; ++i) {
         const double a = static_cast<double>(i) * src_width;
         const double b = a + src_width;
-        lo_f[i] = a / new_width;
-        hi_f[i] = b / new_width;
+        const double lo_f = a / new_width;
+        const double hi_f = b / new_width;
+        const std::size_t lo =
+            std::min(static_cast<std::size_t>(lo_f), last);
+        const std::size_t hi =
+            std::min(static_cast<std::size_t>(hi_f), last);
+        target[i] = static_cast<std::uint32_t>(lo);
+        if (lo == hi) {
+            w_lo[i] = 1.0;
+            w_hi[i] = 0.0;
+        } else if (hi == lo + 1) {
+            // lo is unclamped here (clamping forces lo == hi); hi may
+            // be clamped, and the weights use the clamped bound.
+            const double span = hi_f - lo_f;
+            const double bound = static_cast<double>(hi);
+            w_lo[i] = std::max(0.0, std::min(hi_f, bound) - lo_f) / span;
+            w_hi[i] =
+                std::max(0.0, std::min(hi_f, bound + 1.0) - bound) / span;
+        } else {
+            w_lo[i] = 0.0;
+            w_hi[i] = -1.0;
+        }
     }
 }
 
@@ -122,7 +143,7 @@ scalarCountBelow(const double *x, std::size_t count, double threshold)
 constexpr SimdKernels kScalarKernels = {
     SimdMode::Scalar,   scalarFftPasses,     scalarComplexMulAll,
     scalarClampRealAll, scalarEdgeSplitAll,  scalarDivideAll,
-    scalarRebinEdgesAll, scalarCountBelow,
+    scalarRebinSplitAll, scalarCountBelow,
 };
 
 // ---------------------------------------------------------------------
@@ -232,30 +253,6 @@ neonDivideAll(double *p, std::size_t count, double denom)
         p[i] /= denom;
 }
 
-void
-neonRebinEdgesAll(double *lo_f, double *hi_f, std::size_t count,
-                  double src_width, double new_width)
-{
-    const float64x2_t sw = vdupq_n_f64(src_width);
-    const float64x2_t nw = vdupq_n_f64(new_width);
-    float64x2_t idx = {0.0, 1.0};
-    const float64x2_t step = vdupq_n_f64(2.0);
-    std::size_t i = 0;
-    for (; i + 2 <= count; i += 2) {
-        const float64x2_t a = vmulq_f64(idx, sw);
-        const float64x2_t b = vaddq_f64(a, sw);
-        vst1q_f64(lo_f + i, vdivq_f64(a, nw));
-        vst1q_f64(hi_f + i, vdivq_f64(b, nw));
-        idx = vaddq_f64(idx, step);
-    }
-    for (; i < count; ++i) {
-        const double a = static_cast<double>(i) * src_width;
-        const double b = a + src_width;
-        lo_f[i] = a / new_width;
-        hi_f[i] = b / new_width;
-    }
-}
-
 std::size_t
 neonCountBelow(const double *x, std::size_t count, double threshold)
 {
@@ -275,10 +272,11 @@ neonCountBelow(const double *x, std::size_t count, double threshold)
     return c;
 }
 
+// No NEON rebin split: the table uses the scalar kernel.
 constexpr SimdKernels kNeonKernels = {
     SimdMode::Neon,   neonFftPasses,     neonComplexMulAll,
     neonClampRealAll, neonEdgeSplitAll,  neonDivideAll,
-    neonRebinEdgesAll, neonCountBelow,
+    scalarRebinSplitAll, neonCountBelow,
 };
 
 #endif // __aarch64__

@@ -23,6 +23,7 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -77,13 +78,24 @@ struct SimdKernels
     void (*divideAll)(double *p, std::size_t count, double denom);
 
     /**
-     * Rebin edge fractions: lo_f[i] = (i*src_width)/new_width and
-     * hi_f[i] = (i*src_width + src_width)/new_width for i in
-     * [0, count) — the per-source-bucket divides of
-     * DiscreteDistribution::rebinMasses, batched.
+     * The per-source-bucket work of DiscreteDistribution::rebinMasses.
+     * For source bucket i in [0, count), with
+     * lo_f = (i*src_width)/new_width,
+     * hi_f = (i*src_width + src_width)/new_width,
+     * lo = min(size_t(lo_f), last) and hi = min(size_t(hi_f), last):
+     * target[i] = lo, and
+     *  - hi == lo: w_lo[i] = 1 and w_hi[i] = 0 (the mass stays in lo);
+     *  - hi == lo + 1: the straddle weights, with span = hi_f - lo_f,
+     *    w_lo[i] = max(0, min(hi_f, hi) - lo_f) / span and
+     *    w_hi[i] = max(0, min(hi_f, hi + 1) - hi) / span;
+     *  - hi > lo + 1 (the source spans more than two targets):
+     *    w_hi[i] = -1, and the caller splits it itself.
+     * `last` (the top target bucket) must be below 2^31.
      */
-    void (*rebinEdgesAll)(double *lo_f, double *hi_f, std::size_t count,
-                          double src_width, double new_width);
+    void (*rebinSplitAll)(std::uint32_t *target, double *w_lo,
+                          double *w_hi, std::size_t count,
+                          double src_width, double new_width,
+                          std::size_t last);
 
     /**
      * Length of the leading run of x[0..count) strictly below

@@ -209,26 +209,82 @@ avx2DivideAll(double *p, std::size_t count, double denom)
 }
 
 void
-avx2RebinEdgesAll(double *lo_f, double *hi_f, std::size_t count,
-                  double src_width, double new_width)
+avx2RebinSplitAll(std::uint32_t *target, double *w_lo, double *w_hi,
+                  std::size_t count, double src_width, double new_width,
+                  std::size_t last)
 {
+    // Per lane, the scalar kernel's expressions: truncation then the
+    // clamp at `last` (both exact on the integral doubles), and
+    // std::min(x, y) == _mm256_min_pd(y, x), std::max(0.0, x) ==
+    // _mm256_max_pd(x, 0.0). Lanes of the other cases compute unused
+    // weights (possibly 0/0), which the blends discard.
     const __m256d sw = _mm256_set1_pd(src_width);
     const __m256d nw = _mm256_set1_pd(new_width);
+    const __m256d top = _mm256_set1_pd(static_cast<double>(last));
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d wide = _mm256_set1_pd(-1.0);
     const __m256d step = _mm256_set1_pd(4.0);
     __m256d idx = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
+    constexpr int kTrunc = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
     std::size_t i = 0;
     for (; i + 4 <= count; i += 4) {
         const __m256d a = _mm256_mul_pd(idx, sw);
         const __m256d b = _mm256_add_pd(a, sw);
-        _mm256_storeu_pd(lo_f + i, _mm256_div_pd(a, nw));
-        _mm256_storeu_pd(hi_f + i, _mm256_div_pd(b, nw));
+        const __m256d lo_f = _mm256_div_pd(a, nw);
+        const __m256d hi_f = _mm256_div_pd(b, nw);
+        const __m256d lo =
+            _mm256_min_pd(_mm256_round_pd(lo_f, kTrunc), top);
+        const __m256d hi =
+            _mm256_min_pd(_mm256_round_pd(hi_f, kTrunc), top);
+        const __m256d span = _mm256_sub_pd(hi_f, lo_f);
+        const __m256d next = _mm256_add_pd(hi, one);
+        const __m256d w1 = _mm256_div_pd(
+            _mm256_max_pd(_mm256_sub_pd(_mm256_min_pd(hi, hi_f), lo_f),
+                          zero),
+            span);
+        const __m256d w2 = _mm256_div_pd(
+            _mm256_max_pd(_mm256_sub_pd(_mm256_min_pd(next, hi_f), hi),
+                          zero),
+            span);
+        const __m256d same = _mm256_cmp_pd(lo, hi, _CMP_EQ_OQ);
+        const __m256d spread =
+            _mm256_cmp_pd(_mm256_add_pd(lo, one), hi, _CMP_LT_OQ);
+        _mm256_storeu_pd(
+            w_lo + i,
+            _mm256_blendv_pd(_mm256_blendv_pd(w1, one, same), zero,
+                             spread));
+        _mm256_storeu_pd(
+            w_hi + i,
+            _mm256_blendv_pd(_mm256_blendv_pd(w2, zero, same), wide,
+                             spread));
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(target + i),
+                         _mm256_cvttpd_epi32(lo));
         idx = _mm256_add_pd(idx, step);
     }
     for (; i < count; ++i) {
         const double a = static_cast<double>(i) * src_width;
         const double b = a + src_width;
-        lo_f[i] = a / new_width;
-        hi_f[i] = b / new_width;
+        const double lo_f = a / new_width;
+        const double hi_f = b / new_width;
+        const std::size_t lo =
+            std::min(static_cast<std::size_t>(lo_f), last);
+        const std::size_t hi =
+            std::min(static_cast<std::size_t>(hi_f), last);
+        target[i] = static_cast<std::uint32_t>(lo);
+        if (lo == hi) {
+            w_lo[i] = 1.0;
+            w_hi[i] = 0.0;
+        } else if (hi == lo + 1) {
+            const double span = hi_f - lo_f;
+            const double bound = static_cast<double>(hi);
+            w_lo[i] = std::max(0.0, std::min(hi_f, bound) - lo_f) / span;
+            w_hi[i] =
+                std::max(0.0, std::min(hi_f, bound + 1.0) - bound) / span;
+        } else {
+            w_lo[i] = 0.0;
+            w_hi[i] = -1.0;
+        }
     }
 }
 
@@ -258,7 +314,7 @@ avx2CountBelow(const double *x, std::size_t count, double threshold)
 constexpr SimdKernels kAvx2Kernels = {
     SimdMode::Avx2,   avx2FftPasses,     avx2ComplexMulAll,
     avx2ClampRealAll, avx2EdgeSplitAll,  avx2DivideAll,
-    avx2RebinEdgesAll, avx2CountBelow,
+    avx2RebinSplitAll, avx2CountBelow,
 };
 
 } // anonymous namespace

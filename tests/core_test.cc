@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <optional>
 #include <string>
@@ -275,6 +276,62 @@ TEST(DiscreteDistribution, FftAndDirectConvolutionAgree)
     EXPECT_NEAR(f.bucketWidth(), d.bucketWidth(), 1e-12);
     for (std::size_t i = 0; i < f.numBuckets(); ++i)
         EXPECT_NEAR(f.mass(i), d.mass(i), 1e-9);
+}
+
+/// Same bucket width and bit-for-bit the same masses.
+bool
+sameBits(const DiscreteDistribution &a, const DiscreteDistribution &b)
+{
+    if (a.numBuckets() != b.numBuckets() ||
+        a.bucketWidth() != b.bucketWidth())
+        return false;
+    for (std::size_t i = 0; i < a.numBuckets(); ++i) {
+        const double x = a.mass(i), y = b.mass(i);
+        if (std::memcmp(&x, &y, sizeof(double)) != 0)
+            return false;
+    }
+    return true;
+}
+
+TEST(DiscreteDistribution, CachedSpectrumConvolutionMatchesPlain)
+{
+    // One spectrum shared by many left operands, as a tail table's
+    // first steps share the mixture's: every conditional row, the self
+    // product, a bitwise copy of the operand, a wider left operand (the
+    // mixture is then rebinned: a miss, then hits at that width), a
+    // point mass (a narrower left operand) and a longer one (a larger
+    // transform). Each must equal plain convolveWith bit for bit.
+    Rng rng(30);
+    std::vector<double> mix_s, wide_s, long_s;
+    for (int i = 0; i < 20000; ++i) {
+        mix_s.push_back(rng.lognormal(13.0, 0.5));
+        wide_s.push_back(rng.lognormal(14.0, 0.5));
+        long_s.push_back(rng.lognormal(13.0, 0.5));
+    }
+    const auto mix = fromSamples(mix_s);
+    const auto mix_copy = mix;
+    std::vector<DiscreteDistribution> lefts;
+    for (int r = 0; r < 8; ++r)
+        lefts.push_back(mix.conditionalOnElapsed(mix.quantile(r / 8.0)));
+    lefts.push_back(fromSamples(wide_s));
+    lefts.push_back(fromSamples(wide_s).conditionalOnElapsed(1e6));
+    lefts.push_back(mix.conditionalOnElapsed(2.0 * mix.max()));
+    lefts.push_back(fromSamples(long_s, 256));
+
+    OperandSpectrum spectrum;
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t k = 0; k < lefts.size(); ++k) {
+            EXPECT_TRUE(sameBits(lefts[k].convolveWith(mix, spectrum),
+                                 lefts[k].convolveWith(mix)))
+                << "left " << k << " round " << round;
+        }
+        EXPECT_TRUE(sameBits(mix.convolveWith(mix, spectrum),
+                             mix.convolveWith(mix)))
+            << "self product, round " << round;
+        EXPECT_TRUE(sameBits(mix_copy.convolveWith(mix, spectrum),
+                             mix.convolveWith(mix)))
+            << "copy, round " << round;
+    }
 }
 
 TEST(DiscreteDistribution, ConvolutionChainStaysNormalized)
@@ -782,9 +839,13 @@ TEST(RubikController, DecisionsComputeOnlyTheEntriesTheyRead)
 struct Walk
 {
     double frequency = 0.0;
-    /// `needed` reached the ceiling before the last position, without
-    /// saturating: a decision that stops at the ceiling stops early.
+    /// quantizeUp(needed) reached the ceiling before the last position,
+    /// without saturating: a decision that stops at the ceiling stops
+    /// early.
     bool crossed = false;
+    /// It did so while `needed` itself was still below the ceiling:
+    /// an early stop the unquantized test would not have taken.
+    bool quantizedOnly = false;
 };
 
 /// Eq. 2 walked the way RubikController and RubikBoostController did
@@ -810,8 +871,11 @@ fullWalk(const TargetTailTable &table, double target, const CoreView &core,
         } else {
             const double c_i = table.tailCycles(row, position);
             needed = std::max(needed, c_i / slack);
-            if (needed >= ceiling && i + 1 < core.count)
+            if (!walk.crossed && dvfs.quantizeUp(needed) >= ceiling &&
+                i + 1 < core.count) {
                 walk.crossed = true;
+                walk.quantizedOnly = needed < ceiling;
+            }
         }
         ++position;
     }
@@ -832,7 +896,8 @@ TEST(RubikController, CeilingExitDecidesLikeTheFullWalk)
     const double cap_watts = power.coreActivePower(2.0 * kGHz, 0.0);
     ASSERT_LT(capFrequencyCeiling(power, cap_watts), dvfs.maxFrequency());
 
-    std::size_t crossed_count = 0, at_ceiling = 0, below = 0;
+    std::size_t crossed_count = 0, quantized_only = 0, at_ceiling = 0,
+                below = 0;
     for (const AppId id : allApps()) {
         SCOPED_TRACE(appName(id));
         const AppProfile app = makeApp(id);
@@ -898,16 +963,20 @@ TEST(RubikController, CeilingExitDecidesLikeTheFullWalk)
                 const double f = rubik.selectFrequency(view);
                 EXPECT_EQ(f, walk.frequency);
                 crossed_count += walk.crossed;
+                quantized_only += walk.quantizedOnly;
                 ++(f == ceiling ? at_ceiling : below);
                 const TargetTailTable &own = *boost.tableFor(hints[0]);
                 const Walk want = fullWalk(own, bound, view, ceiling);
                 EXPECT_EQ(boost.selectFrequency(view), want.frequency);
+                crossed_count += want.crossed;
+                quantized_only += want.quantizedOnly;
             }
         }
     }
-    // The seeded queues stop early, and land both at and below the
-    // ceiling.
+    // The seeded queues stop early, some only on the quantized test,
+    // and land both at and below the ceiling.
     EXPECT_GT(crossed_count, 0u);
+    EXPECT_GT(quantized_only, 0u);
     EXPECT_GT(at_ceiling, 0u);
     EXPECT_GT(below, 0u);
 }

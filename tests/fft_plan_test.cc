@@ -7,6 +7,7 @@
  * jobs concurrently).
  */
 
+#include <algorithm>
 #include <complex>
 #include <cstring>
 #include <thread>
@@ -102,6 +103,50 @@ TEST(FftPlan, ConvolvePlannedBitwiseIdentical)
         fftConvolvePlanned(a, b, scratch, out);
         EXPECT_TRUE(bitwiseEqual(reference, out))
             << "sizes " << na << "x" << nb;
+    }
+}
+
+/// Reference copy of the real-input load the planned convolution ran
+/// before FftPlan::forwardReal: x zero-padded to n complex values, in
+/// natural order (the transform's swap pass then reorders it).
+void
+loadRealPadded(const std::vector<double> &x, std::size_t n,
+               std::vector<std::complex<double>> &buf)
+{
+    buf.resize(n);
+    double *d = reinterpret_cast<double *>(buf.data());
+    const std::size_t m = x.size();
+    for (std::size_t i = 0; i < m; ++i) {
+        d[2 * i] = x[i];
+        d[2 * i + 1] = 0.0;
+    }
+    std::fill(d + 2 * m, d + 2 * n, 0.0);
+}
+
+TEST(FftPlan, ForwardRealMatchesPaddedLoadAndSwaps)
+{
+    // Loading straight into bit-reversed order must leave the butterfly
+    // passes exactly the input the padded load plus the swap pass did,
+    // under the scalar and the dispatched kernels.
+    for (const SimdMode mode : {SimdMode::Scalar, SimdMode::Auto}) {
+        const SimdMode prev = activeSimdMode();
+        ASSERT_TRUE(setSimdMode(mode));
+        for (std::size_t n = 2; n <= 4096; n *= 2) {
+            const FftPlan &plan = FftPlan::forSize(n);
+            for (const std::size_t len :
+                 {std::size_t{1}, n / 2, n / 2 + 1, n - 1, n}) {
+                const auto x = randomReal(len, 31 * n + len);
+                std::vector<std::complex<double>> reference;
+                loadRealPadded(x, n, reference);
+                plan.run(reference, false);
+                std::vector<std::complex<double>> loaded(n);
+                plan.forwardReal(x.data(), x.size(), loaded.data());
+                EXPECT_TRUE(bitwiseEqual(reference, loaded))
+                    << "size " << n << " length " << len << " mode "
+                    << simdModeName(activeSimdMode());
+            }
+        }
+        ASSERT_TRUE(setSimdMode(prev));
     }
 }
 
@@ -362,6 +407,95 @@ TEST(SimdDispatch, DistributionConvolveAndQuantilesMatchScalar)
     const auto scalar = underSimdMode(SimdMode::Scalar, run);
     const auto dispatched = underSimdMode(SimdMode::Auto, run);
     EXPECT_TRUE(bitwiseEqual(scalar, dispatched));
+}
+
+/// Reference copy of DiscreteDistribution::rebinMasses before the
+/// rebin split kernel: per-source edge divides, then each source added
+/// into the target buckets in memory.
+std::vector<double>
+referenceRebinMasses(const double *src, std::size_t src_len,
+                     double src_width, double new_width,
+                     std::size_t new_buckets)
+{
+    std::vector<double> out(new_buckets, 0.0);
+    for (std::size_t i = 0; i < src_len; ++i) {
+        if (src[i] == 0.0)
+            continue;
+        const double a = static_cast<double>(i) * src_width;
+        const double b = a + src_width;
+        const double lo_f = a / new_width;
+        const double hi_f = b / new_width;
+        auto lo = static_cast<std::size_t>(lo_f);
+        auto hi = static_cast<std::size_t>(hi_f);
+        lo = std::min(lo, new_buckets - 1);
+        hi = std::min(hi, new_buckets - 1);
+        if (lo == hi) {
+            out[lo] += src[i];
+            continue;
+        }
+        const double span = hi_f - lo_f;
+        if (hi == lo + 1) {
+            const double bound = static_cast<double>(hi);
+            const double w1 =
+                std::max(0.0, std::min(hi_f, bound) - lo_f) / span;
+            const double w2 =
+                std::max(0.0, std::min(hi_f, bound + 1.0) - bound) /
+                span;
+            out[lo] += src[i] * w1;
+            out[hi] += src[i] * w2;
+            continue;
+        }
+        for (std::size_t j = lo; j <= hi; ++j) {
+            const double seg_lo = std::max(lo_f, static_cast<double>(j));
+            const double seg_hi =
+                std::min(hi_f, static_cast<double>(j + 1));
+            const double w = std::max(0.0, seg_hi - seg_lo) / span;
+            out[j] += src[i] * w;
+        }
+    }
+    return out;
+}
+
+TEST(SimdDispatch, RebinSplitMatchesReferenceRebin)
+{
+    // Random source and target geometries: target buckets narrower and
+    // wider than the sources (sources spanning one, two and many
+    // targets), targets that end before the source support (every
+    // source past the end lands in the clamped top bucket), zero
+    // masses, and lengths off the vector width.
+    Rng rng(77);
+    std::size_t wide = 0, clamped = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t src_len = 1 + rng.uniformInt(300);
+        const std::size_t new_buckets = 2 + rng.uniformInt(200);
+        const double src_width = rng.uniform(0.01, 10.0);
+        const double support = src_width * static_cast<double>(src_len);
+        const double new_width = support *
+                                 rng.uniform(0.2, 1.5) /
+                                 static_cast<double>(new_buckets);
+        std::vector<double> masses(src_len);
+        for (double &m : masses)
+            m = rng.uniform() < 0.2 ? 0.0 : rng.uniform();
+        masses[rng.uniformInt(src_len)] = 1.0; // never all zero
+        wide += src_width > 2.0 * new_width;
+        clamped += new_width * static_cast<double>(new_buckets) < support;
+
+        const DiscreteDistribution source(masses, src_width);
+        for (std::size_t i = 0; i < src_len; ++i)
+            masses[i] = source.mass(i); // normalized, as rebin() sees them
+        const DiscreteDistribution reference(
+            referenceRebinMasses(masses.data(), src_len, src_width,
+                                 new_width, new_buckets),
+            new_width);
+        for (const SimdMode mode : {SimdMode::Scalar, SimdMode::Auto}) {
+            const DiscreteDistribution got = underSimdMode(
+                mode, [&] { return source.rebin(new_width, new_buckets); });
+            EXPECT_TRUE(sameDistribution(reference, got))
+                << "trial " << trial << " mode " << simdModeName(mode);
+        }
+    }
+    EXPECT_GT(wide, 0u);
+    EXPECT_GT(clamped, 0u);
 }
 
 TEST(SimdDispatch, TableBuildBitwiseMatchesScalar)

@@ -5,6 +5,10 @@
  * sanity against Table 2's 65 W TDP class of machine).
  */
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "power/dvfs_model.h"
@@ -40,6 +44,38 @@ TEST(DvfsModel, QuantizeDown)
     EXPECT_DOUBLE_EQ(dvfs.quantizeDown(3.3 * kGHz), 3.2 * kGHz);
     EXPECT_DOUBLE_EQ(dvfs.quantizeDown(0.1 * kGHz), 0.8 * kGHz);
     EXPECT_DOUBLE_EQ(dvfs.quantizeDown(3.4 * kGHz), 3.4 * kGHz);
+}
+
+TEST(DvfsModel, CeilingThresholdMatchesQuantizeUp)
+{
+    // f - 1.0 > ceilingThreshold(c) must agree with
+    // quantizeUp(f) >= min(c, f_max) for every f: on, between and
+    // around grid points (within the 1 Hz slop, one ulp either side of
+    // it), below and above the grid, for ceilings on the grid, between
+    // grid points, below f_min and above f_max.
+    const DvfsModel dvfs = DvfsModel::haswell();
+    const auto &grid = dvfs.frequencies();
+    std::vector<double> fs = {0.0, 1.0, 0.5 * grid.front(),
+                              2.0 * grid.back()};
+    for (const double g : grid) {
+        for (const double d : {-150e6, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0}) {
+            const double f = g + d;
+            fs.insert(fs.end(), {f, std::nextafter(f, 0.0),
+                                 std::nextafter(f, 1e300)});
+        }
+    }
+    std::vector<double> ceilings = {0.5 * grid.front(),
+                                    grid.back() + 1e9};
+    for (const double g : grid)
+        ceilings.insert(ceilings.end(), {g, g + 100e6, g - 1.0});
+    for (const double c : ceilings) {
+        const double top = std::min(c, dvfs.maxFrequency());
+        const double threshold = dvfs.ceilingThreshold(c);
+        for (const double f : fs) {
+            EXPECT_EQ(f - 1.0 > threshold, dvfs.quantizeUp(f) >= top)
+                << "f " << f << " ceiling " << c;
+        }
+    }
 }
 
 TEST(DvfsModel, IndexOfRoundsToNearest)

@@ -664,6 +664,46 @@ TEST(ExperimentRunner, PropagatesLowestIndexException)
     EXPECT_EQ(completed.load(), 18);
 }
 
+TEST(ExperimentRunner, StartOrderKeepsIndexOrderedResultsAndErrors)
+{
+    // On one worker the jobs run exactly in the start order given; the
+    // results, and the failure rethrown, still follow the job index.
+    ExperimentRunner runner(1);
+    std::vector<int> started;
+    const std::vector<std::size_t> order = {3, 0, 4, 1, 2};
+    const auto make_jobs = [&started](int failing) {
+        std::vector<std::function<int()>> jobs;
+        for (int i = 0; i < 5; ++i) {
+            jobs.push_back([i, failing, &started]() -> int {
+                started.push_back(i);
+                if (i == failing || i == 3)
+                    throw std::runtime_error("job " + std::to_string(i));
+                return 10 * i;
+            });
+        }
+        return jobs;
+    };
+    std::vector<std::function<int()>> ok;
+    for (int i = 0; i < 5; ++i)
+        ok.push_back([i, &started] {
+            started.push_back(i);
+            return 10 * i;
+        });
+    EXPECT_EQ(runner.runBatch(std::move(ok), order),
+              (std::vector<int>{0, 10, 20, 30, 40}));
+    EXPECT_EQ(started, (std::vector<int>{3, 0, 4, 1, 2}));
+
+    // Job 3 fails first in time, job 1 has the lower index.
+    started.clear();
+    try {
+        runner.runBatch(make_jobs(1), order);
+        FAIL() << "expected runBatch to rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "job 1");
+    }
+    EXPECT_EQ(started.size(), 5u);
+}
+
 TEST(ExperimentRunner, VoidBatchPropagatesExceptions)
 {
     ExperimentRunner runner(2);

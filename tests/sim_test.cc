@@ -6,11 +6,14 @@
  * the queueing behavior against the M/G/1 Pollaczek-Khinchine formula.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "policies/replay.h"
+#include "runner/sweep_runner.h"
 #include "sim/core_engine.h"
 #include "sim/metrics.h"
 #include "sim/simulation.h"
@@ -222,6 +225,33 @@ TEST(CoreEngine, WakeLatencyAppliedAfterSleep)
                 1e-12);
 }
 
+TEST(CoreEngine, RemainderBelowClockResolutionCompletes)
+{
+    // Past 2^14 s half an ulp of the clock exceeds the engine's 1e-12 s
+    // completion tolerance. A remainder between the two can never be
+    // advanced through (now + left == now), so it has to complete now:
+    // the event loop used to spin on it forever.
+    const DvfsModel dvfs = instantDvfs();
+    const PowerModel pm(dvfs);
+    CoreEngineConfig cfg;
+    cfg.initialFrequency = 2.0 * kGHz;
+    cfg.wakeLatency = 0.0;
+    CoreEngine core(dvfs, pm, cfg);
+
+    const double now = 20000.0;
+    const double left = 1.5e-12;
+    ASSERT_GT(left, 1e-12);
+    ASSERT_EQ(now + left, now);
+    core.advanceTo(now);
+    core.enqueue(makeRequest(0, now, left * 2.0 * kGHz, 0.0));
+    EXPECT_EQ(core.nextEventTime(), now);
+    core.advanceTo(core.nextEventTime());
+    const auto done = core.processEvents();
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->completionTime, now);
+    EXPECT_FALSE(core.busy());
+}
+
 TEST(CoreEngine, PerRequestEnergyMatchesPowerIntegral)
 {
     const DvfsModel dvfs = instantDvfs();
@@ -409,6 +439,33 @@ TEST(Simulate, SystemEnergyScalesComponents)
     EXPECT_GT(six.total(), one.total());
 }
 
+TEST(Simulate, FinishesRunsPastTwoToTheFourteenSeconds)
+{
+    // `rubik_cli --app masstree --load 1e-6 --requests 100` for both
+    // online policies: arrivals ~170 s apart put the clock past 2^14 s,
+    // where both runs used to stall at t = 16,942 s.
+    const DvfsModel dvfs = DvfsModel::haswell(4.0 * kUs);
+    const PowerModel power(dvfs);
+    const double nominal = dvfs.nominalFrequency();
+    const AppProfile app = makeApp(AppId::Masstree);
+    const Trace t50 = generateLoadTrace(app, 0.5, 100, nominal, 42);
+    Trace trace = generateLoadTrace(app, 1e-6, 100, nominal, 42);
+    annotateClasses(trace, 0.85, nominal);
+    ASSERT_GT(trace.back().arrivalTime, 16384.0);
+    PolicyRunRequest req;
+    req.trace = &trace;
+    req.bound = replayFixed(t50, nominal, power).tailLatency(0.95);
+    req.dvfs = &dvfs;
+    req.power = &power;
+    req.collectLatencies = true;
+    for (const char *policy : {"pegasus", "rubik"}) {
+        SCOPED_TRACE(policy);
+        const PolicyOutcome out = runPolicy(policy, req);
+        EXPECT_EQ(out.latencies.size(), trace.size());
+        EXPECT_GT(out.tailLatency, 0.0);
+    }
+}
+
 TEST(Metrics, InstantaneousQpsTracksRate)
 {
     // 1000 arrivals at exactly 1ms spacing -> 1000 QPS in any window.
@@ -468,6 +525,55 @@ TEST(Trace, SaveLoadRoundTrip)
         EXPECT_NEAR(loaded[i].arrivalTime, trace[i].arrivalTime, 1e-9);
         EXPECT_NEAR(loaded[i].computeCycles, trace[i].computeCycles, 1.0);
         EXPECT_NEAR(loaded[i].memoryTime, trace[i].memoryTime, 1e-12);
+    }
+}
+
+/// Reference copy of annotateClasses before it selected its threshold
+/// with nth_element: a full sort, then the rank-th element.
+void
+referenceAnnotateClasses(Trace &trace, double quantile, double nominal)
+{
+    if (trace.empty())
+        return;
+    std::vector<double> service;
+    for (const auto &r : trace)
+        service.push_back(r.serviceTime(nominal));
+    std::sort(service.begin(), service.end());
+    const auto rank = static_cast<std::size_t>(
+        quantile * static_cast<double>(service.size()));
+    const double threshold = service[std::min(rank, service.size() - 1)];
+    for (auto &r : trace)
+        r.classHint = r.serviceTime(nominal) > threshold ? 1 : 0;
+}
+
+TEST(Trace, AnnotateClassesMatchesSortingReference)
+{
+    // Every app's trace at several sizes, plus one made of a few
+    // repeated records (ties at the threshold), over quantiles from
+    // the first rank to the last.
+    const double nominal = 2.4 * kGHz;
+    std::vector<Trace> traces;
+    for (const AppId id : allApps()) {
+        for (const int n : {1, 2, 7, 64, 3000}) {
+            traces.push_back(
+                generateLoadTrace(makeApp(id), 0.5, n, nominal, 9));
+        }
+    }
+    Trace ties;
+    for (int i = 0; i < 500; ++i)
+        ties.push_back({i * 1e-3, 1e6 * static_cast<double>(i % 4), 0.0});
+    traces.push_back(ties);
+    for (const Trace &base : traces) {
+        for (const double q : {1e-6, 0.25, 0.5, 0.85, 0.999999}) {
+            Trace got = base, want = base;
+            annotateClasses(got, q, nominal);
+            referenceAnnotateClasses(want, q, nominal);
+            for (std::size_t i = 0; i < base.size(); ++i) {
+                ASSERT_EQ(got[i].classHint, want[i].classHint)
+                    << "size " << base.size() << " q " << q << " request "
+                    << i;
+            }
+        }
     }
 }
 

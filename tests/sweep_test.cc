@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 
 #include "runner/sweep_runner.h"
 #include "runner/sweep_spec.h"
+#include "workloads/apps.h"
 #include "workloads/trace_gen.h"
 #include "workloads/trace_store.h"
 
@@ -216,6 +218,43 @@ TEST(RunSweep, CellBatchesConcatenateToTheWholeGrid)
             });
         }
         EXPECT_EQ(merged, full) << "batches=" << cuts.size() - 1;
+    }
+}
+
+// Cells start longest trace span first, so workers finish them out of
+// index order; the rows must not depend on that or on the worker count.
+TEST(RunSweep, RowsAreIdenticalAcrossJobsWhenSpansDiffer)
+{
+    SweepSpec spec;
+    spec.apps = {"masstree", "moses"};
+    spec.loads = {0.2, 0.7};
+    spec.policies = {"rubik", "boost", "pegasus"};
+    spec.seeds = {42};
+    spec.requests = 500;
+
+    // Lower loads and slower apps run longer traces, so the longest
+    // spans are not the first cells.
+    std::vector<double> spans;
+    for (std::size_t i = 0; i < spec.numCells(); ++i) {
+        const SweepCell cell = spec.cell(i);
+        const std::optional<AppId> id = appIdByName(cell.app);
+        ASSERT_TRUE(id.has_value());
+        spans.push_back(traceDuration(generateLoadTrace(
+            makeApp(*id), cell.load, spec.requests, 2.4e9, cell.seed)));
+    }
+    EXPECT_FALSE(std::is_sorted(spans.rbegin(), spans.rend()));
+
+    const std::string serial =
+        captureOutput([&](std::FILE *f) { runSweep(spec, 1, f); });
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(serial.begin(), serial.end(), '\n')),
+              spec.numCells() + 1);
+    for (const int jobs : {2, 4}) {
+        EXPECT_EQ(captureOutput([&](std::FILE *f) {
+                      runSweep(spec, jobs, f);
+                  }),
+                  serial)
+            << "jobs=" << jobs;
     }
 }
 
