@@ -28,22 +28,20 @@ adrenalineOracle(const Trace &trace, double latency_bound,
     const auto &grid = dvfs.frequencies();
     const std::size_t n = trace.size();
 
-    // One long/short split per threshold and one frequency buffer,
-    // refilled for every probe.
-    std::vector<char> is_long(n);
-    std::vector<double> freqs(n);
+    // One long/short split per threshold; a probe reads each request's
+    // frequency straight from it. Long and short requests interleave at
+    // random, so the probes and the energy sums below index by the
+    // split instead of branching on it.
+    std::vector<unsigned char> is_long(n);
     auto classify = [&](double threshold) {
         for (std::size_t i = 0; i < n; ++i)
             is_long[i] = trace[i].serviceTime(nominal_freq) > threshold;
     };
-    auto assign = [&](double base, double boost) {
-        for (std::size_t i = 0; i < n; ++i)
-            freqs[i] = is_long[i] ? boost : base;
-    };
     auto feasible = [&](double base, double boost) {
-        assign(base, boost);
-        return meetsTailBound(trace, freqs, config.percentile,
-                              latency_bound);
+        const double freqs[2] = {base, boost};
+        return meetsTailBoundWith(
+            trace, [&](std::size_t i) { return freqs[is_long[i]]; },
+            config.percentile, latency_bound);
     };
 
     // Feasibility is monotone in both frequencies, even in IEEE
@@ -70,13 +68,26 @@ adrenalineOracle(const Trace &trace, double latency_bound,
     // its order and is bitwise the replay's.
     std::vector<double> energy_at(grid.size() * n);
     for (std::size_t k = 0; k < grid.size(); ++k) {
+        const RequestEnergyAt energy(grid[k], power);
         for (std::size_t i = 0; i < n; ++i)
-            energy_at[k * n + i] = requestEnergy(trace[i], grid[k], power);
+            energy_at[k * n + i] = energy(trace[i]);
     }
 
+    // The smallest feasible base index per boost, at the previous
+    // threshold.
+    std::vector<std::size_t> floor_at(grid.size(), 0);
+    double prev_threshold = -std::numeric_limits<double>::infinity();
     for (double q : config.thresholdQuantiles) {
         const double threshold = percentileSorted(service, q);
         classify(threshold);
+        // Raising the threshold moves requests from boost to base, and
+        // every base searched is at most its boost, so no frequency
+        // rises: a base feasible now was feasible at every lower
+        // threshold. While thresholds do not decrease, the previous
+        // threshold's answer is therefore a lower end for this search.
+        if (threshold < prev_threshold)
+            std::fill(floor_at.begin(), floor_at.end(), 0);
+        prev_threshold = threshold;
         // Binary-search the smallest feasible base for each boost,
         // walking the boosts upward. Raising the boost never raises
         // that base, so the previous boost's answer is a feasible upper
@@ -86,7 +97,7 @@ adrenalineOracle(const Trace &trace, double latency_bound,
         std::size_t prev = lowest;
         for (std::size_t b = lowest; b < grid.size(); ++b) {
             const double boost = grid[b];
-            std::size_t lo = 0;
+            std::size_t lo = floor_at[b];
             std::size_t hi = prev;
             while (lo < hi) {
                 const std::size_t mid = (lo + hi) / 2;
@@ -95,12 +106,12 @@ adrenalineOracle(const Trace &trace, double latency_bound,
                 else
                     lo = mid + 1;
             }
-            prev = lo;
-            const double *base_energy = &energy_at[lo * n];
-            const double *boost_energy = &energy_at[b * n];
+            prev = floor_at[b] = lo;
+            const double *columns[2] = {&energy_at[lo * n],
+                                        &energy_at[b * n]};
             double energy = 0.0;
             for (std::size_t i = 0; i < n; ++i)
-                energy += is_long[i] ? boost_energy[i] : base_energy[i];
+                energy += columns[is_long[i]][i];
             if (energy < best_energy) {
                 best_energy = energy;
                 best.threshold = threshold;
@@ -113,7 +124,9 @@ adrenalineOracle(const Trace &trace, double latency_bound,
 
     // Replay only the overall winner.
     classify(best.threshold);
-    assign(best.baseFrequency, best.boostFrequency);
+    std::vector<double> freqs(n);
+    for (std::size_t i = 0; i < n; ++i)
+        freqs[i] = is_long[i] ? best.boostFrequency : best.baseFrequency;
     best.replay = replayFifo(trace, freqs, power);
     return best;
 }

@@ -15,14 +15,16 @@
  * monotone in the base frequency, so a binary search on the grid is
  * exact); among all feasible combinations we keep the one with minimum
  * energy. Each probe of the search is a counting pass
- * (meetsTailBound), and only the overall winner is replayed.
+ * (meetsTailBoundWith), and only the overall winner is replayed.
  *
  * Tail latency is monotone in the boost frequency too, so the uniform
  * frequencies (base = boost) are searched once per trace, by
  * StaticOracle, rather than once per threshold, and each boost's
- * search is bounded above by the previous, lower boost's answer.
- * Candidate energies are summed from a table of requestEnergy values
- * per request and grid level.
+ * search is bounded above by the previous, lower boost's answer. A
+ * higher threshold only lowers frequencies, so while the thresholds do
+ * not decrease, each search is bounded below by the same boost's answer
+ * at the previous threshold. Candidate energies are summed from a table
+ * of requestEnergy values per request and grid level.
  */
 
 #include "policies/replay.h"

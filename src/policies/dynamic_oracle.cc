@@ -1,10 +1,11 @@
 #include "policies/dynamic_oracle.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
+#include "policies/savings_queue.h"
+#include "stats/percentile.h"
 #include "util/error.h"
 
 namespace rubik {
@@ -13,65 +14,80 @@ namespace {
 
 /**
  * Incremental FIFO schedule state for the greedy reduction phase. Each
- * request runs at a grid level (index into the DVFS grid). Lowering one
- * request's level only affects its busy period (the effect stops
- * propagating at the first idle gap), so recomputation is local.
+ * request runs at a grid level (index into the DVFS grid) and caches
+ * its service time there, so the walk adds instead of dividing.
+ * Lowering one request's level only affects its busy period (the
+ * effect stops propagating at the first idle gap), so recomputation is
+ * local.
  */
 class Schedule
 {
   public:
     Schedule(const Trace &trace, const std::vector<double> &grid,
              std::size_t level, double bound, double percentile)
-        : trace_(trace), grid_(grid), levels_(trace.size(), level),
+        : trace_(trace), grid_(grid),
+          levels_(trace.size(), static_cast<std::uint16_t>(level)),
+          services_(trace.size()), completions_(trace.size()),
           bound_(bound)
     {
-        completions_.resize(trace.size());
         double prev = 0.0;
         for (std::size_t j = 0; j < trace_.size(); ++j) {
+            services_[j] = trace_[j].serviceTime(grid_[level]);
             const double start = std::max(trace_[j].arrivalTime, prev);
-            completions_[j] = start + trace_[j].serviceTime(freq(j));
+            completions_[j] = start + services_[j];
             prev = completions_[j];
         }
-        violations_ = 0;
         for (std::size_t i = 0; i < trace_.size(); ++i)
             violations_ += isViolation(i);
-        maxViolations_ = static_cast<std::size_t>(std::floor(
-            (1.0 - percentile) * static_cast<double>(trace_.size())));
+        // The nearest-rank q-quantile stays within the bound while at
+        // most this many latencies exceed it (meetsTailBound's budget).
+        maxViolations_ =
+            trace_.size() - 1 - nearestRankIndex(trace_.size(), percentile);
     }
 
-    /// Try lowering request i by one grid level; keep the step if
-    /// violations stay within budget, otherwise roll back. Returns
-    /// whether the change stuck.
+    /// Try lowering request i (level > 0) by one grid level; keep the
+    /// step if violations stay within budget, otherwise roll back.
+    /// Returns whether the change stuck.
     bool tryStepDown(std::size_t i)
     {
-        --levels_[i];
+        const double service =
+            trace_[i].serviceTime(grid_[levels_[i] - 1]);
 
         // Recompute completions from i until they reconverge. Lowering
         // a frequency never shortens a completion, so the violation
         // count only grows along the walk: once it passes the budget
         // the step is rejected without finishing the walk.
-        saved_.clear();
-        double prev = i == 0 ? 0.0 : completions_[i - 1];
         std::size_t new_violations = violations_;
-        for (std::size_t j = i; j < trace_.size(); ++j) {
-            const double start = std::max(trace_[j].arrivalTime, prev);
-            const double done = start + trace_[j].serviceTime(freq(j));
-            if (j > i && done == completions_[j])
-                break; // reconverged; the suffix is unchanged
-            saved_.push_back(completions_[j]);
+        double done =
+            std::max(trace_[i].arrivalTime,
+                     i == 0 ? 0.0 : completions_[i - 1]) +
+            service;
+        for (std::size_t j = i;;) {
             new_violations -= isViolation(j);
             completions_[j] = done;
             new_violations += isViolation(j);
             if (new_violations > maxViolations_) {
-                // Roll back: saved_ holds completions i, i+1, ...
-                ++levels_[i];
-                std::copy(saved_.begin(), saved_.end(),
-                          completions_.begin() +
-                              static_cast<std::ptrdiff_t>(i));
+                // Roll back: completions i..j held the FIFO recurrence
+                // over the old service times (services_[i] is still the
+                // old one), so replaying it restores their bits.
+                double prev = i == 0 ? 0.0 : completions_[i - 1];
+                for (std::size_t k = i; k <= j; ++k) {
+                    prev = std::max(trace_[k].arrivalTime, prev) +
+                           services_[k];
+                    completions_[k] = prev;
+                }
                 return false;
             }
-            prev = done;
+            if (++j == trace_.size())
+                break;
+            const double next =
+                std::max(trace_[j].arrivalTime, done) + services_[j];
+            if (next == completions_[j])
+                break; // reconverged; the suffix is unchanged
+            done = next;
         }
+        --levels_[i];
+        services_[i] = service;
         violations_ = new_violations;
         return true;
     }
@@ -88,81 +104,12 @@ class Schedule
 
     const Trace &trace_;
     const std::vector<double> &grid_;
-    std::vector<std::size_t> levels_;
+    std::vector<std::uint16_t> levels_; ///< Small, for cache's sake.
+    std::vector<double> services_;      ///< Service time at levels_.
     std::vector<double> completions_;
-    std::vector<double> saved_; ///< One rollback buffer, reused.
     double bound_;
     std::size_t violations_ = 0;
     std::size_t maxViolations_ = 0;
-};
-
-/**
- * Binary max-heap of (saving, request) keys, ordered as std::pair
- * orders them, with savings and requests in two parallel arrays. Each
- * request holds at most one entry, so every key is distinct and any
- * correct max-heap pops the same sequence std::priority_queue would.
- */
-class SavingsHeap
-{
-  public:
-    /// Heapify the given entries at once (Floyd's bottom-up build).
-    SavingsHeap(std::vector<double> savings,
-                std::vector<std::size_t> requests)
-        : savings_(std::move(savings)), requests_(std::move(requests))
-    {
-        for (std::size_t i = savings_.size() / 2; i-- > 0;)
-            siftDown(i, savings_[i], requests_[i]);
-    }
-
-    bool empty() const { return savings_.empty(); }
-
-    std::size_t topRequest() const { return requests_[0]; }
-
-    void pop()
-    {
-        const double saving = savings_.back();
-        const std::size_t request = requests_.back();
-        savings_.pop_back();
-        requests_.pop_back();
-        if (!savings_.empty())
-            siftDown(0, saving, request);
-    }
-
-    /// Pop the top and push (saving, request) in one sift.
-    void replaceTop(double saving, std::size_t request)
-    {
-        siftDown(0, saving, request);
-    }
-
-  private:
-    /// (sa, ra) < (sb, rb) in std::pair order, without branches.
-    static bool less(double sa, std::size_t ra, double sb, std::size_t rb)
-    {
-        return (sa < sb) | ((sa == sb) & (ra < rb));
-    }
-
-    /// Place (saving, request) at `hole` or below it, moving larger
-    /// children up.
-    void siftDown(std::size_t hole, double saving, std::size_t request)
-    {
-        const std::size_t size = savings_.size();
-        for (std::size_t child = 2 * hole + 1; child < size;
-             child = 2 * hole + 1) {
-            if (child + 1 < size)
-                child += less(savings_[child], requests_[child],
-                              savings_[child + 1], requests_[child + 1]);
-            if (!less(saving, request, savings_[child], requests_[child]))
-                break;
-            savings_[hole] = savings_[child];
-            requests_[hole] = requests_[child];
-            hole = child;
-        }
-        savings_[hole] = saving;
-        requests_[hole] = request;
-    }
-
-    std::vector<double> savings_;
-    std::vector<std::size_t> requests_;
 };
 
 } // anonymous namespace
@@ -173,6 +120,9 @@ dynamicOracle(const Trace &trace, double latency_bound, double percentile,
 {
     RUBIK_ASSERT(!trace.empty(), "empty trace");
     const auto &grid = dvfs.frequencies();
+    RUBIK_ASSERT(grid.size() <= 65536,
+                 "DVFS grid too fine for DynamicOracle's level index");
+    const std::size_t top = grid.size() - 1;
 
     // Start from maximum frequency everywhere (the minimum-latency
     // schedule), then progressively reduce frequencies while at most a
@@ -186,41 +136,46 @@ dynamicOracle(const Trace &trace, double latency_bound, double percentile,
     // violation budget holds. A request that fails to step down stays
     // blocked: later reductions only increase latencies, so a rejected
     // step can never become admissible.
-    Schedule sched(trace, grid, grid.size() - 1, latency_bound,
-                   percentile);
-
-    auto step_down_saving = [&](std::size_t i) -> double {
-        const std::size_t idx = sched.level(i);
-        if (idx == 0)
-            return -1.0;
-        return requestEnergy(trace[i], grid[idx], power) -
-               requestEnergy(trace[i], grid[idx - 1], power);
-    };
-
-    // Each request has at most one heap entry, pushed after its own
-    // last step, so the top's saving is always current. An accepted
-    // step whose next saving is positive replaces the top in place;
-    // anything else pops it (rejected requests are simply dropped).
-    std::vector<double> savings;
-    std::vector<std::size_t> requests;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const double s = step_down_saving(i);
-        if (s > 0.0) {
-            savings.push_back(s);
-            requests.push_back(i);
+    Schedule sched(trace, grid, top, latency_bound, percentile);
+    if (top > 0) {
+        std::vector<RequestEnergyAt> energy_at;
+        for (double f : grid)
+            energy_at.emplace_back(f, power);
+        // Each request's energy one level below its own, so a step's
+        // saving costs one energy evaluation.
+        std::vector<double> energy_below(trace.size());
+        SavingsQueue queue(trace.size());
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            energy_below[i] = energy_at[top - 1](trace[i]);
+            const double s = energy_at[top](trace[i]) - energy_below[i];
+            if (s > 0.0)
+                queue.push(s, i);
         }
-    }
-    SavingsHeap heap(std::move(savings), std::move(requests));
-    while (!heap.empty()) {
-        const std::size_t i = heap.topRequest();
-        if (sched.tryStepDown(i)) {
-            const double next = step_down_saving(i);
-            if (next > 0.0) {
-                heap.replaceTop(next, i);
-                continue;
+
+        // Each request has at most one entry, pushed after its own last
+        // step, so a popped saving is always current. Every other entry
+        // sits below the one just popped, so a next saving that is not
+        // below it would be the largest key and pop next: that step is
+        // taken at once. Anything lower is pushed, which keeps the
+        // queue's monotone contract; a rejected step or a nonpositive
+        // saving drops the request.
+        while (!queue.empty()) {
+            const auto [popped, i] = queue.pop();
+            while (sched.tryStepDown(i)) {
+                const std::size_t level = sched.level(i);
+                if (level == 0)
+                    break;
+                const double energy = energy_below[i];
+                energy_below[i] = energy_at[level - 1](trace[i]);
+                const double next = energy - energy_below[i];
+                if (!(next > 0.0))
+                    break;
+                if (next < popped) {
+                    queue.push(next, i);
+                    break;
+                }
             }
         }
-        heap.pop();
     }
 
     DynamicOracleResult result;

@@ -18,10 +18,12 @@
  * interchangeable.
  */
 
+#include <algorithm>
 #include <vector>
 
 #include "power/power_model.h"
 #include "sim/trace.h"
+#include "stats/percentile.h"
 
 namespace rubik {
 
@@ -62,12 +64,88 @@ bool meetsTailBound(const Trace &trace, const std::vector<double> &freqs,
                     double q, double bound);
 
 /**
+ * meetsTailBound with request i's frequency given by freq_of(i), so a
+ * search over schedules of one or two distinct frequencies
+ * (StaticOracle's uniform ones, AdrenalineOracle's base/boost splits)
+ * probes without filling a frequency vector first.
+ */
+template <class FreqOf>
+bool
+meetsTailBoundWith(const Trace &trace, FreqOf freq_of, double q,
+                   double bound)
+{
+    if (trace.empty())
+        return 0.0 <= bound; // tailLatency() of no latencies is 0
+    const std::size_t budget =
+        trace.size() - 1 - nearestRankIndex(trace.size(), q);
+    std::size_t over = 0;
+    double completion = 0.0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const auto &r = trace[i];
+        const double start = std::max(r.arrivalTime, completion);
+        const double service = r.serviceTime(freq_of(i));
+        completion = start + service;
+        // "Not <= bound" rather than "> bound": a NaN bound then fails
+        // every request, as the quantile comparison does. Counting
+        // without a branch keeps the scattered misses from costing a
+        // misprediction each.
+        over += !(completion - r.arrivalTime <= bound);
+        if (over > budget)
+            return false;
+    }
+    return true;
+}
+
+/**
  * Active core energy of serving one request at frequency f (dynamic +
  * static over its service time, with the memory-stall activity factor) —
  * the unit the oracles' greedy steps optimize.
  */
-double requestEnergy(const TraceRecord &r, double freq,
-                     const PowerModel &power);
+inline double
+requestEnergy(const TraceRecord &r, double freq, const PowerModel &power)
+{
+    const double service = r.serviceTime(freq);
+    if (service <= 0.0)
+        return 0.0;
+    const double stall_frac = r.memoryTime / service;
+    return power.coreActivePower(freq, stall_frac) * service;
+}
+
+/**
+ * requestEnergy at one frequency, with the factors of coreActivePower
+ * that depend on the frequency alone (the voltage, Ceff·V²·f and
+ * kLeak·V) evaluated once. Every call is bitwise
+ * requestEnergy(r, freq, power): the same operations on the same
+ * values, in the same order. The oracles keep one per grid level.
+ */
+class RequestEnergyAt
+{
+  public:
+    RequestEnergyAt(double freq, const PowerModel &power)
+        : freq_(freq), stallActivity_(power.params().stallActivity)
+    {
+        const double v = power.dvfs().voltage(freq);
+        dynamic_ = power.params().ceff * v * v * freq;
+        leakage_ = power.params().kLeak * v;
+    }
+
+    double operator()(const TraceRecord &r) const
+    {
+        const double service = r.serviceTime(freq_);
+        if (service <= 0.0)
+            return 0.0;
+        const double stall_frac = r.memoryTime / service;
+        const double activity =
+            (1.0 - stall_frac) + stall_frac * stallActivity_;
+        return (dynamic_ * activity + leakage_) * service;
+    }
+
+  private:
+    double freq_;
+    double stallActivity_;
+    double dynamic_ = 0.0; ///< Ceff * V * V * f, coreDynamicPower's prefix.
+    double leakage_ = 0.0; ///< kLeak * V, coreStaticPower.
+};
 
 } // namespace rubik
 

@@ -1,7 +1,5 @@
 #include "policies/static_oracle.h"
 
-#include <algorithm>
-
 namespace rubik {
 
 StaticOracleResult
@@ -9,15 +7,15 @@ staticOracle(const Trace &trace, double latency_bound, double percentile,
              const DvfsModel &dvfs, const PowerModel &power)
 {
     StaticOracleResult result;
-    // Probe each grid frequency by counting (meetsTailBound); only the
-    // chosen one is replayed.
-    std::vector<double> freqs(trace.size());
+    // Probe each grid frequency by counting (meetsTailBoundWith); only
+    // the chosen one is replayed.
     for (double f : dvfs.frequencies()) {
-        std::fill(freqs.begin(), freqs.end(), f);
-        if (meetsTailBound(trace, freqs, percentile, latency_bound)) {
+        if (meetsTailBoundWith(
+                trace, [f](std::size_t) { return f; }, percentile,
+                latency_bound)) {
             result.frequency = f;
             result.feasible = true;
-            result.replay = replayFifo(trace, freqs, power);
+            result.replay = replayFixed(trace, f, power);
             return result;
         }
     }

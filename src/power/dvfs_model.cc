@@ -37,15 +37,6 @@ DvfsModel::DvfsModel(double min_freq, double max_freq, double step,
 }
 
 double
-DvfsModel::voltage(double freq) const
-{
-    const double f = std::clamp(freq, minFrequency(), maxFrequency());
-    const double t = (f - minFrequency()) /
-                     (maxFrequency() - minFrequency());
-    return vMin_ + t * (vMax_ - vMin_);
-}
-
-double
 DvfsModel::quantizeUp(double freq) const
 {
     auto it = std::lower_bound(freqs_.begin(), freqs_.end(),

@@ -10,6 +10,7 @@
  * transition latency is a parameter so both systems can be modeled.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -53,7 +54,13 @@ class DvfsModel
     void setTransitionLatency(double latency) { transitionLatency_ = latency; }
 
     /// Supply voltage at frequency f (linear V/f curve, clamped to grid).
-    double voltage(double freq) const;
+    double voltage(double freq) const
+    {
+        const double f = std::clamp(freq, minFrequency(), maxFrequency());
+        const double t = (f - minFrequency()) /
+                         (maxFrequency() - minFrequency());
+        return vMin_ + t * (vMax_ - vMin_);
+    }
 
     /**
      * Smallest grid frequency >= freq (max frequency if freq is above the

@@ -28,27 +28,6 @@ PowerModel::PowerModel(const DvfsModel &dvfs, const Params &params)
 }
 
 double
-PowerModel::coreDynamicPower(double freq, double stall_frac) const
-{
-    const double v = dvfs_.voltage(freq);
-    const double activity =
-        (1.0 - stall_frac) + stall_frac * params_.stallActivity;
-    return params_.ceff * v * v * freq * activity;
-}
-
-double
-PowerModel::coreStaticPower(double freq) const
-{
-    return params_.kLeak * dvfs_.voltage(freq);
-}
-
-double
-PowerModel::coreActivePower(double freq, double stall_frac) const
-{
-    return coreDynamicPower(freq, stall_frac) + coreStaticPower(freq);
-}
-
-double
 PowerModel::corePower(CoreState state, double freq) const
 {
     switch (state) {

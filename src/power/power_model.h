@@ -111,13 +111,25 @@ class PowerModel
      * @param stall_frac  Fraction of time stalled on memory in [0,1];
      *                    stalled cycles toggle less logic.
      */
-    double coreActivePower(double freq, double stall_frac = 0.0) const;
+    double coreActivePower(double freq, double stall_frac = 0.0) const
+    {
+        return coreDynamicPower(freq, stall_frac) + coreStaticPower(freq);
+    }
 
     /// Dynamic-only component of coreActivePower (for dynamic/static splits).
-    double coreDynamicPower(double freq, double stall_frac = 0.0) const;
+    double coreDynamicPower(double freq, double stall_frac = 0.0) const
+    {
+        const double v = dvfs_.voltage(freq);
+        const double activity =
+            (1.0 - stall_frac) + stall_frac * params_.stallActivity;
+        return params_.ceff * v * v * freq * activity;
+    }
 
     /// Static (leakage) component at frequency f's voltage.
-    double coreStaticPower(double freq) const;
+    double coreStaticPower(double freq) const
+    {
+        return params_.kLeak * dvfs_.voltage(freq);
+    }
 
     /// Power of one core in the given state (Active uses stall_frac = 0).
     double corePower(CoreState state, double freq) const;

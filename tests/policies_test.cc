@@ -16,9 +16,11 @@
 #include "policies/dynamic_oracle.h"
 #include "policies/pegasus.h"
 #include "policies/replay.h"
+#include "policies/savings_queue.h"
 #include "policies/static_oracle.h"
 #include "sim/simulation.h"
 #include "stats/percentile.h"
+#include "util/rng.h"
 #include "util/units.h"
 #include "workloads/apps.h"
 #include "workloads/trace_gen.h"
@@ -158,8 +160,8 @@ class Schedule
         }
         for (std::size_t i = 0; i < trace_.size(); ++i)
             violations_ += isViolation(i);
-        maxViolations_ = static_cast<std::size_t>(std::floor(
-            (1.0 - percentile) * static_cast<double>(trace_.size())));
+        maxViolations_ = trace_.size() - 1 -
+                         nearestRankIndex(trace_.size(), percentile);
     }
 
     bool tryLower(std::size_t i, double freq)
@@ -368,6 +370,33 @@ TEST(Replay, RequestEnergyUsesStallFactor)
               requestEnergy(compute, 2.4 * kGHz, s.pm));
 }
 
+TEST(Replay, EnergyAtOneFrequencyIsRequestEnergy)
+{
+    // The oracles evaluate energies through RequestEnergyAt, one per
+    // grid level. Every record of the five apps' sweep traces, at every
+    // level, must give requestEnergy's bits.
+    Harness s;
+    Trace records;
+    for (AppId app : allApps()) {
+        for (double load : {0.3, 0.5, 0.7}) {
+            const Trace t = s.trace(app, load, 20000, 42);
+            records.insert(records.end(), t.begin(), t.end());
+        }
+    }
+    records.push_back({0.0, 2.4e6, 0.0});     // no memory time
+    records.push_back({0.0, 0.0, 1.0 * kMs}); // no compute
+    records.push_back({0.0, 0.0, 0.0});       // no service at all
+    records.push_back({0.0, 1.0, 1e-12});     // nearly nothing
+    for (double f : s.dvfs.frequencies()) {
+        const RequestEnergyAt energy(f, s.pm);
+        for (const TraceRecord &r : records) {
+            ASSERT_EQ(energy(r), requestEnergy(r, f, s.pm))
+                << "f=" << f << " cycles=" << r.computeCycles
+                << " memory=" << r.memoryTime;
+        }
+    }
+}
+
 TEST(Replay, TailBoundProbeMatchesReplay)
 {
     Harness s;
@@ -521,6 +550,33 @@ TEST(AdrenalineOracle, MatchesReplaySearch)
     EXPECT_GT(infeasible, 0);
 }
 
+TEST(AdrenalineOracle, MatchesReplaySearchInAnyThresholdOrder)
+{
+    // Each boost's search starts at the previous threshold's answer
+    // only while the thresholds do not decrease; a shuffled list must
+    // restart it, and a repeated quantile must find the same answer.
+    Harness s;
+    AdrenalineConfig shuffled;
+    shuffled.thresholdQuantiles = {0.9, 0.5, 0.99, 0.7, 0.95, 0.6, 0.8};
+    AdrenalineConfig repeated;
+    repeated.thresholdQuantiles = {0.5, 0.7, 0.7, 0.9, 0.6, 0.6, 0.95};
+    const double nominal = s.dvfs.nominalFrequency();
+    for (const AdrenalineConfig &config : {shuffled, repeated}) {
+        for (const OracleCase &c : oracleCases(s, 2000)) {
+            SCOPED_TRACE(c.name);
+            const auto got = adrenalineOracle(c.trace, c.bound, s.dvfs,
+                                              s.pm, nominal, config);
+            const auto want = reference::adrenalineOracle(
+                c.trace, c.bound, s.dvfs, s.pm, nominal, config);
+            EXPECT_EQ(got.threshold, want.threshold);
+            EXPECT_EQ(got.baseFrequency, want.baseFrequency);
+            EXPECT_EQ(got.boostFrequency, want.boostFrequency);
+            EXPECT_EQ(got.feasible, want.feasible);
+            expectSameReplay(got.replay, want.replay);
+        }
+    }
+}
+
 TEST(DynamicOracle, MatchesReplaySearch)
 {
     Harness s;
@@ -544,6 +600,48 @@ TEST(DynamicOracle, RespectsViolationBudget)
     for (double l : dyn.replay.latencies)
         violations += l > bound;
     EXPECT_LE(violations, static_cast<int>(0.05 * t.size()) + 1);
+}
+
+TEST(DynamicOracle, SpendsTheNearestRankBudget)
+{
+    // The oracle used to allow floor((1 - q) * n) violations. At
+    // q = 0.95 that is the nearest-rank budget for every n up to
+    // 200 000, so no 0.95 result moves...
+    for (std::size_t n = 1; n <= 200000; ++n) {
+        ASSERT_EQ(static_cast<std::size_t>(
+                      std::floor((1.0 - 0.95) * static_cast<double>(n))),
+                  n - 1 - nearestRankIndex(n, 0.95))
+            << n;
+    }
+    // ...but at q = 0.9 it is one lower whenever 10 divides n.
+    EXPECT_EQ(std::floor((1.0 - 0.9) * 10.0), 0.0);
+    EXPECT_EQ(10 - 1 - nearestRankIndex(10, 0.9), 1u);
+
+    // Ten identical requests, each alone in the system. The bound lies
+    // between the latency at the top frequency and one level below, so
+    // every step down is a violation, and the 0.9 quantile of ten
+    // latencies allows one. Equal savings step the larger index first.
+    Harness s;
+    const auto &grid = s.dvfs.frequencies();
+    Trace t;
+    for (int i = 0; i < 10; ++i)
+        t.push_back({i * 1.0, 2.4e6, 0.1 * kMs});
+    const double bound = 0.5 * (t[0].serviceTime(grid.back()) +
+                                t[0].serviceTime(grid[grid.size() - 2]));
+    const auto dyn = dynamicOracle(t, bound, 0.9, s.dvfs, s.pm);
+    for (std::size_t i = 0; i + 1 < t.size(); ++i)
+        EXPECT_EQ(dyn.frequencies[i], grid.back()) << i;
+    EXPECT_EQ(dyn.frequencies.back(), grid.front());
+    EXPECT_LE(dyn.replay.tailLatency(0.9), bound);
+
+    for (const OracleCase &c : oracleCases(s, 2000)) {
+        SCOPED_TRACE(c.name);
+        const auto got = dynamicOracle(c.trace, c.bound, 0.9, s.dvfs, s.pm);
+        const auto want = reference::dynamicOracle(c.trace, c.bound, 0.9,
+                                                   s.dvfs, s.pm);
+        EXPECT_EQ(got.frequencies, want.frequencies);
+        expectSameReplay(got.replay, want.replay);
+    }
 }
 
 TEST(DynamicOracle, BeatsStaticOracleEnergy)
@@ -585,6 +683,97 @@ TEST(DynamicOracle, TinyLoadUsesLowFrequencies)
         mean_f += f;
     mean_f /= static_cast<double>(dyn.frequencies.size());
     EXPECT_LT(mean_f, 1.6 * kGHz);
+}
+
+/// A deterministic hash of (seed, request, step), so both loops below
+/// draw the same next saving whatever order they visit requests in.
+uint64_t
+scriptHash(uint64_t seed, std::size_t request, int step)
+{
+    Rng rng(seed ^ (static_cast<uint64_t>(request) << 20) ^
+            static_cast<uint64_t>(step));
+    return rng.next();
+}
+
+TEST(SavingsQueue, PopsLikePriorityQueueInTheGreedyLoop)
+{
+    // Drive the queue as dynamicOracle does: pop a request, step it, and
+    // push its next saving only when it is below the popped one; a next
+    // saving at or above it is taken at once, however many steps
+    // follow. The same script through std::priority_queue, which
+    // pushes every next saving, must visit the same (saving, request)
+    // sequence. Savings on a coarse grid give many ties; some requests
+    // start at extreme magnitudes.
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        const std::size_t n = seed < 4 ? seed : 400 * seed;
+        auto initial = [&](std::size_t i) {
+            const uint64_t h = scriptHash(seed, i, -1);
+            if (h % 8 == 0) { // anywhere from subnormal to overflow
+                const double mantissa =
+                    static_cast<double>(1 + (h >> 12) % 1000);
+                const int exponent =
+                    -1074 + static_cast<int>((h >> 40) % 2090);
+                return std::ldexp(mantissa, exponent);
+            }
+            if (h % 8 == 1)
+                return std::numeric_limits<double>::infinity();
+            return static_cast<double>(1 + (h >> 8) % 512) / 64.0;
+        };
+        // Up to 13 steps per request, like the grid's levels: the next
+        // saving is equal, larger, smaller on the grid, or none.
+        auto next_saving = [&](std::size_t i, int step, double s) {
+            if (step >= 13)
+                return 0.0;
+            const uint64_t h = scriptHash(seed, i, step);
+            const double k = static_cast<double>((h >> 8) % 64);
+            if (h % 6 == 0)
+                return s;
+            if (h % 6 == 1)
+                return s + (1.0 + k) / 64.0;
+            if (h % 6 == 2)
+                return 0.0;
+            return std::floor(s * k) / 64.0;
+        };
+
+        using Item = std::pair<double, std::size_t>;
+        std::vector<Item> want;
+        {
+            std::priority_queue<Item> heap;
+            std::vector<int> steps(n, 0);
+            for (std::size_t i = 0; i < n; ++i)
+                heap.push({initial(i), i});
+            while (!heap.empty()) {
+                const auto [saving, i] = heap.top();
+                heap.pop();
+                want.push_back({saving, i});
+                const double next = next_saving(i, steps[i]++, saving);
+                if (next > 0.0)
+                    heap.push({next, i});
+            }
+        }
+        std::vector<Item> got;
+        {
+            SavingsQueue queue(n);
+            std::vector<int> steps(n, 0);
+            for (std::size_t i = 0; i < n; ++i)
+                queue.push(initial(i), i);
+            while (!queue.empty()) {
+                const auto [popped, i] = queue.pop();
+                for (double saving = popped;;) {
+                    got.push_back({saving, i});
+                    const double next = next_saving(i, steps[i]++, saving);
+                    if (!(next > 0.0))
+                        break;
+                    if (next < popped) {
+                        queue.push(next, i);
+                        break;
+                    }
+                    saving = next;
+                }
+            }
+        }
+        ASSERT_EQ(got, want) << "seed " << seed;
+    }
 }
 
 TEST(Pegasus, ReactsToSustainedHighTail)
