@@ -17,11 +17,13 @@ adrenalineOracle(const Trace &trace, double latency_bound,
 {
     RUBIK_ASSERT(!trace.empty(), "empty trace");
 
-    // Threshold candidates: quantiles of nominal service time.
+    // Threshold candidates: quantiles of nominal service time,
+    // selected rather than sorted (only their ranks are read).
     std::vector<double> service(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
         service[i] = trace[i].serviceTime(nominal_freq);
-    std::sort(service.begin(), service.end());
+    const std::vector<double> thresholds =
+        percentiles(std::move(service), config.thresholdQuantiles);
 
     AdrenalineResult best;
     double best_energy = std::numeric_limits<double>::infinity();
@@ -77,8 +79,7 @@ adrenalineOracle(const Trace &trace, double latency_bound,
     // threshold.
     std::vector<std::size_t> floor_at(grid.size(), 0);
     double prev_threshold = -std::numeric_limits<double>::infinity();
-    for (double q : config.thresholdQuantiles) {
-        const double threshold = percentileSorted(service, q);
+    for (const double threshold : thresholds) {
         classify(threshold);
         // Raising the threshold moves requests from boost to base, and
         // every base searched is at most its boost, so no frequency

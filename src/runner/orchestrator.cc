@@ -492,21 +492,27 @@ runOrchestratedSweep(const SweepSpec &spec,
         makeBackend(options.backendDesc, options.backend);
 
     // Batch sizing: ~4 batches per shard slot keeps the queue deep
-    // enough to steal from without making child spawns dominate. With
-    // one seed, the cells that share an (app, load) trace are a run of
-    // one cell per policy; rounding up to whole runs keeps a batch from
-    // splitting one, so each run's trace is generated by one batch
-    // child, not two.
+    // enough to steal from without making child spawns dominate. A
+    // batch generates the traces its cells need and frees them when
+    // it ends, so the size is rounded up to keep shared traces in one
+    // batch. In process, batches run one after another, and rounding
+    // to whole apps (each app's cells are adjacent and need no other
+    // trace) generates every trace once. A batch child is its own
+    // process; with one seed, the cells that share an (app, load)
+    // trace are a run of one cell per policy, and rounding up to whole
+    // runs keeps each run's trace in one child, not two.
     const std::size_t missing = num_cells - scan.rows.size();
     const std::size_t slots = static_cast<std::size_t>(
         std::max(1, options.backend.numShards));
     std::size_t batch_cells = options.batchCells;
     if (batch_cells == 0) {
         batch_cells = std::max<std::size_t>(1, missing / (slots * 4));
-        if (spec.seeds.size() == 1) {
-            const std::size_t run = spec.policies.size();
-            batch_cells = (batch_cells + run - 1) / run * run;
-        }
+        std::size_t run = 1;
+        if (backend.inProcess())
+            run = num_cells / spec.apps.size();
+        else if (spec.seeds.size() == 1)
+            run = spec.policies.size();
+        batch_cells = (batch_cells + run - 1) / run * run;
     }
 
     std::map<std::size_t, std::string> rows = std::move(scan.rows);
@@ -514,7 +520,7 @@ runOrchestratedSweep(const SweepSpec &spec,
     if (missing > 0 && backend.inProcess()) {
         // In-process: the ExperimentRunner pool already balances
         // cells across workers, so batches execute in order and the
-        // ledger advances with each finished cell.
+        // ledger advances with each finished batch.
         std::vector<Batch> batches =
             planBatches(num_cells, rows, batch_cells);
         for (const Batch &b : batches) {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -24,7 +25,7 @@
 #include "sim/simulation.h"
 #include "util/units.h"
 #include "workloads/apps.h"
-#include "workloads/trace_store.h"
+#include "workloads/trace_gen.h"
 
 namespace rubik {
 
@@ -84,7 +85,119 @@ fillFromReplay(PolicyOutcome &out, const ReplayResult &r)
     out.meanPower = replayMeanPower(r);
 }
 
+/// Backs sweepTraceStats(): traces generated, and held at once.
+class TraceAccount
+{
+  public:
+    void generated()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.generated;
+        stats_.heldPeak = std::max(stats_.heldPeak, ++stats_.held);
+    }
+
+    void freed()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        --stats_.held;
+    }
+
+    SweepTraceStats stats() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return stats_;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    SweepTraceStats stats_;
+};
+
+TraceAccount &
+traceAccount()
+{
+    static TraceAccount account;
+    return account;
+}
+
+/// A generated load trace and its fixed-nominal replay, counted as
+/// held from generation until it is freed.
+struct SweepTrace
+{
+    explicit SweepTrace(Trace generated) : trace(std::move(generated))
+    {
+        traceAccount().generated();
+    }
+    ~SweepTrace() { traceAccount().freed(); }
+    SweepTrace(const SweepTrace &) = delete;
+    SweepTrace &operator=(const SweepTrace &) = delete;
+
+    Trace trace;        ///< Class-annotated before any cell reads it.
+    ReplayResult fixed; ///< Fixed-nominal baseline.
+};
+
+/// The trace of one (app, load, seed) triple, shared by its cells.
+class SharedTrace
+{
+  public:
+    /// Count one more cell; called before any cell starts.
+    void addCell() { ++pending_; }
+
+    /// Take a trace prepared elsewhere (the bound phase's).
+    void adopt(std::unique_ptr<SweepTrace> prepared)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        prepared_ = std::move(prepared);
+    }
+
+    /**
+     * Run one cell's `body(trace)`. The first cell prepares the trace
+     * with `prepare()` while later ones wait for it; the last cell to
+     * finish frees it, whether its body returns or throws.
+     */
+    template <typename Prepare, typename Body>
+    auto use(const Prepare &prepare, const Body &body)
+    {
+        try {
+            auto result = body(acquire(prepare));
+            release();
+            return result;
+        } catch (...) {
+            release();
+            throw;
+        }
+    }
+
+  private:
+    template <typename Prepare>
+    const SweepTrace &acquire(const Prepare &prepare)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!prepared_)
+            prepared_ = prepare();
+        return *prepared_;
+    }
+
+    void release()
+    {
+        std::unique_ptr<SweepTrace> last;
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (--pending_ == 0)
+            last = std::move(prepared_);
+    }
+
+    std::mutex mutex_;
+    std::unique_ptr<SweepTrace> prepared_;
+    std::size_t pending_ = 0;
+};
+
 } // anonymous namespace
+
+SweepTraceStats
+sweepTraceStats()
+{
+    return traceAccount().stats();
+}
 
 const std::vector<std::string> &
 knownPolicyNames()
@@ -305,13 +418,38 @@ sweepCellRows(
     const double nominal = dvfs.nominalFrequency();
     const int n = spec.effectiveRequests();
 
+    // The range's (app, load, seed) triples in first-use order, one
+    // shared trace each, and each cell's triple.
+    using TripleKey = std::tuple<std::string, double, uint64_t>;
+    std::map<TripleKey, std::size_t> triple_ids;
+    std::vector<TripleKey> triple_keys;
+    std::vector<std::size_t> cell_triple;
+    for (std::size_t i = begin; i < end; ++i) {
+        const SweepCell cell = spec.cell(i);
+        const auto [it, fresh] = triple_ids.emplace(
+            TripleKey{cell.app, cell.load, cell.seed}, triple_keys.size());
+        if (fresh)
+            triple_keys.push_back(it->first);
+        cell_triple.push_back(it->second);
+    }
+    std::vector<SharedTrace> traces(triple_keys.size());
+    for (const std::size_t t : cell_triple)
+        traces[t].addCell();
+    auto generate = [&](const std::string &app, double load,
+                        uint64_t seed) {
+        return std::make_unique<SweepTrace>(generateLoadTrace(
+            apps.at(app), load, n, nominal, seed));
+    };
+
     ExperimentRunner runner(jobs);
-    TraceStore &store = globalTraceStore();
 
     // Phase 1: latency bounds for the (app, seed) pairs this range
     // touches. Bounds depend only on (app, seed), so every batch that
     // shares a pair computes the identical value. Keys are kept in
-    // first-use order; the set only answers membership.
+    // first-use order; the set only answers membership. replayFixed
+    // ignores class hints, so when the range holds the (app, 0.5,
+    // seed) triple, the bound's replay is that triple's baseline: its
+    // trace is annotated and handed over, not generated again.
     std::vector<std::pair<std::string, uint64_t>> bound_keys;
     std::set<std::pair<std::string, uint64_t>> bound_seen;
     for (std::size_t i = begin; i < end; ++i) {
@@ -328,11 +466,16 @@ sweepCellRows(
         std::vector<std::function<double()>> bound_jobs;
         for (const auto &key : bound_keys) {
             bound_jobs.push_back([&, key] {
-                const auto t50 = store.loadTrace(apps.at(key.first),
-                                                 0.5, n, nominal,
-                                                 key.second);
-                return replayFixed(*t50, nominal, power)
-                    .tailLatency(0.95);
+                auto t50 = generate(key.first, 0.5, key.second);
+                t50->fixed = replayFixed(t50->trace, nominal, power);
+                const double bound = t50->fixed.tailLatency(0.95);
+                const auto kept =
+                    triple_ids.find({key.first, 0.5, key.second});
+                if (kept != triple_ids.end()) {
+                    annotateClasses(t50->trace, 0.85, nominal);
+                    traces[kept->second].adopt(std::move(t50));
+                }
+                return bound;
             });
         }
         const std::vector<double> values =
@@ -341,87 +484,63 @@ sweepCellRows(
             bounds[bound_keys[i]] = values[i];
     }
 
-    // Phase 2: per distinct (app, load, seed) triple, the annotated
-    // trace and its fixed-nominal baseline replay — each shared by
-    // every policy cell of that triple, so the trace is generated,
-    // annotated, and baseline-replayed once instead of once per
-    // policy.
-    using TripleKey = std::tuple<std::string, double, uint64_t>;
-    struct Prepared
-    {
-        std::shared_ptr<const Trace> trace; ///< Class-annotated.
-        ReplayResult fixed;
-    };
-    std::vector<TripleKey> triple_keys;
-    std::set<TripleKey> triple_seen;
-    for (std::size_t i = begin; i < end; ++i) {
-        const SweepCell cell = spec.cell(i);
-        const TripleKey key{cell.app, cell.load, cell.seed};
-        if (triple_seen.insert(key).second)
-            triple_keys.push_back(key);
-    }
-    std::vector<std::function<Prepared()>> prep_jobs;
-    for (const TripleKey &key : triple_keys) {
-        prep_jobs.push_back([&, key] {
-            const auto &[app, load, seed] = key;
-            const auto base =
-                store.loadTrace(apps.at(app), load, n, nominal, seed);
-            auto annotated = std::make_shared<Trace>(*base);
-            annotateClasses(*annotated, 0.85, nominal);
-            Prepared prep;
-            prep.fixed = replayFixed(*annotated, nominal, power);
-            prep.trace = std::move(annotated);
-            return prep;
-        });
-    }
-    std::map<TripleKey, Prepared> prepared;
-    {
-        std::vector<Prepared> batch =
-            runner.runBatch(std::move(prep_jobs));
-        for (std::size_t i = 0; i < triple_keys.size(); ++i)
-            prepared.emplace(triple_keys[i], std::move(batch[i]));
-    }
-
-    // Phase 3: one job per owned cell, rows in cell-index order. A
+    // Phase 2: one job per owned cell, rows in cell-index order. The
+    // first cell of a triple to start generates, annotates and
+    // baseline-replays its trace; the last to finish frees it. A
     // cell's cost grows with its trace's simulated span, so the pool
-    // starts the longest spans first (ties by index) instead of ending
-    // on a long cell that started last.
+    // starts the longest expected span n / (load x maxQps) first (ties
+    // by first use) instead of ending on a long cell that started
+    // last. A triple's cells start together, so beyond the traces the
+    // bounds handed over, each worker holds at most one open trace.
     struct Row
     {
         SweepCell cell;
         double bound = 0.0;
         PolicyOutcome outcome;
     };
-    std::vector<std::function<Row()>> cell_jobs;
     std::vector<double> spans;
+    for (const auto &[app, load, seed] : triple_keys) {
+        const double rate = load * apps.at(app).maxQps(nominal, nominal);
+        spans.push_back(n / rate);
+    }
+    std::vector<std::function<Row()>> cell_jobs;
     for (std::size_t i = begin; i < end; ++i) {
         const SweepCell cell = spec.cell(i);
-        spans.push_back(traceDuration(
-            *prepared.at({cell.app, cell.load, cell.seed}).trace));
-        cell_jobs.push_back([&, cell] {
-            Row row;
-            row.cell = cell;
-            row.bound = bounds.at({cell.app, cell.seed});
-            const Prepared &prep =
-                prepared.at({cell.app, cell.load, cell.seed});
-            PolicyRunRequest req;
-            req.trace = prep.trace.get();
-            req.bound = row.bound;
-            req.dvfs = &dvfs;
-            req.power = &power;
-            req.fixedBaseline = &prep.fixed;
-            row.outcome = runPolicy(cell.policy, req);
-            return row;
+        cell_jobs.push_back([&, cell, t = cell_triple[i - begin]] {
+            auto prepare = [&] {
+                auto prepared = generate(cell.app, cell.load, cell.seed);
+                annotateClasses(prepared->trace, 0.85, nominal);
+                prepared->fixed =
+                    replayFixed(prepared->trace, nominal, power);
+                return prepared;
+            };
+            return traces[t].use(prepare, [&](const SweepTrace &prep) {
+                Row row;
+                row.cell = cell;
+                row.bound = bounds.at({cell.app, cell.seed});
+                PolicyRunRequest req;
+                req.trace = &prep.trace;
+                req.bound = row.bound;
+                req.dvfs = &dvfs;
+                req.power = &power;
+                req.fixedBaseline = &prep.fixed;
+                row.outcome = runPolicy(cell.policy, req);
+                return row;
+            });
         });
     }
-    std::vector<std::size_t> longest_first(cell_jobs.size());
-    std::iota(longest_first.begin(), longest_first.end(), 0);
-    std::stable_sort(longest_first.begin(), longest_first.end(),
-                     [&spans](std::size_t a, std::size_t b) {
-                         return spans[a] > spans[b];
+    std::vector<std::size_t> start_order(cell_jobs.size());
+    std::iota(start_order.begin(), start_order.end(), 0);
+    std::stable_sort(start_order.begin(), start_order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         const std::size_t ta = cell_triple[a];
+                         const std::size_t tb = cell_triple[b];
+                         if (spans[ta] != spans[tb])
+                             return spans[ta] > spans[tb];
+                         return ta < tb;
                      });
     const std::vector<Row> rows =
-        runner.runBatch(std::move(cell_jobs), longest_first);
+        runner.runBatch(std::move(cell_jobs), start_order);
 
     for (const Row &row : rows) {
         // Crash/hang faults fire here, before the row is delivered —

@@ -9,16 +9,19 @@
  * cells: the rows of cells [B, E) (runSweepCells) are exactly the
  * bytes the whole-grid run (runSweep) emits for those cells.
  *
- * Traces are pulled from a memoized TraceStore, so a grid's load trace
- * is generated once per (app, load, seed) no matter how many policies
- * share it, and the auto latency bound's 50%-load trace once per
- * (app, seed).
+ * Each (app, load, seed) trace lives only as long as its cells: the
+ * first of them to start generates, class-annotates and
+ * baseline-replays it, every policy cell of the triple shares it, and
+ * the last to finish frees it. The auto latency bound's 50%-load trace
+ * is generated once per (app, seed) and handed to that load's triple
+ * when the range holds it, so no trace is generated twice.
  *
  * runPolicy() is the single name -> scheme dispatch, shared with
  * rubik_cli so the CLI's one-shot mode and sweep cells cannot drift.
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -142,10 +145,26 @@ void sweepCellRows(
         &sink);
 
 /**
+ * Trace accounting of every sweep this process ran (rubik_cli
+ * `--trace-stats`). A sweep holds a trace from its generation until
+ * its last cell finishes. Besides the 50%-load traces the latency
+ * bounds hand over, each worker holds at most one, so a sweep on
+ * `jobs` workers holds at most jobs + apps x seeds traces at once.
+ */
+struct SweepTraceStats
+{
+    uint64_t generated = 0; ///< Traces generated.
+    uint64_t held = 0;      ///< Traces alive now.
+    uint64_t heldPeak = 0;  ///< Most traces alive at once.
+};
+
+SweepTraceStats sweepTraceStats();
+
+/**
  * Execute the whole grid on `jobs` workers (0 = hardware default) and
- * write the CSV, header first, to `out`. Traces come from
- * globalTraceStore(). Throws std::runtime_error on an invalid spec or
- * an unknown app or policy; nothing is written to `out` in that case.
+ * write the CSV, header first, to `out`. Throws std::runtime_error on
+ * an invalid spec or an unknown app or policy; nothing is written to
+ * `out` in that case.
  */
 void runSweep(const SweepSpec &spec, int jobs, std::FILE *out);
 

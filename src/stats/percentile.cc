@@ -29,6 +29,34 @@ percentile(std::vector<double> samples, double q)
     return *nth;
 }
 
+std::vector<double>
+percentiles(std::vector<double> samples, const std::vector<double> &qs)
+{
+    std::vector<double> values(qs.size(), 0.0);
+    if (samples.empty())
+        return values;
+    std::vector<std::size_t> ranks;
+    ranks.reserve(qs.size());
+    for (const double q : qs)
+        ranks.push_back(nearestRankIndex(samples.size(), q));
+    std::vector<std::size_t> ascending = ranks;
+    std::sort(ascending.begin(), ascending.end());
+    // Everything left of `from` is final: each selection leaves the
+    // values above its rank to its right, where the next one looks.
+    auto from = samples.begin();
+    for (const std::size_t rank : ascending) {
+        const auto nth =
+            samples.begin() + static_cast<std::ptrdiff_t>(rank);
+        if (nth < from)
+            continue; // A repeated rank, already in place.
+        std::nth_element(from, nth, samples.end());
+        from = nth + 1;
+    }
+    for (std::size_t i = 0; i < qs.size(); ++i)
+        values[i] = samples[ranks[i]];
+    return values;
+}
+
 double
 percentileSorted(const std::vector<double> &sorted, double q)
 {

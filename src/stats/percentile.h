@@ -33,6 +33,16 @@ std::size_t nearestRankIndex(std::size_t n, double q);
 double percentile(std::vector<double> samples, double q);
 
 /**
+ * Exact q-quantile of the samples for each q in `qs`, in that order
+ * (nearest rank, as percentile(); 0 for every q when `samples` is
+ * empty). Only the ranks read are selected, each with std::nth_element
+ * over the range the previous, lower rank left, rather than sorting;
+ * every value is the sorted copy's.
+ */
+std::vector<double> percentiles(std::vector<double> samples,
+                                const std::vector<double> &qs);
+
+/**
  * q-quantile of pre-sorted samples (no copy). Callers own the sorted
  * precondition.
  */

@@ -5,13 +5,14 @@
  * @file
  * Memoized trace store shared across experiment jobs.
  *
- * Several benches and the sweep runner replay the *same* generated
+ * Several benches and the fleet layer replay the *same* generated
  * trace under many schemes or configurations: the ablations regenerate
- * the identical (app, load, n, seed) trace once per variant, and a
- * sweep-spec grid shares one load trace across every policy cell.
- * TraceStore computes each trace exactly once per process, no matter
- * how many ExperimentRunner jobs request it concurrently, and hands out
+ * the identical (app, load, n, seed) trace once per variant. TraceStore
+ * computes each trace exactly once per process, no matter how many
+ * ExperimentRunner jobs request it concurrently, and hands out
  * shared_ptr<const Trace> so callers can hold results without copying.
+ * Entries live until clear(). Sweeps do not use it: they free each
+ * trace after its last cell (runner/sweep_runner.h).
  *
  * Thread safety: the first requester of a key becomes its producer; it
  * generates the trace *outside* the store lock while later requesters

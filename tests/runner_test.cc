@@ -472,6 +472,98 @@ TEST(RunFlagsCli, SweepKeepsUnsetDefaults)
     std::remove(spec.c_str());
 }
 
+/// (generated, held_peak) from a sweep's `--trace-stats` line on
+/// stderr; (-1, -1) when the line is missing.
+std::pair<long long, long long>
+sweepTraceCounts(const std::string &stderr_text)
+{
+    long long generated = -1, peak = -1;
+    const std::size_t at = stderr_text.find("trace-stats: ");
+    if (at != std::string::npos)
+        std::sscanf(stderr_text.c_str() + at,
+                    "trace-stats: generated=%lld held_peak=%lld",
+                    &generated, &peak);
+    return {generated, peak};
+}
+
+TEST(RunFlagsCli, SweepGeneratesEachTraceOnce)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    // 2 apps x 2 loads x 2 seeds: 8 (app, load, seed) traces, among
+    // them the (app, 0.5, seed) traces the latency bounds replay. A
+    // sweep holds at most jobs + apps x seeds = 6 at once.
+    const std::string base =
+        "/tmp/rubik_runner_test_" + std::to_string(::getpid());
+    const std::string spec = base + "_traces.spec";
+    const std::string err = base + "_traces.stderr";
+    const std::string out = base + "_traces.csv";
+    std::ofstream(spec) << "apps = masstree,xapian\nloads = 0.3,0.5\n"
+                           "policies = fixed,static,pegasus\n"
+                           "seeds = 42,43\nrequests = 300\n";
+    struct Case
+    {
+        std::string flags;
+        long long generated;
+    };
+    const std::vector<Case> cases = {
+        {"", 8},
+        // masstree at load 0.3: its two traces, and the two 50%-load
+        // traces its bounds need but its cells do not.
+        {"--cells 0-6", 4},
+        // In-process orchestration runs whole apps per batch, so no
+        // batch needs a trace another one generated.
+        {"--out " + out, 8},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.flags);
+        EXPECT_EQ(exitCode("'" + cli + "' sweep --spec " + spec +
+                           " --jobs 2 --trace-stats " + c.flags +
+                           " > /dev/null 2> " + err),
+                  0);
+        const auto [generated, peak] = sweepTraceCounts(readFile(err));
+        EXPECT_EQ(generated, c.generated) << readFile(err);
+        EXPECT_GE(peak, 1);
+        EXPECT_LE(peak, 6);
+    }
+    for (const char *suffix : {"", ".ledger"})
+        std::remove((out + suffix).c_str());
+    std::remove(spec.c_str());
+    std::remove(err.c_str());
+}
+
+TEST(RunFlagsCli, FailingSweepCellsFreeTheirTraces)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    // Every rubik-thermal cell throws (a sweep never enables thermal
+    // modeling), and each is the last cell of its (app, load, seed)
+    // trace. On one worker the sweep holds the two 50%-load traces
+    // its bounds hand over plus one open trace: a failing cell that
+    // kept its trace would let the six traces pile up.
+    const std::string base =
+        "/tmp/rubik_runner_test_" + std::to_string(::getpid());
+    const std::string spec = base + "_failing.spec";
+    const std::string err = base + "_failing.stderr";
+    std::ofstream(spec) << "apps = masstree\nloads = 0.3,0.5,0.7\n"
+                           "policies = fixed,rubik-thermal\n"
+                           "seeds = 42,43\nrequests = 300\n";
+    EXPECT_EQ(exitCode("'" + cli + "' sweep --spec " + spec +
+                       " --jobs 1 --trace-stats > /dev/null 2> " + err),
+              1);
+    const std::string text = readFile(err);
+    EXPECT_NE(text.find("rubik-thermal requires thermal modeling"),
+              std::string::npos)
+        << text;
+    const auto [generated, peak] = sweepTraceCounts(text);
+    EXPECT_EQ(generated, 6) << text;
+    EXPECT_LE(peak, 3) << text;
+    std::remove(spec.c_str());
+    std::remove(err.c_str());
+}
+
 TEST(RunFlagsCli, FleetRejectsBadValues)
 {
     const std::string cli = cliPath();

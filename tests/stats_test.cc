@@ -161,6 +161,38 @@ TEST(Percentile, SelectionMatchesSortedReference)
     }
 }
 
+TEST(Percentile, SelectedQuantilesMatchSortedReference)
+{
+    // percentiles() selects each rank over what the lower ranks left;
+    // every value must be the sorted copy's, whatever the order of the
+    // quantiles and however often one repeats.
+    Rng rng(77);
+    const std::vector<std::vector<double>> quantile_lists = {
+        {0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99},
+        {0.9, 0.5, 0.99, 0.7, 0.95, 0.6, 0.8},
+        {0.5, 0.7, 0.7, 0.9, 0.6, 0.6, 0.95},
+        {1.0, -0.1, 0.0, 0.05, 1.5, 0.05},
+        {},
+    };
+    for (std::size_t n : {1u, 2u, 19u, 20u, 21u, 1000u}) {
+        std::vector<double> v(n);
+        for (double &x : v)
+            x = 0.25 * static_cast<double>(rng.uniformInt(n / 3 + 2));
+        std::vector<double> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        for (const std::vector<double> &qs : quantile_lists) {
+            const std::vector<double> got = percentiles(v, qs);
+            ASSERT_EQ(got.size(), qs.size());
+            for (std::size_t i = 0; i < qs.size(); ++i) {
+                EXPECT_EQ(got[i], percentileSorted(sorted, qs[i]))
+                    << "n=" << n << " q=" << qs[i];
+            }
+        }
+    }
+    EXPECT_EQ(percentiles({}, {0.5, 0.95}),
+              (std::vector<double>{0.0, 0.0}));
+}
+
 TEST(Percentile, NearestRankIndex)
 {
     EXPECT_EQ(nearestRankIndex(1, 0.95), 0u);

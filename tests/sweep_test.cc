@@ -2,9 +2,11 @@
  * @file
  * Tests for the sweep-spec subsystem: spec parsing/serialization,
  * cell batches that concatenate to the whole-grid runSweep output,
- * the dry-run cell listing, and the memoized TraceStore — hit/miss
- * accounting, compute-once behaviour under concurrent access, and
- * failure propagation to concurrent waiters.
+ * rows that match cells run one by one on their own traces, traces
+ * freed by their last cell, the dry-run cell listing, and the
+ * memoized TraceStore — hit/miss accounting, compute-once behaviour
+ * under concurrent access, and failure propagation to concurrent
+ * waiters.
  */
 
 #include <algorithm>
@@ -22,8 +24,13 @@
 
 #include <gtest/gtest.h>
 
+#include "policies/replay.h"
+#include "power/dvfs_model.h"
+#include "power/power_model.h"
 #include "runner/sweep_runner.h"
 #include "runner/sweep_spec.h"
+#include "sim/trace.h"
+#include "util/units.h"
 #include "workloads/apps.h"
 #include "workloads/trace_gen.h"
 #include "workloads/trace_store.h"
@@ -256,6 +263,122 @@ TEST(RunSweep, RowsAreIdenticalAcrossJobsWhenSpansDiffer)
                   serial)
             << "jobs=" << jobs;
     }
+}
+
+/// The grid's CSV the slow way: each cell, in index order, generates,
+/// annotates and bounds its own trace, and replays its own baseline.
+std::string
+referenceSweepCsv(const SweepSpec &spec)
+{
+    const DvfsModel dvfs = DvfsModel::haswell(spec.transitionUs * kUs);
+    const PowerModel power(dvfs);
+    const double nominal = dvfs.nominalFrequency();
+    const int n = spec.effectiveRequests();
+    std::string csv = std::string(sweepCsvHeader()) + "\n";
+    for (std::size_t i = 0; i < spec.numCells(); ++i) {
+        const SweepCell cell = spec.cell(i);
+        const AppProfile app = makeApp(*appIdByName(cell.app));
+        const double bound =
+            spec.boundMs > 0.0
+                ? spec.boundMs * kMs
+                : replayFixed(generateLoadTrace(app, 0.5, n, nominal,
+                                                cell.seed),
+                              nominal, power)
+                      .tailLatency(0.95);
+        Trace trace =
+            generateLoadTrace(app, cell.load, n, nominal, cell.seed);
+        annotateClasses(trace, 0.85, nominal);
+        PolicyRunRequest req;
+        req.trace = &trace;
+        req.bound = bound;
+        req.dvfs = &dvfs;
+        req.power = &power;
+        csv += sweepCsvRow(cell, bound, runPolicy(cell.policy, req));
+    }
+    return csv;
+}
+
+// A sweep shares each (app, load, seed) trace among its cells, frees
+// it after the last, and hands the bound's 50%-load trace to that
+// load's cells. None of it may show in the rows: on any worker count,
+// and in batches that split triples and (app, seed) pairs, they are
+// the rows of cells that each bring their own trace.
+TEST(RunSweep, StreamedTracesMatchAPerCellReference)
+{
+    SweepSpec spec;
+    spec.apps = {"masstree", "xapian"};
+    spec.loads = {0.3, 0.5};
+    // boost reads the class hints each trace is annotated with.
+    spec.policies = {"fixed", "static", "rubik", "boost"};
+    spec.seeds = {42, 43};
+    spec.requests = 400;
+    SweepSpec fixed_bound = spec;
+    fixed_bound.boundMs = 2.0;
+
+    for (const SweepSpec &grid : {spec, fixed_bound}) {
+        SCOPED_TRACE("bound_ms=" + std::to_string(grid.boundMs));
+        const std::string reference = referenceSweepCsv(grid);
+        ASSERT_EQ(static_cast<std::size_t>(std::count(
+                      reference.begin(), reference.end(), '\n')),
+                  grid.numCells() + 1);
+        for (const int jobs : {1, 2, 4}) {
+            EXPECT_EQ(captureOutput([&](std::FILE *f) {
+                          runSweep(grid, jobs, f);
+                      }),
+                      reference)
+                << "jobs=" << jobs;
+        }
+        // Cells run app, load, policy, seed (innermost): [0, 3) holds
+        // no 50%-load cell, [3, 9) one seed's, [16, 17) one cell.
+        std::string merged = std::string(sweepCsvHeader()) + "\n";
+        const std::vector<std::size_t> cuts = {0, 3, 9, 16, 17, 32};
+        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+            merged += captureOutput([&](std::FILE *f) {
+                runSweepCells(grid, cuts[i], cuts[i + 1], 2, f);
+            });
+        }
+        EXPECT_EQ(merged, reference);
+    }
+}
+
+// Each trace is freed by the last cell that reads it, so none is
+// left by the time the rows are emitted, and a failing sweep leaves
+// none behind. (runner_test's FailingSweepCellsFreeTheirTraces checks
+// that a failing cell frees its trace before the sweep ends.)
+TEST(RunSweep, CellsFreeTheirTraces)
+{
+    SweepSpec spec;
+    spec.apps = {"masstree"};
+    spec.loads = {0.3, 0.5, 0.7};
+    spec.policies = {"fixed", "pegasus"};
+    spec.seeds = {42, 43};
+    spec.requests = 300;
+
+    const SweepTraceStats before = sweepTraceStats();
+    std::size_t rows = 0;
+    sweepCellRows(spec, 0, spec.numCells(), 2,
+                  [&](std::size_t, const std::string &) {
+                      ++rows;
+                      EXPECT_EQ(sweepTraceStats().held, before.held);
+                  });
+    EXPECT_EQ(rows, spec.numCells());
+    // One trace per (app, load, seed); the bounds' are the 0.5 ones.
+    const SweepTraceStats after = sweepTraceStats();
+    EXPECT_EQ(after.generated - before.generated, 6u);
+    EXPECT_EQ(after.held, before.held);
+
+    // rubik-thermal needs thermal modeling, which sweeps never enable,
+    // so every one of its cells throws.
+    spec.policies = {"fixed", "rubik-thermal"};
+    try {
+        runSweep(spec, 2, stdout);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("rubik-thermal"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(sweepTraceStats().held, before.held);
 }
 
 TEST(RunSweep, RejectsUnknownAppsAndPolicies)

@@ -23,8 +23,8 @@
  *   rubik_cli sweep --spec grid.spec --backend subprocess --shards 3
  *   rubik_cli sweep --spec grid.spec --shards 4 \
  *       --backend 'command:ssh host {argv}'
- * --trace-stats reports each process's generated/hit trace counts on
- * stderr.
+ * --trace-stats reports how many traces each process generated, and
+ * the most it held at once, on stderr.
  *
  * Multi-load sweeps (--loads) run every load as an independent job on
  * an ExperimentRunner thread pool; each job derives its trace from the
@@ -64,7 +64,6 @@
 #include "util/units.h"
 #include "workloads/trace_gen.h"
 #include "workloads/trace_import.h"
-#include "workloads/trace_store.h"
 
 using namespace rubik;
 
@@ -377,6 +376,7 @@ sweepMain(int argc, char **argv)
             return 1;
         }
     }
+    int status = 0;
     try {
         const SweepSpec spec = SweepSpec::parseFile(spec_path);
         if (dry_run) {
@@ -408,23 +408,20 @@ sweepMain(int argc, char **argv)
         } else {
             runSweep(spec, jobs, stdout);
         }
-        // Batch children forward --trace-stats to their own stderr,
-        // which the orchestrator replays; only in-process execution
-        // reports this process's store.
-        if (trace_stats && backend_desc == "local") {
-            const TraceStore::Stats s = globalTraceStore().stats();
-            std::fprintf(stderr,
-                         "trace-store: generated=%llu mem_hits=%llu "
-                         "entries=%zu\n",
-                         static_cast<unsigned long long>(s.generated),
-                         static_cast<unsigned long long>(s.hits),
-                         globalTraceStore().size());
-        }
     } catch (const std::exception &e) {
         std::fprintf(stderr, "sweep: %s\n", e.what());
-        return 1;
+        status = 1;
     }
-    return 0;
+    // Batch children forward --trace-stats to their own stderr,
+    // which the orchestrator replays; only in-process execution
+    // reports this process's traces, after a failed sweep too.
+    if (trace_stats && backend_desc == "local") {
+        const SweepTraceStats s = sweepTraceStats();
+        std::fprintf(stderr, "trace-stats: generated=%llu held_peak=%llu\n",
+                     static_cast<unsigned long long>(s.generated),
+                     static_cast<unsigned long long>(s.heldPeak));
+    }
+    return status;
 }
 
 std::string
