@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "policies/savings_queue.h"
@@ -142,11 +143,31 @@ dynamicOracle(const Trace &trace, double latency_bound, double percentile,
         for (double f : grid)
             energy_at.emplace_back(f, power);
         // Each request's energy one level below its own, so a step's
-        // saving costs one energy evaluation.
+        // saving costs one energy evaluation. The queue's buckets span
+        // every saving a push can carry: each request's chain of step
+        // savings from the top level down to its first that is not
+        // positive.
         std::vector<double> energy_below(trace.size());
-        SavingsQueue queue(trace.size());
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = 0.0;
         for (std::size_t i = 0; i < trace.size(); ++i) {
             energy_below[i] = energy_at[top - 1](trace[i]);
+            double energy = energy_at[top](trace[i]);
+            double below = energy_below[i];
+            for (std::size_t level = top;;) {
+                const double s = energy - below;
+                if (!(s > 0.0))
+                    break;
+                lo = std::min(lo, s);
+                hi = std::max(hi, s);
+                if (--level == 0)
+                    break;
+                energy = below;
+                below = energy_at[level - 1](trace[i]);
+            }
+        }
+        SavingsQueue queue(trace.size(), lo, hi);
+        for (std::size_t i = 0; i < trace.size(); ++i) {
             const double s = energy_at[top](trace[i]) - energy_below[i];
             if (s > 0.0)
                 queue.push(s, i);

@@ -3,30 +3,43 @@
 # gate regenerates a committed golden under tests/golden/ with the
 # commands docs/reproducing.md gives and byte-compares the result.
 #
-#   golden_gate.sh GATE RUBIK_CLI GOLDEN_DIR
+#   golden_gate.sh GATE PROGRAM GOLDEN_DIR [OUT_DIR]
 #
 # Gates:
-#   sweep_baselines  the baseline policies (fixed, static, dynamic,
-#                    adrenaline, pegasus) over the five apps, once in
-#                    process at --jobs 4 and once through the
-#                    orchestrator (subprocess batch children, exit
-#                    wake-ups, trace-aligned batches, the fsync'd
-#                    ledger), each against sweep_baselines_fast.csv.
-#   sweep_rubik      rubik and boost over the five apps at --jobs 1,
-#                    at --jobs 4 (cells start longest trace first and
-#                    finish out of index order) and through the
-#                    orchestrator's batch children, each against
-#                    sweep_rubik_fast.csv.
+#   sweep_baselines  PROGRAM is rubik_cli. The baseline policies
+#                    (fixed, static, dynamic, adrenaline, pegasus) over
+#                    the five apps, once in process at --jobs 4 and
+#                    once through the orchestrator (subprocess batch
+#                    children, exit wake-ups, trace-aligned batches,
+#                    the fsync'd ledger), each against
+#                    sweep_baselines_fast.csv.
+#   sweep_rubik      PROGRAM is rubik_cli. rubik and boost over the
+#                    five apps at --jobs 1, at --jobs 4 (cells start
+#                    longest trace first and finish out of index order)
+#                    and through the orchestrator's batch children,
+#                    each against sweep_rubik_fast.csv.
+#   bench            PROGRAM is a bench binary, run at full size
+#                    (--csv --jobs 4) against NAME.csv, where NAME is
+#                    PROGRAM's file name.
+#   bench_fast       The same bench at --fast, against NAME_fast.csv.
 #
-# Both grids run loads 0.3 and 0.7, so every latency bound generates
-# its own 50%-load trace; a grid with load 0.5 hands that trace to its
-# 0.5 cells instead (tests/sweep_test.cc covers that path).
+# A bench gate writes its CSV into OUT_DIR (default: the current
+# directory) and deletes it once it matches, so only a CSV that
+# diverged stays there for inspection.
+#
+# Both sweep grids run loads 0.3 and 0.7, so every latency bound
+# generates its own 50%-load trace; a grid with load 0.5 hands that
+# trace to its 0.5 cells instead (tests/sweep_test.cc covers that path).
 set -eu
 
-[ $# -eq 3 ] || { echo "usage: $0 GATE RUBIK_CLI GOLDEN_DIR" >&2; exit 2; }
+[ $# -eq 3 ] || [ $# -eq 4 ] || {
+    echo "usage: $0 GATE PROGRAM GOLDEN_DIR [OUT_DIR]" >&2
+    exit 2
+}
 gate=$1
-cli=$2
+program=$2
 golden=$3
+out=${4:-.}
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -43,11 +56,11 @@ sweep_baselines)
         'policies = fixed,static,dynamic,adrenaline,pegasus' \
         'seeds = 42' \
         'requests = 4000' > "$work/baselines.spec"
-    "$cli" sweep --spec "$work/baselines.spec" --jobs 4 \
+    "$program" sweep --spec "$work/baselines.spec" --jobs 4 \
         > "$work/baselines.csv"
     cmp "$golden/sweep_baselines_fast.csv" "$work/baselines.csv" \
         || fail "baseline policies diverged from golden"
-    "$cli" sweep --spec "$work/baselines.spec" \
+    "$program" sweep --spec "$work/baselines.spec" \
         --out "$work/baselines_orch.csv" --schedule dynamic \
         --backend subprocess --shards 4 --jobs 1
     cmp "$golden/sweep_baselines_fast.csv" "$work/baselines_orch.csv" \
@@ -61,16 +74,29 @@ sweep_rubik)
         'seeds = 42' \
         'requests = 4000' > "$work/rubik.spec"
     for jobs in 1 4; do
-        "$cli" sweep --spec "$work/rubik.spec" --jobs "$jobs" \
+        "$program" sweep --spec "$work/rubik.spec" --jobs "$jobs" \
             > "$work/rubik.csv"
         cmp "$golden/sweep_rubik_fast.csv" "$work/rubik.csv" \
             || fail "rubik sweep (--jobs $jobs) diverged from golden"
     done
-    "$cli" sweep --spec "$work/rubik.spec" \
+    "$program" sweep --spec "$work/rubik.spec" \
         --out "$work/rubik_orch.csv" --schedule dynamic \
         --backend subprocess --shards 4 --jobs 1
     cmp "$golden/sweep_rubik_fast.csv" "$work/rubik_orch.csv" \
         || fail "orchestrated rubik sweep diverged from golden"
+    ;;
+bench | bench_fast)
+    name=$(basename "$program")
+    set -- --csv --jobs 4
+    if [ "$gate" = bench_fast ]; then
+        name=${name}_fast
+        set -- --fast "$@"
+    fi
+    mkdir -p "$out"
+    "$program" "$@" > "$out/$name.csv"
+    cmp "$golden/$name.csv" "$out/$name.csv" \
+        || fail "$name.csv diverged from golden (kept $out/$name.csv)"
+    rm -f "$out/$name.csv"
     ;;
 *)
     fail "unknown gate"

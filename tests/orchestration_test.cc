@@ -146,27 +146,47 @@ runCommand(const std::string &cmd, const std::string &dir,
 TEST(ExitWatch, WakesOnEachChildExit)
 {
     // The coordinator's wait: sleep on a condition variable that the
-    // watch's helper notifies when the child exits. A wait that slept
-    // 20 ms between polls would need at least 0.5 s for 25 children.
+    // watch's helper notifies when the child exits. Each round spawns
+    // one child reaped by a blocking waitCommand, which times the
+    // host's own spawn and exit, and one waited on through a watch, so
+    // both see the same load. The watched children may take at most
+    // 0.2 s longer in all; a wait that slept 20 ms between polls would
+    // need at least 0.5 s for 25 children.
     ScratchDir dir;
     ASSERT_FALSE(dir.path.empty());
+    const std::string out = dir.path + "/out";
+    const std::string err = dir.path + "/err";
     std::mutex mutex;
     std::condition_variable cv;
-    const auto start = std::chrono::steady_clock::now();
+    using Clock = std::chrono::steady_clock;
+    Clock::duration blocking{};
+    Clock::duration watched{};
     for (int i = 0; i < 25; ++i) {
-        const pid_t pid = spawnShellCommand("exit 3", dir.path + "/out",
-                                            dir.path + "/err");
-        ASSERT_GT(pid, 0);
-        ExitWatch watch(pid, mutex, cv);
-        std::unique_lock<std::mutex> lock(mutex);
-        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                                [&] { return watch.exited(); }));
-        EXPECT_EQ(describeWaitStatus(watch.status()),
+        auto start = Clock::now();
+        const pid_t reaped = spawnShellCommand("exit 3", out, err);
+        ASSERT_GT(reaped, 0);
+        EXPECT_EQ(describeWaitStatus(waitCommand(reaped)),
                   "exited with status 3");
+        blocking += Clock::now() - start;
+
+        start = Clock::now();
+        {
+            const pid_t pid = spawnShellCommand("exit 3", out, err);
+            ASSERT_GT(pid, 0);
+            ExitWatch watch(pid, mutex, cv);
+            std::unique_lock<std::mutex> lock(mutex);
+            ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                                    [&] { return watch.exited(); }));
+            EXPECT_EQ(describeWaitStatus(watch.status()),
+                      "exited with status 3");
+        }
+        watched += Clock::now() - start;
     }
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    EXPECT_LT(elapsed.count(), 0.25);
+    using Seconds = std::chrono::duration<double>;
+    const double blocking_s = Seconds(blocking).count();
+    const double watched_s = Seconds(watched).count();
+    EXPECT_LT(watched_s, blocking_s + 0.2)
+        << "blocking waits took " << blocking_s << " s";
 }
 
 TEST(ExitWatch, KillSignalsAndTheWatchReaps)

@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -695,16 +696,75 @@ scriptHash(uint64_t seed, std::size_t request, int step)
     return rng.next();
 }
 
+/// A saving `ulps` representable doubles above a positive `s`.
+double
+ulpsAbove(double s, int64_t ulps)
+{
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(s) + ulps);
+}
+
+/**
+ * Drive a SavingsQueue over [lo, hi] as dynamicOracle does: pop a
+ * request, step it, and push its next saving only when it is below the
+ * popped one; a next saving at or above it is taken at once, however
+ * many steps follow. The same script through std::priority_queue,
+ * which pushes every next saving, must visit the same (saving,
+ * request) sequence. `initial(i)` is request i's first saving and
+ * `next(i, step, s)` the saving after s; one that is not positive ends
+ * the request.
+ */
+template <typename Initial, typename Next>
+void
+expectPopsLikePriorityQueue(std::size_t n, double lo, double hi,
+                            Initial initial, Next next)
+{
+    using Item = std::pair<double, std::size_t>;
+    std::vector<Item> want;
+    {
+        std::priority_queue<Item> heap;
+        std::vector<int> steps(n, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            heap.push({initial(i), i});
+        while (!heap.empty()) {
+            const auto [saving, i] = heap.top();
+            heap.pop();
+            want.push_back({saving, i});
+            const double s = next(i, steps[i]++, saving);
+            if (s > 0.0)
+                heap.push({s, i});
+        }
+    }
+    std::vector<Item> got;
+    {
+        SavingsQueue queue(n, lo, hi);
+        std::vector<int> steps(n, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            queue.push(initial(i), i);
+        while (!queue.empty()) {
+            const auto [popped, i] = queue.pop();
+            for (double saving = popped;;) {
+                got.push_back({saving, i});
+                const double s = next(i, steps[i]++, saving);
+                if (!(s > 0.0))
+                    break;
+                if (s < popped) {
+                    queue.push(s, i);
+                    break;
+                }
+                saving = s;
+            }
+        }
+    }
+    ASSERT_EQ(got, want);
+}
+
 TEST(SavingsQueue, PopsLikePriorityQueueInTheGreedyLoop)
 {
-    // Drive the queue as dynamicOracle does: pop a request, step it, and
-    // push its next saving only when it is below the popped one; a next
-    // saving at or above it is taken at once, however many steps
-    // follow. The same script through std::priority_queue, which
-    // pushes every next saving, must visit the same (saving, request)
-    // sequence. Savings on a coarse grid give many ties; some requests
-    // start at extreme magnitudes.
+    // Savings on a coarse grid give many ties; some requests start at
+    // extreme magnitudes. The range is the initial savings', so later
+    // savings below it share the clamped bottom bucket.
     for (uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(seed);
         const std::size_t n = seed < 4 ? seed : 400 * seed;
         auto initial = [&](std::size_t i) {
             const uint64_t h = scriptHash(seed, i, -1);
@@ -721,7 +781,7 @@ TEST(SavingsQueue, PopsLikePriorityQueueInTheGreedyLoop)
         };
         // Up to 13 steps per request, like the grid's levels: the next
         // saving is equal, larger, smaller on the grid, or none.
-        auto next_saving = [&](std::size_t i, int step, double s) {
+        auto next = [&](std::size_t i, int step, double s) {
             if (step >= 13)
                 return 0.0;
             const uint64_t h = scriptHash(seed, i, step);
@@ -734,46 +794,90 @@ TEST(SavingsQueue, PopsLikePriorityQueueInTheGreedyLoop)
                 return 0.0;
             return std::floor(s * k) / 64.0;
         };
-
-        using Item = std::pair<double, std::size_t>;
-        std::vector<Item> want;
-        {
-            std::priority_queue<Item> heap;
-            std::vector<int> steps(n, 0);
-            for (std::size_t i = 0; i < n; ++i)
-                heap.push({initial(i), i});
-            while (!heap.empty()) {
-                const auto [saving, i] = heap.top();
-                heap.pop();
-                want.push_back({saving, i});
-                const double next = next_saving(i, steps[i]++, saving);
-                if (next > 0.0)
-                    heap.push({next, i});
-            }
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            lo = std::min(lo, initial(i));
+            hi = std::max(hi, initial(i));
         }
-        std::vector<Item> got;
-        {
-            SavingsQueue queue(n);
-            std::vector<int> steps(n, 0);
-            for (std::size_t i = 0; i < n; ++i)
-                queue.push(initial(i), i);
-            while (!queue.empty()) {
-                const auto [popped, i] = queue.pop();
-                for (double saving = popped;;) {
-                    got.push_back({saving, i});
-                    const double next = next_saving(i, steps[i]++, saving);
-                    if (!(next > 0.0))
-                        break;
-                    if (next < popped) {
-                        queue.push(next, i);
-                        break;
-                    }
-                    saving = next;
-                }
-            }
-        }
-        ASSERT_EQ(got, want) << "seed " << seed;
+        expectPopsLikePriorityQueue(n, lo, hi, initial, next);
     }
+}
+
+TEST(SavingsQueue, PlacesPushesIntoTheRunBeingServed)
+{
+    // Savings a few ulps apart, in buckets 2^37 ulps wide: most next
+    // savings land in the bucket being served, among entries above and
+    // below them that are not served yet.
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(seed);
+        const std::size_t n = 300;
+        auto initial = [&](std::size_t i) {
+            const uint64_t h = scriptHash(seed, i, -1);
+            return ulpsAbove(1.5, static_cast<int64_t>(h % 256));
+        };
+        auto next = [&](std::size_t i, int step, double s) {
+            if (step >= 40)
+                return 0.0;
+            const uint64_t h = scriptHash(seed, i, step);
+            if (h % 5 == 0)
+                return s;
+            return ulpsAbove(s, -static_cast<int64_t>(1 + h % 64));
+        };
+        expectPopsLikePriorityQueue(n, 1.0, 2.0, initial, next);
+    }
+}
+
+TEST(SavingsQueue, BreaksTiesAmongHundredsInOneBucket)
+{
+    // 500 requests share each of four savings, so each bucket that
+    // holds any holds hundreds of equal keys, served larger request
+    // first.
+    const std::size_t n = 500;
+    auto initial = [](std::size_t) { return 1.0; };
+    auto next = [](std::size_t i, int step, double s) {
+        if (step >= 3 || i % 7 == 0)
+            return 0.0;
+        return s / 2.0;
+    };
+    expectPopsLikePriorityQueue(n, 0.125, 1.0, initial, next);
+}
+
+TEST(SavingsQueue, ServesARangeOfOneSaving)
+{
+    // lo == hi: one-ulp buckets from lo up, with every saving below lo
+    // in bucket 0 and every one far above it in the top bucket.
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(seed);
+        const std::size_t n = 1000;
+        auto initial = [&](std::size_t i) {
+            const uint64_t h = scriptHash(seed, i, -1);
+            if (h % 4 == 0) // within the one-ulp buckets
+                return ulpsAbove(1.0, static_cast<int64_t>(h % 70000));
+            return static_cast<double>(1 + (h >> 8) % 512) / 64.0;
+        };
+        auto next = [&](std::size_t i, int step, double s) {
+            if (step >= 13)
+                return 0.0;
+            const uint64_t h = scriptHash(seed, i, step);
+            if (h % 4 == 0)
+                return s;
+            if (h % 4 == 1)
+                return ulpsAbove(s, -static_cast<int64_t>(1 + h % 1000));
+            const double k = static_cast<double>((h >> 8) % 64);
+            return std::floor(s * k) / 64.0;
+        };
+        expectPopsLikePriorityQueue(n, 1.0, 1.0, initial, next);
+    }
+}
+
+TEST(SavingsQueueDeathTest, RejectsAPushAboveTheLastPop)
+{
+    SavingsQueue queue(2, 1.0, 2.0);
+    queue.push(1.5, 0);
+    queue.push(1.25, 1);
+    EXPECT_EQ(queue.pop(), std::make_pair(1.5, std::size_t{0}));
+    EXPECT_DEATH(queue.push(1.75, 0), "above the last pop");
 }
 
 TEST(Pegasus, ReactsToSustainedHighTail)
