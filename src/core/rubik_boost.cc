@@ -87,8 +87,7 @@ RubikBoostController::onCompletion(const CompletedRequest &done,
 void
 RubikBoostController::periodicUpdate(const CoreView &core)
 {
-    while (nextUpdate_ <= core.now + 1e-12)
-        nextUpdate_ += cfg_.base.updatePeriod;
+    nextUpdate_ = catchUp(nextUpdate_, cfg_.base.updatePeriod, core.now);
 
     const uint64_t fresh = completionsSeen_ - completionsAtLastBuild_;
     const bool enough_new =

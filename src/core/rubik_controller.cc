@@ -99,8 +99,7 @@ void
 RubikController::periodicUpdate(const CoreView &core)
 {
     // Keep the schedule strictly advancing even if the loop stalls.
-    while (nextUpdate_ <= core.now + 1e-12)
-        nextUpdate_ += cfg_.updatePeriod;
+    nextUpdate_ = catchUp(nextUpdate_, cfg_.updatePeriod, core.now);
 
     const uint64_t fresh = completionsSeen_ - completionsAtLastBuild_;
     const bool enough_new =

@@ -42,8 +42,7 @@ PegasusPolicy::onCompletion(const CompletedRequest &done,
 void
 PegasusPolicy::periodicUpdate(const CoreView &core)
 {
-    while (nextEpoch_ <= core.now + 1e-12)
-        nextEpoch_ += cfg_.epoch;
+    nextEpoch_ = catchUp(nextEpoch_, cfg_.epoch, core.now);
 
     measured_.expire(core.now);
     if (measured_.empty())

@@ -5,12 +5,14 @@
 
 #include <unistd.h>
 
+#include "runner/subproc.h"
+
 namespace rubik {
 
-std::string
-ExecutionBackend::cellsCommand(const std::string &spec_path,
-                               std::size_t begin, std::size_t end,
-                               int batch, int num_batches) const
+std::vector<std::string>
+ExecutionBackend::cellsArgv(const std::string &spec_path,
+                            std::size_t begin, std::size_t end,
+                            int batch, int num_batches) const
 {
     if (inProcess()) {
         throw std::logic_error(
@@ -26,6 +28,11 @@ ExecutionBackend::cellsCommand(const std::string &spec_path,
     }
     if (config_.traceStats)
         words.push_back("--trace-stats");
+    if (template_.empty()) {
+        words.push_back("--cells");
+        words.push_back(cells);
+        return words;
+    }
     std::string argv;
     for (const std::string &word : words)
         argv += shellQuote(word) + " ";
@@ -41,7 +48,7 @@ ExecutionBackend::cellsCommand(const std::string &spec_path,
         {"jobs", std::to_string(config_.jobs)},
         {"spec", spec_path},
     };
-    return instantiateCommandTemplate(template_, fields);
+    return shellArgv(instantiateCommandTemplate(template_, fields));
 }
 
 ExecutionBackend
@@ -54,9 +61,9 @@ makeBackend(const std::string &desc, const BackendConfig &config)
     if (desc == "local" || desc.empty())
         return backend;
     constexpr const char kCommandPrefix[] = "command:";
+    backend.dispatches_ = true;
     if (desc == "subprocess") {
         backend.name_ = "subprocess";
-        backend.template_ = "{argv}";
     } else if (desc.rfind(kCommandPrefix, 0) == 0) {
         backend.name_ = "command";
         backend.template_ = desc.substr(sizeof(kCommandPrefix) - 1);
@@ -92,6 +99,20 @@ shellQuote(const std::string &arg)
     }
     quoted.push_back('\'');
     return quoted;
+}
+
+std::string
+commandLine(const std::vector<std::string> &argv)
+{
+    if (argv.size() == 3 && argv[0] == "/bin/sh" && argv[1] == "-c")
+        return argv[2];
+    std::string line;
+    for (const std::string &word : argv) {
+        if (!line.empty())
+            line += ' ';
+        line += shellQuote(word);
+    }
+    return line;
 }
 
 std::string

@@ -12,10 +12,10 @@
  *  - local       — in this process, on the ExperimentRunner pool (the
  *    default).
  *  - subprocess  — as a `rubik_cli sweep --spec F --cells B-E` child
- *    on this machine. It is exactly `command:{argv}`.
+ *    on this machine, exec'd directly (no shell).
  *  - command:<template> — as a user-supplied shell command, e.g.
- *    `ssh host {argv}` or a job-queue submit wrapper. The command's
- *    stdout is the batch's rows.
+ *    `ssh host {argv}` or a job-queue submit wrapper, run through
+ *    `/bin/sh -c`. The command's stdout is the batch's rows.
  *
  * Command template contract: the template is a POSIX shell command in
  * which these placeholders are substituted per batch:
@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace rubik {
 
@@ -55,25 +56,29 @@ class ExecutionBackend
     const char *name() const { return name_; }
 
     /// True for the local backend: batches run in this process.
-    bool inProcess() const { return template_.empty(); }
+    bool inProcess() const { return !dispatches_; }
 
     /**
-     * The shell command that runs cells [begin, end) of the spec at
-     * `spec_path` as one `sweep --cells` batch child — the unit the
-     * orchestrator leases, re-dispatches and steals. `batch` and
-     * `num_batches` fill the {index}/{shard}/{nshards} placeholders.
-     * Throws std::logic_error for the local backend.
+     * The argv that runs cells [begin, end) of the spec at `spec_path`
+     * as one `sweep --cells` batch child — the unit the orchestrator
+     * leases, re-dispatches and steals. `subprocess` gives rubik_cli's
+     * own argv; `command:` gives `/bin/sh -c` and the instantiated
+     * template. `batch` and `num_batches` fill the
+     * {index}/{shard}/{nshards} placeholders. Throws std::logic_error
+     * for the local backend.
      */
-    std::string cellsCommand(const std::string &spec_path,
-                             std::size_t begin, std::size_t end,
-                             int batch, int num_batches) const;
+    std::vector<std::string> cellsArgv(const std::string &spec_path,
+                                       std::size_t begin,
+                                       std::size_t end, int batch,
+                                       int num_batches) const;
 
   private:
     friend ExecutionBackend makeBackend(const std::string &desc,
                                         const BackendConfig &config);
 
     const char *name_ = "local";
-    std::string template_; ///< Empty for the local backend.
+    bool dispatches_ = false; ///< Batches run as child processes.
+    std::string template_;    ///< The command: template, else empty.
     BackendConfig config_;
 };
 
@@ -88,6 +93,10 @@ ExecutionBackend makeBackend(const std::string &desc,
 
 /// POSIX shell single-quote `arg` (embedded quotes escaped).
 std::string shellQuote(const std::string &arg);
+
+/// `argv` as one line for messages: `/bin/sh -c C` reads as C, any
+/// other argv as its shell-quoted words.
+std::string commandLine(const std::vector<std::string> &argv);
 
 /// Replace every `{key}` from `fields` in `tmpl` (unknown braces kept).
 std::string

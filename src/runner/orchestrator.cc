@@ -241,22 +241,21 @@ void
 runAttempt(Coordinator &co, std::size_t index, int attempt)
 {
     Batch &batch = co.batches[index]; // begin/end are immutable
-    std::string cmd = co.backend->cellsCommand(
+    const std::vector<std::string> argv = co.backend->cellsArgv(
         co.specPath, batch.begin, batch.end, static_cast<int>(index),
         static_cast<int>(co.batches.size()));
-    if (attempt > 1) {
-        // Injected faults fire on a batch's first dispatch only:
-        // retries and steals run clean, so recovery is possible by
-        // construction.
-        cmd = "RUBIK_FAULT= " + cmd;
-    }
+    const std::string cmd = commandLine(argv);
     const std::string base = co.scratchPath + "/batch" +
                              std::to_string(index) + ".attempt" +
                              std::to_string(attempt);
     const std::string csv_path = base + ".csv";
     const std::string err_path = base + ".err";
 
-    const pid_t pid = spawnShellCommand(cmd, csv_path, err_path);
+    // Injected faults fire on a batch's first dispatch only: retries
+    // and steals run without RUBIK_FAULT, so recovery is possible by
+    // construction.
+    const pid_t pid = spawnCommand(argv, csv_path, err_path,
+                                   attempt > 1 ? "RUBIK_FAULT" : "");
     // The lease doubles per attempt (exponential backoff for
     // stragglers); the hard kill gives a stealer one extra lease
     // period to win before the straggler is put down.
@@ -432,28 +431,41 @@ workerLoop(Coordinator &co)
     }
 }
 
-/// Contiguous runs of not-yet-done cells, split into batches of at
-/// most `batch_cells`.
+/**
+ * Contiguous runs of not-yet-done cells, cut into batches. With
+ * `batch_cells` > 0, each batch takes at most that many cells.
+ * Otherwise batches are sized by guided self-scheduling (Polychronopoulos
+ * & Kuck, 1987): each takes ceil(unplanned missing cells / slots),
+ * rounded up to a whole number of `run`-cell runs, so the first
+ * batches are big and later ones shrink to fill the tail. A batch
+ * never spans a cell that is already done.
+ */
 std::vector<Batch>
 planBatches(std::size_t num_cells,
             const std::map<std::size_t, std::string> &have,
-            std::size_t batch_cells)
+            std::size_t batch_cells, std::size_t slots, std::size_t run)
 {
     std::vector<Batch> batches;
+    std::size_t unplanned = num_cells - have.size();
     std::size_t i = 0;
     while (i < num_cells) {
         if (have.count(i)) {
             ++i;
             continue;
         }
+        std::size_t size = batch_cells;
+        if (size == 0) {
+            size = (unplanned + slots - 1) / slots;
+            size = (size + run - 1) / run * run;
+        }
         std::size_t j = i;
-        while (j < num_cells && !have.count(j) &&
-               j - i < batch_cells)
+        while (j < num_cells && !have.count(j) && j - i < size)
             ++j;
         Batch b;
         b.begin = i;
         b.end = j;
         batches.push_back(b);
+        unplanned -= j - i;
         i = j;
     }
     return batches;
@@ -491,29 +503,29 @@ runOrchestratedSweep(const SweepSpec &spec,
     const ExecutionBackend backend =
         makeBackend(options.backendDesc, options.backend);
 
-    // Batch sizing: ~4 batches per shard slot keeps the queue deep
-    // enough to steal from without making child spawns dominate. A
-    // batch generates the traces its cells need and frees them when
-    // it ends, so the size is rounded up to keep shared traces in one
-    // batch. In process, batches run one after another, and rounding
-    // to whole apps (each app's cells are adjacent and need no other
-    // trace) generates every trace once. A batch child is its own
-    // process; with one seed, the cells that share an (app, load)
-    // trace are a run of one cell per policy, and rounding up to whole
-    // runs keeps each run's trace in one child, not two.
+    // Batch sizing (planBatches): guided self-scheduling over the
+    // missing cells. A batch child is a process of its own, and each
+    // one spawns, faults in its working set and generates the latency
+    // bounds' 50%-load traces afresh, so fewer, bigger batches cost
+    // less; shrinking ones keep the slots busy to the end. With one
+    // slot nothing runs beside a batch, so the plan is one batch
+    // (--batch-cells gives a long single-slot sweep finer
+    // checkpoints). A batch generates the traces its cells need and
+    // frees them when it ends, so sizes round up to keep shared traces
+    // in one batch. In process, batches run one after another, and
+    // rounding to whole apps (each app's cells are adjacent and need
+    // no other trace) generates every trace once. In a batch child
+    // with one seed, the cells that share an (app, load) trace are a
+    // run of one cell per policy, and rounding up to whole runs keeps
+    // each run's trace in one child, not two.
     const std::size_t missing = num_cells - scan.rows.size();
     const std::size_t slots = static_cast<std::size_t>(
         std::max(1, options.backend.numShards));
-    std::size_t batch_cells = options.batchCells;
-    if (batch_cells == 0) {
-        batch_cells = std::max<std::size_t>(1, missing / (slots * 4));
-        std::size_t run = 1;
-        if (backend.inProcess())
-            run = num_cells / spec.apps.size();
-        else if (spec.seeds.size() == 1)
-            run = spec.policies.size();
-        batch_cells = (batch_cells + run - 1) / run * run;
-    }
+    std::size_t run = 1;
+    if (backend.inProcess())
+        run = num_cells / spec.apps.size();
+    else if (spec.seeds.size() == 1)
+        run = spec.policies.size();
 
     std::map<std::size_t, std::string> rows = std::move(scan.rows);
 
@@ -521,8 +533,8 @@ runOrchestratedSweep(const SweepSpec &spec,
         // In-process: the ExperimentRunner pool already balances
         // cells across workers, so batches execute in order and the
         // ledger advances with each finished batch.
-        std::vector<Batch> batches =
-            planBatches(num_cells, rows, batch_cells);
+        const std::vector<Batch> batches = planBatches(
+            num_cells, rows, options.batchCells, slots, run);
         for (const Batch &b : batches) {
             sweepCellRows(spec, b.begin, b.end, options.backend.jobs,
                           [&](std::size_t i, const std::string &row) {
@@ -537,7 +549,8 @@ runOrchestratedSweep(const SweepSpec &spec,
     } else if (missing > 0) {
         ScratchDir scratch;
         Coordinator co;
-        co.batches = planBatches(num_cells, rows, batch_cells);
+        co.batches =
+            planBatches(num_cells, rows, options.batchCells, slots, run);
         co.ledger = &ledger;
         co.workPath =
             ledger_path.empty() ? "" : ledger_path + ".work";

@@ -10,19 +10,21 @@
  * dynamic`, `--backend` and `--shards` all lead here.
  *
  * The grid's missing cells are split into batches that workers lease
- * from a shared queue:
+ * from a shared queue, biggest first (guided self-scheduling, see
+ * OrchestratorOptions::batchCells):
  *
  *  - in-process (local backend): batches run on this process's
  *    ExperimentRunner pool via sweepCellRows — the pool queue already
  *    load-balances, so "stealing" is free;
  *  - dispatching backends (subprocess / command): one coordinator
  *    worker per shard slot leases a batch, spawns its
- *    `sweep --cells B-E` child, and commits the validated rows. A
- *    batch whose lease expires (--lease-timeout) is re-dispatched by
- *    an idle worker with exponential backoff while the straggler
- *    keeps running — first valid commit wins, duplicates are verified
- *    byte-equal and discarded (at-most-once merge) — so one hung
- *    batch never gates the sweep.
+ *    `sweep --cells B-E` child (exec'd directly for subprocess,
+ *    through `/bin/sh -c` for a command template), and commits the
+ *    validated rows. A batch whose lease expires (--lease-timeout) is
+ *    re-dispatched by an idle worker with exponential backoff while
+ *    the straggler keeps running — first valid commit wins,
+ *    duplicates are verified byte-equal and discarded (at-most-once
+ *    merge) — so one hung batch never gates the sweep.
  *
  * Every committed cell is appended to the checksummed, fsync'd ledger
  * before it counts as done, so `--resume` after any crash or SIGKILL
@@ -61,10 +63,12 @@ struct OrchestratorOptions
     std::string ledgerPath;
     /// Continue from an existing ledger instead of starting over.
     bool resume = false;
-    /// Cells per leased batch; 0 sizes automatically (~4 batches per
-    /// shard slot, at least one cell, and with one seed rounded up to
-    /// a multiple of the policy count so no batch splits the cells
-    /// that share a trace).
+    /// Cells per leased batch; 0 sizes automatically by guided
+    /// self-scheduling: each batch takes ceil(unplanned missing cells
+    /// / shard slots), so one slot runs one batch, rounded up to
+    /// whole apps in process and, with one seed, to whole trace runs
+    /// (a multiple of the policy count) in batch children, so no
+    /// batch splits the cells that share a trace.
     std::size_t batchCells = 0;
     /// Seconds before a running batch's lease expires and an idle
     /// worker may re-dispatch it (doubled per attempt); 0 disables

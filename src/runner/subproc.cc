@@ -1,6 +1,7 @@
 #include "runner/subproc.h"
 
 #include <cerrno>
+#include <cstring>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -27,21 +28,43 @@ redirectTo(const std::string &path, int target)
 } // anonymous namespace
 
 pid_t
-spawnShellCommand(const std::string &command,
-                  const std::string &stdout_path,
-                  const std::string &stderr_path)
+spawnCommand(const std::vector<std::string> &argv,
+             const std::string &stdout_path,
+             const std::string &stderr_path,
+             const std::string &unset_env)
 {
+    if (argv.empty())
+        return -1;
+    // Build everything the child needs here: between fork and exec,
+    // the child of a multithreaded parent may only make
+    // async-signal-safe calls, so it must not allocate.
+    std::vector<char *> args;
+    args.reserve(argv.size() + 1);
+    for (const std::string &arg : argv)
+        args.push_back(const_cast<char *>(arg.c_str()));
+    args.push_back(nullptr);
+    char **envp = environ;
+    std::vector<char *> env;
+    if (!unset_env.empty()) {
+        const std::string prefix = unset_env + "=";
+        for (char **e = environ; *e; ++e) {
+            if (std::strncmp(*e, prefix.c_str(), prefix.size()) != 0)
+                env.push_back(*e);
+        }
+        env.push_back(nullptr);
+        envp = env.data();
+    }
+
     const pid_t pid = ::fork();
     if (pid < 0)
         return -1;
     if (pid == 0) {
         // Child: own process group, so a straggler kill reaps any
-        // grandchildren the shell leaves behind too.
+        // grandchildren the command leaves behind too.
         ::setpgid(0, 0);
         redirectTo(stdout_path, STDOUT_FILENO);
         redirectTo(stderr_path, STDERR_FILENO);
-        ::execl("/bin/sh", "sh", "-c", command.c_str(),
-                static_cast<char *>(nullptr));
+        ::execvpe(args[0], args.data(), envp);
         ::_exit(127);
     }
     // Mirror the child's setpgid here: whichever side runs first wins,
@@ -49,6 +72,12 @@ spawnShellCommand(const std::string &command,
     // right group.
     ::setpgid(pid, pid);
     return pid;
+}
+
+std::vector<std::string>
+shellArgv(const std::string &command)
+{
+    return {"/bin/sh", "-c", command};
 }
 
 int
@@ -106,7 +135,7 @@ std::string
 describeWaitStatus(int status)
 {
     if (status == -1)
-        return "could not spawn /bin/sh";
+        return "could not be spawned";
     if (WIFEXITED(status)) {
         return "exited with status " +
                std::to_string(WEXITSTATUS(status));

@@ -449,7 +449,9 @@ sweepCellRows(
     // first-use order; the set only answers membership. replayFixed
     // ignores class hints, so when the range holds the (app, 0.5,
     // seed) triple, the bound's replay is that triple's baseline: its
-    // trace is annotated and handed over, not generated again.
+    // trace is annotated and handed over, not generated again. Bounds
+    // that hand nothing over start first, so on one worker each of
+    // their traces is freed before a handed-over one is generated.
     std::vector<std::pair<std::string, uint64_t>> bound_keys;
     std::set<std::pair<std::string, uint64_t>> bound_seen;
     for (std::size_t i = begin; i < end; ++i) {
@@ -459,18 +461,28 @@ sweepCellRows(
             bound_keys.push_back(key);
     }
     std::map<std::pair<std::string, uint64_t>, double> bounds;
+    // Whether each triple is handed its bound's trace.
+    std::vector<char> handed(triple_keys.size(), 0);
     if (spec.boundMs > 0.0) {
         for (const auto &key : bound_keys)
             bounds[key] = spec.boundMs * kMs;
     } else {
         std::vector<std::function<double()>> bound_jobs;
+        std::vector<std::size_t> bound_order;
+        std::vector<std::size_t> handing_over;
         for (const auto &key : bound_keys) {
-            bound_jobs.push_back([&, key] {
+            const auto kept =
+                triple_ids.find({key.first, 0.5, key.second});
+            if (kept != triple_ids.end()) {
+                handed[kept->second] = 1;
+                handing_over.push_back(bound_jobs.size());
+            } else {
+                bound_order.push_back(bound_jobs.size());
+            }
+            bound_jobs.push_back([&, key, kept] {
                 auto t50 = generate(key.first, 0.5, key.second);
                 t50->fixed = replayFixed(t50->trace, nominal, power);
                 const double bound = t50->fixed.tailLatency(0.95);
-                const auto kept =
-                    triple_ids.find({key.first, 0.5, key.second});
                 if (kept != triple_ids.end()) {
                     annotateClasses(t50->trace, 0.85, nominal);
                     traces[kept->second].adopt(std::move(t50));
@@ -478,8 +490,10 @@ sweepCellRows(
                 return bound;
             });
         }
+        bound_order.insert(bound_order.end(), handing_over.begin(),
+                           handing_over.end());
         const std::vector<double> values =
-            runner.runBatch(std::move(bound_jobs));
+            runner.runBatch(std::move(bound_jobs), bound_order);
         for (std::size_t i = 0; i < bound_keys.size(); ++i)
             bounds[bound_keys[i]] = values[i];
     }
@@ -492,6 +506,10 @@ sweepCellRows(
     // by first use) instead of ending on a long cell that started
     // last. A triple's cells start together, so beyond the traces the
     // bounds handed over, each worker holds at most one open trace.
+    // On one worker the start order cannot change the wall time, only
+    // what is held at once: there the triples the bounds handed over
+    // start first, so each is freed before the next trace is
+    // generated and the batch holds one trace at a time.
     struct Row
     {
         SweepCell cell;
@@ -531,10 +549,13 @@ sweepCellRows(
     }
     std::vector<std::size_t> start_order(cell_jobs.size());
     std::iota(start_order.begin(), start_order.end(), 0);
+    const bool one_worker = runner.numWorkers() == 1;
     std::stable_sort(start_order.begin(), start_order.end(),
                      [&](std::size_t a, std::size_t b) {
                          const std::size_t ta = cell_triple[a];
                          const std::size_t tb = cell_triple[b];
+                         if (one_worker && handed[ta] != handed[tb])
+                             return handed[ta] > handed[tb];
                          if (spans[ta] != spans[tb])
                              return spans[ta] > spans[tb];
                          return ta < tb;

@@ -14,7 +14,10 @@
  * baseline-replays it, every policy cell of the triple shares it, and
  * the last to finish frees it. The auto latency bound's 50%-load trace
  * is generated once per (app, seed) and handed to that load's triple
- * when the range holds it, so no trace is generated twice.
+ * when the range holds it, so no trace is generated twice. Cells start
+ * longest trace span first; on one worker, where the order cannot
+ * change the wall time, the handed-over triples start first instead,
+ * so a one-worker batch child holds one trace at a time.
  *
  * runPolicy() is the single name -> scheme dispatch, shared with
  * rubik_cli so the CLI's one-shot mode and sweep cells cannot drift.

@@ -14,7 +14,9 @@
  * forwards it to the engine, which models the transition latency.
  */
 
+#include <cstdio>
 #include <limits>
+#include <stdexcept>
 
 #include "power/power_model.h"
 #include "sim/core_view.h"
@@ -62,6 +64,22 @@ class DvfsPolicy
     /// Next absolute time the policy wants a periodicUpdate (kNever: none).
     virtual double nextPeriodicUpdate() const { return kNever; }
 
+    /**
+     * The error a periodic clock raises once adding `period` at
+     * `clock` leaves the clock where it was (the period is below half
+     * an ulp of the clock), so that further steps would spin forever:
+     * a load near 1e-300 puts the arrivals that far out.
+     */
+    static std::runtime_error stalledClock(double period, double clock)
+    {
+        char what[200];
+        std::snprintf(what, sizeof(what),
+                      "update period %g s no longer advances a clock at "
+                      "%g s (is the load too low?)",
+                      period, clock);
+        return std::runtime_error(what);
+    }
+
     /// Periodic hook (table rebuilds, feedback adjustment, ...).
     virtual void periodicUpdate(const CoreView &core) { (void)core; }
 
@@ -98,6 +116,23 @@ class DvfsPolicy
     double powerCap() const { return powerCap_; }
 
   protected:
+    /**
+     * The periodic policies' catch-up: step `next` by `period` until it
+     * is past `now` (by more than 1e-12 s) and return it. Throws
+     * stalledClock() when a step leaves `next` unchanged. The steps
+     * are the same additions whatever the load, so no result moves.
+     */
+    static double catchUp(double next, double period, double now)
+    {
+        while (next <= now + 1e-12) {
+            const double stepped = next + period;
+            if (stepped == next)
+                throw stalledClock(period, now);
+            next = stepped;
+        }
+        return next;
+    }
+
     /**
      * Grid frequency ceiling implied by the active cap: the highest
      * grid frequency whose stall-free active power fits under

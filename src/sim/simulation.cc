@@ -97,6 +97,18 @@ simulateLoop(const Trace &trace, Policy &policy, const DvfsModel &dvfs,
 
     policy.reset();
 
+    // A periodic policy steps its update clock one period at a time,
+    // through idle gaps too, and its first update falls one period in.
+    // When that period is below half an ulp of the last arrival time,
+    // the steps stall before the run can end (DvfsPolicy::catchUp
+    // throws there), so fail now instead of after ~1e16 steps.
+    const double period = policy.nextPeriodicUpdate();
+    if (period < DvfsPolicy::kNever && !trace.empty()) {
+        const double last = trace.back().arrivalTime;
+        if (last + period == last)
+            throw DvfsPolicy::stalledClock(period, last);
+    }
+
     SimResult result;
     result.completed.reserve(trace.size());
 

@@ -1,7 +1,6 @@
 #include "stats/rolling_tail.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "stats/percentile.h"
 #include "util/error.h"
@@ -34,11 +33,28 @@ RollingTail::tail(double q) const
 {
     if (samples_.empty())
         return 0.0;
-    std::vector<double> values;
-    values.reserve(samples_.size());
-    for (const auto &s : samples_)
-        values.push_back(s.value);
-    return percentile(std::move(values), q);
+    // Values below the pivot fill the buffer from the front, the rest
+    // from the back, so [0, below) < pivot <= [below, n).
+    const std::size_t n = samples_.size();
+    buffer_.resize(n);
+    std::size_t below = 0;
+    std::size_t above = n;
+    for (const Sample &s : samples_) {
+        if (s.value < pivot_)
+            buffer_[below++] = s.value;
+        else
+            buffer_[--above] = s.value;
+    }
+    const std::size_t rank = nearestRankIndex(n, q);
+    const auto first = buffer_.begin();
+    const auto nth = first + static_cast<std::ptrdiff_t>(rank);
+    const auto split = first + static_cast<std::ptrdiff_t>(below);
+    if (rank < below)
+        std::nth_element(first, nth, split);
+    else
+        std::nth_element(split, nth, buffer_.end());
+    pivot_ = *nth;
+    return pivot_;
 }
 
 } // namespace rubik

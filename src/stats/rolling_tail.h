@@ -13,6 +13,8 @@
  */
 
 #include <deque>
+#include <limits>
+#include <vector>
 
 namespace rubik {
 
@@ -31,8 +33,14 @@ class RollingTail
     /// Drop samples older than (now - window).
     void expire(double now);
 
-    /// Nearest-rank percentile of the current window (0 if empty).
-    /// O(n): copies the values and selects the element (percentile()).
+    /**
+     * Nearest-rank percentile of the current window (0 if empty), the
+     * element percentile() of a copy of the window picks. One pass
+     * copies the window into a buffer kept across calls, split around
+     * the previous answer; the selection then runs only over the side
+     * that holds the rank. Successive answers sit close together, so
+     * for a high percentile that side is a small share of the window.
+     */
     double tail(double q) const;
 
     /// Number of live samples.
@@ -51,6 +59,9 @@ class RollingTail
 
     double window_;
     std::deque<Sample> samples_;
+    /// tail()'s selection buffer and its last answer, the next pivot.
+    mutable std::vector<double> buffer_;
+    mutable double pivot_ = std::numeric_limits<double>::infinity();
 };
 
 } // namespace rubik

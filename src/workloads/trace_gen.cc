@@ -23,6 +23,7 @@ generateWith(const AppProfile &app, const ArrivalProcess &arrivals,
     DemandSplitter splitter(app.memFraction, app.memNoise, nominal_freq);
 
     Trace trace;
+    trace.reserve(static_cast<std::size_t>(std::max(num_requests, 0)));
     double t = 0.0;
     while (true) {
         if (num_requests > 0 &&

@@ -2,7 +2,7 @@
  * @file
  * Tests for the execution backends (runner/backend.h): backend
  * description parsing, shell quoting, command-template instantiation
- * and validation, and the batch command each backend renders. When the
+ * and validation, and the batch argv each backend renders. When the
  * RUBIK_CLI environment variable points at the built rubik_cli, the
  * removed static-dispatch surface is checked too: its flags and
  * subcommands must fail with exit 1 instead of running.
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "runner/backend.h"
+#include "runner/subproc.h"
 
 namespace rubik {
 namespace {
@@ -81,26 +82,39 @@ TEST(MakeBackend, SubprocessRendersTheCommandArgvBatch)
     BackendConfig cfg;
     cfg.jobs = 3;
     cfg.traceStats = true;
-    cfg.selfExe = "/opt/rubik/rubik_cli";
-    const std::string argv = makeBackend("subprocess", cfg)
-                                 .cellsCommand("/tmp/g.spec", 2, 5, 1, 4);
-    EXPECT_EQ(argv, "'/opt/rubik/rubik_cli' 'sweep' '--spec' "
-                    "'/tmp/g.spec' '--jobs' '3' '--trace-stats' "
-                    "--cells 2-5");
+    cfg.selfExe = "/usr/local/bin/rubik_cli";
+    // subprocess execs rubik_cli itself, with no shell in between.
+    const std::vector<std::string> argv =
+        makeBackend("subprocess", cfg).cellsArgv("/tmp/g.spec", 2, 5, 1, 4);
+    EXPECT_EQ(argv, (std::vector<std::string>{
+                        "/usr/local/bin/rubik_cli", "sweep", "--spec",
+                        "/tmp/g.spec", "--jobs", "3", "--trace-stats",
+                        "--cells", "2-5"}));
+    // A command: template runs through /bin/sh -c, with {argv} the
+    // same command quoted for the shell.
+    const std::string line = "'/usr/local/bin/rubik_cli' 'sweep' '--spec' "
+                             "'/tmp/g.spec' '--jobs' '3' '--trace-stats' "
+                             "--cells 2-5";
     EXPECT_EQ(makeBackend("command:{argv}", cfg)
-                  .cellsCommand("/tmp/g.spec", 2, 5, 1, 4),
-              argv);
+                  .cellsArgv("/tmp/g.spec", 2, 5, 1, 4),
+              shellArgv(line));
     EXPECT_EQ(makeBackend("command:ssh w{index} {argv}", cfg)
-                  .cellsCommand("/tmp/g.spec", 2, 5, 1, 4),
-              "ssh w1 " + argv);
+                  .cellsArgv("/tmp/g.spec", 2, 5, 1, 4),
+              shellArgv("ssh w1 " + line));
     EXPECT_EQ(makeBackend("command:run {spec} {cells} {jobs} {shard} "
                           "{nshards}",
                           cfg)
-                  .cellsCommand("/tmp/g.spec", 2, 5, 1, 4),
-              "run /tmp/g.spec 2-5 3 1/4 4");
-    EXPECT_THROW(makeBackend("local", cfg).cellsCommand("/tmp/g.spec", 0,
-                                                        1, 0, 1),
+                  .cellsArgv("/tmp/g.spec", 2, 5, 1, 4),
+              shellArgv("run /tmp/g.spec 2-5 3 1/4 4"));
+    EXPECT_THROW(makeBackend("local", cfg).cellsArgv("/tmp/g.spec", 0, 1,
+                                                     0, 1),
                  std::logic_error);
+    // Error messages show a shell argv as its command line, and any
+    // other argv as its quoted words.
+    EXPECT_EQ(commandLine(shellArgv("ssh w1 " + line)), "ssh w1 " + line);
+    EXPECT_EQ(commandLine(argv),
+              "'/usr/local/bin/rubik_cli' 'sweep' '--spec' '/tmp/g.spec' "
+              "'--jobs' '3' '--trace-stats' '--cells' '2-5'");
 }
 
 /// Exit status of `sh -c command` (-1 when it did not exit).

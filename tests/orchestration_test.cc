@@ -134,7 +134,7 @@ runCommand(const std::string &cmd, const std::string &dir,
     const std::string out = dir + "/" + tag + ".stdout";
     const std::string err = dir + "/" + tag + ".stderr";
     CommandResult r;
-    r.status = waitCommand(spawnShellCommand(cmd, out, err));
+    r.status = waitCommand(spawnCommand(shellArgv(cmd), out, err));
     r.out = readFile(out);
     r.err = readFile(err);
     return r;
@@ -163,7 +163,8 @@ TEST(ExitWatch, WakesOnEachChildExit)
     Clock::duration watched{};
     for (int i = 0; i < 25; ++i) {
         auto start = Clock::now();
-        const pid_t reaped = spawnShellCommand("exit 3", out, err);
+        const pid_t reaped =
+            spawnCommand(shellArgv("exit 3"), out, err);
         ASSERT_GT(reaped, 0);
         EXPECT_EQ(describeWaitStatus(waitCommand(reaped)),
                   "exited with status 3");
@@ -171,7 +172,8 @@ TEST(ExitWatch, WakesOnEachChildExit)
 
         start = Clock::now();
         {
-            const pid_t pid = spawnShellCommand("exit 3", out, err);
+            const pid_t pid =
+                spawnCommand(shellArgv("exit 3"), out, err);
             ASSERT_GT(pid, 0);
             ExitWatch watch(pid, mutex, cv);
             std::unique_lock<std::mutex> lock(mutex);
@@ -197,8 +199,8 @@ TEST(ExitWatch, KillSignalsAndTheWatchReaps)
     ASSERT_FALSE(dir.path.empty());
     std::mutex mutex;
     std::condition_variable cv;
-    const pid_t pid = spawnShellCommand("exec sleep 30", dir.path + "/out",
-                                        dir.path + "/err");
+    const pid_t pid = spawnCommand({"sleep", "30"}, dir.path + "/out",
+                                   dir.path + "/err");
     ASSERT_GT(pid, 0);
     ExitWatch watch(pid, mutex, cv);
     std::unique_lock<std::mutex> lock(mutex);
@@ -210,6 +212,37 @@ TEST(ExitWatch, KillSignalsAndTheWatchReaps)
     EXPECT_EQ(describeWaitStatus(watch.status()), "killed by signal 9");
     // Reaped exactly once, by the watch.
     EXPECT_EQ(waitCommand(pid), -1);
+}
+
+TEST(SpawnCommand, ExecsTheArgvAsGiven)
+{
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    const std::string out = dir.path + "/out";
+    const std::string err = dir.path + "/err";
+    // No shell splits or expands the words.
+    const std::vector<std::string> printf_argv = {"printf", "%s|", "a b",
+                                                  "$HOME"};
+    EXPECT_EQ(describeWaitStatus(
+                  waitCommand(spawnCommand(printf_argv, out, err))),
+              "exited with status 0");
+    EXPECT_EQ(readFile(out), "a b|$HOME|");
+    // A program that cannot be exec'd exits 127, as in a shell.
+    EXPECT_EQ(describeWaitStatus(waitCommand(
+                  spawnCommand({dir.path + "/missing"}, out, err))),
+              "exited with status 127");
+    EXPECT_EQ(spawnCommand({}, out, err), -1);
+    // The child runs without the one variable it is told to drop.
+    ASSERT_EQ(::setenv("RUBIK_SPAWN_TEST", "set", 1), 0);
+    const std::vector<std::string> echo =
+        shellArgv("printf %s \"${RUBIK_SPAWN_TEST-unset}\"");
+    EXPECT_TRUE(
+        commandSucceeded(waitCommand(spawnCommand(echo, out, err))));
+    EXPECT_EQ(readFile(out), "set");
+    EXPECT_TRUE(commandSucceeded(
+        waitCommand(spawnCommand(echo, out, err, "RUBIK_SPAWN_TEST"))));
+    EXPECT_EQ(readFile(out), "unset");
+    ::unsetenv("RUBIK_SPAWN_TEST");
 }
 
 TEST(ExitWatch, FailedSpawnReadsAsExited)
@@ -504,6 +537,31 @@ TEST(Orchestrator, SignalKilledBatchChildFailsTheSweep)
     }
 }
 
+TEST(Orchestrator, MissingBatchExecutableExits127)
+{
+    // The subprocess backend execs rubik_cli without a shell; an
+    // executable that is not there still reads as a shell's 127.
+    ScratchDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    OrchestratorOptions opt;
+    opt.backendDesc = "subprocess";
+    opt.backend.selfExe = dir.path + "/no-such-rubik_cli";
+    opt.outPath = dir.path + "/missing.csv";
+    opt.maxAttempts = 1;
+    try {
+        runOrchestratedSweep(tinySpec(), opt);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("exited with status 127"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("no-such-rubik_cli"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("(cells "), std::string::npos) << msg;
+    }
+    EXPECT_FALSE(std::filesystem::exists(opt.outPath));
+}
+
 // --------------------------------------------------------------------
 // End-to-end through rubik_cli (skipped when RUBIK_CLI is absent)
 
@@ -624,29 +682,58 @@ batchPlan(const std::string &work_path)
 
 TEST_F(OrchestrationCli, DefaultBatchesKeepTraceRunsWhole)
 {
-    // 1 app x 3 loads x 3 policies: each run of 3 cells shares one
-    // trace. One shard slot sizes batches at 9 / 4 = 2 cells, which a
-    // one-seed grid rounds up to 3.
+    // Guided self-scheduling: each batch takes ceil(unplanned missing
+    // cells / slots), which a one-seed grid rounds up to whole runs of
+    // one cell per policy, the cells that share a trace. 1 app x 3
+    // loads x 3 policies: each run of 3 cells shares one trace.
     SweepSpec grid = spec;
     grid.loads = {0.3, 0.5, 0.7};
     grid.policies = {"fixed", "static", "pegasus"};
     SweepSpec two_seeds = grid;
     two_seeds.seeds = {42, 43};
+    // perfbench's sweep-baselines shape: 15 (app, load) triples of 5
+    // cells each.
+    SweepSpec triples = grid;
+    triples.apps = {"masstree", "moses", "shore", "specjbb", "xapian"};
+    triples.policies = {"fixed", "static", "dynamic", "adrenaline",
+                        "pegasus"};
     struct Case
     {
         std::string name;
         SweepSpec spec;
         std::string flags;
         std::vector<std::string> plan;
+        /// Cell ranges [B, E) already in the ledger (--resume).
+        std::vector<std::pair<std::size_t, std::size_t>> ledgered = {};
     };
     const std::vector<Case> cases = {
-        {"one seed", grid, "", {"0-3", "3-6", "6-9"}},
-        // Two seeds: 18 / 4 = 4 cells, not rounded.
-        {"two seeds", two_seeds, "",
-         {"0-4", "4-8", "8-12", "12-16", "16-18"}},
+        // One slot: nothing runs beside a batch, so one batch.
+        {"one seed", grid, "--shards 1 ", {"0-9"}},
+        {"two seeds, one slot", two_seeds, "--shards 1 ", {"0-18"}},
         // An explicit size is honoured as given.
-        {"explicit", grid, "--batch-cells 2 ",
+        {"explicit", grid, "--shards 1 --batch-cells 2 ",
          {"0-2", "2-4", "4-6", "6-8", "8-9"}},
+        // 75 cells on 4 slots: ceil(75 / 4) = 19 -> 20, then
+        // ceil(55 / 4) = 14 -> 15, 10, 8 -> 10, and 5-cell runs.
+        {"15 triples",
+         triples,
+         "--shards 4 ",
+         {"0-20", "20-35", "35-45", "45-55", "55-60", "60-65", "65-70",
+          "70-75"}},
+        // Two seeds put a trace's cells apart: sizes are not rounded.
+        {"two seeds",
+         two_seeds,
+         "--shards 4 ",
+         {"0-5", "5-9", "9-12", "12-14", "14-15", "15-16", "16-17",
+          "17-18"}},
+        // Holes left by --resume split batches: 6 missing cells on 2
+        // slots take 3 each, and the cells already done cut the first
+        // batch short.
+        {"resume with holes",
+         grid,
+         "--shards 2 --resume ",
+         {"0-2", "4-7", "8-9"},
+         {{2, 4}, {7, 8}}},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
@@ -654,15 +741,69 @@ TEST_F(OrchestrationCli, DefaultBatchesKeepTraceRunsWhole)
         writeFile(grid_path, c.spec.serialize());
         const std::string out = dir.path + "/plan.csv";
         std::filesystem::remove(out + ".ledger");
+        if (!c.ledgered.empty()) {
+            SweepLedger ledger;
+            ledger.open(out + ".ledger", c.spec, false);
+            for (const auto &[begin, end] : c.ledgered) {
+                sweepCellRows(c.spec, begin, end, 1,
+                              [&](std::size_t i, const std::string &row) {
+                                  ledger.append(
+                                      i, row.substr(0, row.size() - 1));
+                              });
+            }
+        }
         const CommandResult r = runCommand(
             shellQuote(cli) + " sweep --spec " + shellQuote(grid_path) +
-                " --jobs 1 --backend subprocess --shards 1 " + c.flags +
-                "--out " + shellQuote(out),
+                " --jobs 1 --backend subprocess " + c.flags + "--out " +
+                shellQuote(out),
             dir.path, "plan");
         ASSERT_EQ(r.status, 0) << r.err;
         EXPECT_EQ(readFile(out), legacyCsv(c.spec));
         EXPECT_EQ(batchPlan(out + ".ledger.work"), c.plan);
     }
+}
+
+TEST_F(OrchestrationCli, OneWorkerBatchChildrenHoldOneTraceAtATime)
+{
+    // perfbench's sweep-baselines grid with its auto latency bounds:
+    // the guided plan starts 8 batch children that generate 20 traces
+    // (each triple's trace, plus a 50%-load bound trace for each app a
+    // batch holds without its 0.5 cells). On one worker a child starts
+    // the triple whose trace its bounds handed over, and frees every
+    // trace before it generates the next.
+    SweepSpec grid = spec;
+    grid.apps = {"masstree", "moses", "shore", "specjbb", "xapian"};
+    grid.loads = {0.3, 0.5, 0.7};
+    grid.policies = {"fixed", "static", "dynamic", "adrenaline",
+                     "pegasus"};
+    grid.boundMs = 0.0;
+    const std::string grid_path = dir.path + "/perfbench.spec";
+    writeFile(grid_path, grid.serialize());
+    const std::string out = dir.path + "/perfbench.csv";
+    const CommandResult r = runCommand(
+        shellQuote(cli) + " sweep --spec " + shellQuote(grid_path) +
+            " --schedule dynamic --backend subprocess --shards 4 "
+            "--jobs 1 --trace-stats --out " +
+            shellQuote(out),
+        dir.path, "perfbench");
+    ASSERT_EQ(r.status, 0) << r.err;
+    EXPECT_EQ(readFile(out), legacyCsv(grid));
+    std::istringstream lines(r.err);
+    std::string line;
+    int children = 0;
+    long long traces = 0;
+    while (std::getline(lines, line)) {
+        long long generated = -1, peak = -1;
+        if (std::sscanf(line.c_str(),
+                        "trace-stats: generated=%lld held_peak=%lld",
+                        &generated, &peak) != 2)
+            continue;
+        ++children;
+        traces += generated;
+        EXPECT_EQ(peak, 1) << line;
+    }
+    EXPECT_EQ(children, 8) << r.err;
+    EXPECT_EQ(traces, 20) << r.err;
 }
 
 TEST_F(OrchestrationCli, HungBatchIsStolenWithinBoundedTime)
@@ -767,8 +908,9 @@ TEST_F(OrchestrationCli, SigkillMidSweepThenResume)
     const std::string ledger = out + ".ledger";
     // Hang at the last cell keeps the sweep alive with every earlier
     // cell durable, making the SIGKILL point deterministic.
-    const pid_t pid = spawnShellCommand(
-        sweepCmd("--out " + shellQuote(out) + " --fault hang,cell=3"),
+    const pid_t pid = spawnCommand(
+        shellArgv(sweepCmd("--out " + shellQuote(out) +
+                           " --fault hang,cell=3")),
         dir.path + "/killed.stdout", dir.path + "/killed.stderr");
     ASSERT_GT(pid, 0);
     // Wait until cells 0-2 are journaled, then kill -9 the whole

@@ -398,6 +398,37 @@ TEST(RunFlagsCli, OneShotKeepsWellFormedNumbers)
     std::remove(out.c_str());
 }
 
+TEST(RunFlagsCli, TinyLoadsExitOneInsteadOfSpinning)
+{
+    const std::string cli = cliPath();
+    if (cli.empty())
+        GTEST_SKIP() << "RUBIK_CLI not set or missing";
+    // At load 1e-300 Rubik's 100 ms update period no longer advances
+    // its clock. The one-shot run and a one-cell sweep exit 1 naming
+    // the period; `timeout` turns a run that spins into exit 124
+    // instead of a hung test.
+    const std::string base =
+        "/tmp/rubik_runner_test_" + std::to_string(::getpid());
+    const std::string spec = base + "_tiny.spec";
+    const std::string err = base + "_tiny.stderr";
+    std::ofstream(spec) << "apps = masstree\nloads = 1e-300\n"
+                           "policies = rubik\nrequests = 200\n";
+    for (const std::string &args :
+         {std::string(" --app masstree --load 1e-300 --requests 200"),
+          " sweep --spec " + spec}) {
+        SCOPED_TRACE(args);
+        EXPECT_EQ(exitCode("timeout 60 '" + cli + "'" + args +
+                           " > /dev/null 2> " + err),
+                  1);
+        const std::string text = readFile(err);
+        EXPECT_NE(text.find("update period 0.1 s no longer advances"),
+                  std::string::npos)
+            << text;
+    }
+    std::remove(spec.c_str());
+    std::remove(err.c_str());
+}
+
 TEST(RunFlagsCli, TraceGenRejectsBadValues)
 {
     const std::string cli = cliPath();

@@ -588,7 +588,7 @@ runCommand(const std::string &cmd, const std::string &dir,
     const std::string out = dir + "/" + tag + ".stdout";
     const std::string err = dir + "/" + tag + ".stderr";
     CommandResult r;
-    r.status = waitCommand(spawnShellCommand(cmd, out, err));
+    r.status = waitCommand(spawnCommand(shellArgv(cmd), out, err));
     r.out = readFile(out);
     r.err = readFile(err);
     return r;
@@ -644,9 +644,9 @@ class ServeDaemonCli : public ::testing::Test
     {
         // "exec": the pid must be the daemon itself (not a lingering
         // sh wrapper) so ::kill(pid, SIGTERM) exercises its handler.
-        daemonPid = spawnShellCommand(
-            "exec " + cli + " serve --socket " + socketPath +
-                " --bound-ms 2 " + extraFlags,
+        daemonPid = spawnCommand(
+            shellArgv("exec " + cli + " serve --socket " + socketPath +
+                      " --bound-ms 2 " + extraFlags),
             scratch.path + "/daemon.stdout",
             scratch.path + "/daemon.stderr");
         ASSERT_GT(daemonPid, 0);
@@ -773,9 +773,9 @@ TEST_F(ServeDaemonCli, BadNumericFlagsExitOneNamingTheFlag)
         const std::string err = scratch.path + "/badflag.stderr";
         // Bounded wait: a value that is wrongly accepted starts a
         // daemon that would otherwise never exit.
-        const pid_t pid = spawnShellCommand(
-            "exec " + cli + " serve --socket " + socketPath + bound + " " +
-                flag + " " + value,
+        const pid_t pid = spawnCommand(
+            shellArgv("exec " + cli + " serve --socket " + socketPath +
+                      bound + " " + flag + " " + value),
             scratch.path + "/badflag.stdout", err);
         ASSERT_GT(pid, 0);
         int status = 0;

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -371,6 +373,56 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MG1Case{0.3, 0.2}, MG1Case{0.5, 0.2},
                       MG1Case{0.7, 0.2}, MG1Case{0.3, 1.0},
                       MG1Case{0.5, 1.0}, MG1Case{0.5, 0.5}));
+
+TEST(Simulate, TinyLoadsFailInsteadOfSpinning)
+{
+    // At load 1e-300 the arrivals lie ~1e298 s out, where no update
+    // period advances a clock. Every run with a periodic clock throws
+    // at once, naming its period; the replays have no clock and run.
+    const DvfsModel dvfs = DvfsModel::haswell(4 * kUs);
+    const PowerModel power(dvfs);
+    const Trace trace =
+        generateLoadTrace(makeApp(AppId::Masstree), 1e-300, 50,
+                          dvfs.nominalFrequency(), 42);
+    PolicyRunRequest req;
+    req.trace = &trace;
+    req.bound = 1e-3;
+    req.dvfs = &dvfs;
+    req.power = &power;
+    for (const char *policy : {"rubik", "rubik-nofb", "boost", "pegasus"}) {
+        SCOPED_TRACE(policy);
+        try {
+            runPolicy(policy, req);
+            ADD_FAILURE() << "expected std::runtime_error";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("no longer advances"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_NO_THROW(runPolicy("fixed", req));
+}
+
+/// Exposes the periodic policies' catch-up.
+struct CatchUpProbe : DvfsPolicy
+{
+    using DvfsPolicy::catchUp;
+    double selectFrequency(const CoreView &core) override
+    {
+        return core.frequency;
+    }
+};
+
+TEST(Simulate, CatchUpStepsWholePeriodsOrThrows)
+{
+    // The same additions a loop of `next += period` makes.
+    EXPECT_EQ(CatchUpProbe::catchUp(0.1, 0.1, 0.35), 0.1 + 0.1 + 0.1 + 0.1);
+    EXPECT_EQ(CatchUpProbe::catchUp(0.5, 0.1, 0.2), 0.5);
+    // Half an ulp of 1e300 is far above 0.1 s: the step stalls.
+    EXPECT_THROW(CatchUpProbe::catchUp(1e300, 0.1, 1e300),
+                 std::runtime_error);
+    EXPECT_THROW(CatchUpProbe::catchUp(1.0, 0.0, 1.0), std::runtime_error);
+}
 
 TEST(Simulate, UtilizationMatchesLoad)
 {

@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -275,6 +278,55 @@ TEST(RollingTail, EmptyTailIsZero)
     rt.expire(100.0);
     EXPECT_TRUE(rt.empty());
     EXPECT_DOUBLE_EQ(rt.tail(0.95), 0.0);
+}
+
+TEST(RollingTail, TailIsThePercentileOfTheWindowCopy)
+{
+    // tail() keeps a buffer and its last answer across calls; every
+    // answer must still be the element percentile() picks from a copy
+    // of the window, whatever the earlier calls asked for. Half the
+    // values are small integers, so ties are common. Gaps past the
+    // window leave one sample after an add and none after an expire.
+    Rng rng(20261019);
+    const double qs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+    std::size_t singles = 0, empties = 0;
+    for (int round = 0; round < 20; ++round) {
+        RollingTail rt(1.0);
+        std::deque<std::pair<double, double>> window;
+        double now = 0.0;
+        auto expire = [&] {
+            while (!window.empty() && window.front().first < now - 1.0)
+                window.pop_front();
+        };
+        for (int step = 0; step < 3000; ++step) {
+            const uint64_t op = rng.uniformInt(20);
+            now += rng.uniformInt(50) == 0 ? 2.0 : rng.uniform(0.0, 0.01);
+            if (op < 12) {
+                const double value =
+                    rng.uniformInt(2) == 0
+                        ? static_cast<double>(rng.uniformInt(20))
+                        : rng.uniform(0.0, 20.0);
+                rt.add(now, value);
+                window.emplace_back(now, value);
+                expire();
+                singles += window.size() == 1;
+            } else if (op < 14) {
+                rt.expire(now);
+                expire();
+                empties += window.empty();
+            } else {
+                const double q = qs[rng.uniformInt(5)];
+                std::vector<double> copy;
+                for (const auto &[time, value] : window)
+                    copy.push_back(value);
+                ASSERT_EQ(rt.size(), window.size());
+                ASSERT_EQ(rt.tail(q), percentile(copy, q))
+                    << "round " << round << " step " << step << " q " << q;
+            }
+        }
+    }
+    EXPECT_GT(singles, 0u);
+    EXPECT_GT(empties, 0u);
 }
 
 TEST(Correlation, PerfectPositive)
