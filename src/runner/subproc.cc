@@ -5,6 +5,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -55,6 +56,7 @@ spawnCommand(const std::vector<std::string> &argv,
         envp = env.data();
     }
 
+    const pid_t parent = ::getpid();
     const pid_t pid = ::fork();
     if (pid < 0)
         return -1;
@@ -62,6 +64,12 @@ spawnCommand(const std::vector<std::string> &argv,
         // Child: own process group, so a straggler kill reaps any
         // grandchildren the command leaves behind too.
         ::setpgid(0, 0);
+        // Die with the spawning thread, so a coordinator that is
+        // SIGKILLed leaves no batch child running. A parent that died
+        // before this call never sends the signal: exit at once.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != parent)
+            ::_exit(127);
         redirectTo(stdout_path, STDOUT_FILENO);
         redirectTo(stderr_path, STDERR_FILENO);
         ::execvpe(args[0], args.data(), envp);

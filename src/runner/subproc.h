@@ -23,6 +23,10 @@
  *
  * Children are placed in their own process group, so
  * killCommandGroup() takes down a hung `sh -c 'a; b'` tree as a unit.
+ * Each child also gets SIGKILL when the thread that spawned it dies,
+ * so a SIGKILLed or crashed coordinator takes its batch children with
+ * it (not their own children: a `command:` template's grandchildren
+ * outlive it).
  */
 
 #include <condition_variable>
@@ -42,7 +46,9 @@ namespace rubik {
  * child runs without that environment variable. Returns the child
  * pid, or -1 when `argv` is empty or the fork fails (errno set). A
  * child that cannot exec exits with status 127, as a shell does for a
- * missing command.
+ * missing command. The child is SIGKILLed when the calling thread
+ * exits (PR_SET_PDEATHSIG), so the caller must wait for it or kill it
+ * before that thread ends.
  */
 pid_t spawnCommand(const std::vector<std::string> &argv,
                    const std::string &stdout_path,

@@ -85,9 +85,10 @@ appendFormatted(double hz, std::string &out)
     out.append(buf, static_cast<std::size_t>(n));
 }
 
-/// A request line split at spaces. No command takes more than kMax
-/// tokens; a line with more has count == kMax + 1 (the extra tokens
-/// are not kept), so usage errors stay exact.
+/// A request line split at spaces, for every command but `a` and `c`.
+/// No command takes more than kMax tokens; a line with more has
+/// count == kMax + 1 (the extra tokens are not kept), so usage errors
+/// stay exact.
 struct Tokens
 {
     static constexpr std::size_t kMax = 4;
@@ -140,11 +141,11 @@ replayJson(const DvfsModel &dvfs, const DaemonConfig &cfg,
         buf, sizeof(buf),
         "{\"policy\":\"%s\",\"requests\":%zu,\"decisions\":%" PRIu64
         ",\"decision_hash\":\"%016" PRIx64 "\",\"tail_ms\":%.6g,"
-        "\"energy_mj_per_req\":%.6g,"
+        "\"energy_mj_per_req\":%.6g,\"timed_decisions\":%" PRIu64 ","
         "\"latency_ns\":{\"p50\":%.6g,\"p99\":%.6g,\"max\":%" PRIu64
         "}}",
         policy.c_str(), trace.size(), log.count, log.hash,
-        out.tailLatency * 1e3, out.energyPerRequest * 1e3,
+        out.tailLatency * 1e3, out.energyPerRequest * 1e3, latency.count(),
         latency.percentileNs(0.5), latency.percentileNs(0.99),
         latency.maxNs());
     return buf;
@@ -199,42 +200,42 @@ struct Responder
     /// `out`. Sets `shutdown` when the client asked the daemon to exit.
     void answer(std::string_view line, std::string &out)
     {
+        const EventLine ev = parseEventLine(line);
+        if (ev.kind == 'a') {
+            if (!ev.ok) {
+                out += "err usage: a <t> [elapsed_cycles] [class_hint]";
+                return;
+            }
+            // Range-check before the int cast (out of range is UB); NaN
+            // fails every comparison.
+            const double hint = ev.value[2];
+            if (!(hint >= -1.0 && hint <= INT_MAX &&
+                  hint == std::floor(hint))) {
+                out += "err class hint must be an integer in [-1, INT_MAX]";
+                return;
+            }
+            decision(engine.onArrival(ev.value[0], ev.value[1],
+                                      static_cast<int>(hint)),
+                     out);
+            return;
+        }
+        if (ev.kind == 'c') {
+            if (!ev.ok) {
+                out += "err usage: c <t> <compute_cycles> <memory_time>";
+                return;
+            }
+            decision(engine.onCompletion(ev.value[0], ev.value[1],
+                                         ev.value[2]),
+                     out);
+            return;
+        }
         const Tokens toks = splitTokens(line);
         if (toks.count == 0) {
             out += "err empty request";
             return;
         }
         const std::string_view cmd = toks.at[0];
-        if (cmd == "a") {
-            double t = 0.0, elapsed = 0.0, hint = -1.0;
-            if (toks.count < 2 || toks.count > 4 ||
-                !parseProtocolNumber(toks.at[1], &t) ||
-                (toks.count > 2 &&
-                 !parseProtocolNumber(toks.at[2], &elapsed)) ||
-                (toks.count > 3 &&
-                 !parseProtocolNumber(toks.at[3], &hint))) {
-                out += "err usage: a <t> [elapsed_cycles] [class_hint]";
-                return;
-            }
-            // Range-check before the int cast (out of range is UB); NaN
-            // fails every comparison.
-            if (!(hint >= -1.0 && hint <= INT_MAX &&
-                  hint == std::floor(hint))) {
-                out += "err class hint must be an integer in [-1, INT_MAX]";
-                return;
-            }
-            decision(engine.onArrival(t, elapsed, static_cast<int>(hint)),
-                     out);
-        } else if (cmd == "c") {
-            double t = 0.0, cycles = 0.0, mem = 0.0;
-            if (toks.count != 4 || !parseProtocolNumber(toks.at[1], &t) ||
-                !parseProtocolNumber(toks.at[2], &cycles) ||
-                !parseProtocolNumber(toks.at[3], &mem)) {
-                out += "err usage: c <t> <compute_cycles> <memory_time>";
-                return;
-            }
-            decision(engine.onCompletion(t, cycles, mem), out);
-        } else if (cmd == "ping") {
+        if (cmd == "ping") {
             out += "ok";
         } else if (cmd == "stats") {
             out += engine.statsJson();
@@ -362,6 +363,37 @@ parseProtocolNumber(std::string_view token, double *out)
     const std::from_chars_result r =
         std::from_chars(token.data(), end, *out);
     return r.ec == std::errc() && r.ptr == end;
+}
+
+EventLine
+parseEventLine(std::string_view line)
+{
+    EventLine ev;
+    const char *p = line.data();
+    const char *const end = p + line.size();
+    auto skipSpaces = [&] {
+        while (p != end && *p == ' ')
+            ++p;
+    };
+    skipSpaces();
+    if (p == end || (*p != 'a' && *p != 'c') ||
+        (p + 1 != end && p[1] != ' '))
+        return ev;
+    ev.kind = *p++;
+    std::size_t n = 0;
+    for (skipSpaces(); p != end; skipSpaces()) {
+        if (n == 3)
+            return ev; // a fifth token
+        const std::from_chars_result r =
+            std::from_chars(p, end, ev.value[n++]);
+        // from_chars never consumes a space, so the number is the
+        // whole token iff it stops at one or at the end.
+        if (r.ec != std::errc() || (r.ptr != end && *r.ptr != ' '))
+            return ev;
+        p = r.ptr;
+    }
+    ev.ok = n == 3 || (ev.kind == 'a' && n > 0);
+    return ev;
 }
 
 DecisionReplies::DecisionReplies(const std::vector<double> &grid)

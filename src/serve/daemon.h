@@ -83,6 +83,32 @@ std::string serveQuery(const std::string &socketPath,
  */
 bool parseProtocolNumber(std::string_view token, double *out);
 
+/// What parseEventLine made of a request line.
+struct EventLine
+{
+    /// 'a' or 'c'; 0 when the line's first token is neither.
+    char kind = 0;
+    /// False: the line gets its command's usage error.
+    bool ok = false;
+    /**
+     * When ok. For `a`: t, elapsed cycles (0 when absent) and class
+     * hint (-1 when absent, not yet range-checked); for `c`: t,
+     * compute cycles and memory time.
+     */
+    double value[3] = {0.0, 0.0, -1.0};
+};
+
+/**
+ * Parse an `a` or `c` request line in one pass. After the command,
+ * each number is read by std::from_chars where its token starts, and
+ * it must end at a space or at the end of the line. `a` takes one to
+ * three numbers and `c` exactly three; too few or too many tokens, or
+ * a token that is not a number, is not ok. The outcome is the one that
+ * splitting the line at spaces and reading each token with
+ * parseProtocolNumber gives, without the second scan.
+ */
+EventLine parseEventLine(std::string_view line);
+
 /**
  * Decision replies ("f <hz>") formatted once per grid frequency with
  * the protocol's snprintf("f %.9g"), so answering a decision is a

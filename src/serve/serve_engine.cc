@@ -61,7 +61,7 @@ ServeEngine::invalidEvent(double t, double a, double b) const
         return "negative cycles or time";
     if (t < now_)
         return "timestamp before engine clock";
-    if (t - now_ > kMaxGapPeriods * cfg_.updatePeriod)
+    if (t - now_ > DvfsPolicy::kMaxGapPeriods * cfg_.updatePeriod)
         return "timestamp gap too large";
     return nullptr;
 }
@@ -190,13 +190,14 @@ ServeEngine::statsJson() const
         "\"decision_hash\":\"%016" PRIx64 "\","
         "\"transitions\":%" PRIu64 ",\"arrivals\":%" PRIu64 ","
         "\"completions\":%" PRIu64 ",\"rejected\":%" PRIu64 ","
+        "\"timed_decisions\":%" PRIu64 ","
         "\"latency_ns\":{\"p50\":%.6g,\"p99\":%.6g,\"max\":%" PRIu64
         ",\"mean\":%.6g}}",
         exact_->tableRebuilds(), exact_->tableConvolutions(),
         exact_->profileRescans(), exact_->warm() ? "true" : "false",
         exact_->internalTarget() * 1e3, window, occupancy, queueDepth(),
         frequency_ * 1e-9, log_.count, rate, log_.hash, transitions_,
-        arrivalsSeen_, completionsSeen_, rejected_,
+        arrivalsSeen_, completionsSeen_, rejected_, latency_.count(),
         latency_.percentileNs(0.5), latency_.percentileNs(0.99),
         latency_.maxNs(), latency_.meanNs());
     return buf;

@@ -14,12 +14,16 @@
  * rebuilds tail tables on the controller's own periodic path, and
  * answers every event with the exact controller's frequency decision.
  * Events with non-finite or negative values, with a timestamp before
- * the engine clock, or with one more than kMaxGapPeriods update periods
- * past it, are rejected before they touch any state.
+ * the engine clock, or with one more than DvfsPolicy::kMaxGapPeriods
+ * update periods past it, are rejected before they touch any state:
+ * advanceTo() runs every periodic update a jump crosses (skipping them
+ * would drop PI feedback steps), so the bound caps one event's
+ * catch-up work.
  *
  * Every decision flows through a DecisionRecordingPolicy, so the
- * engine's stream carries the same (count, chained-hash) identity and
- * per-decision latency histogram the replay/CI machinery compares.
+ * engine's stream carries the same (count, chained-hash) identity the
+ * replay machinery compares, plus a latency histogram over a sample of
+ * the decisions.
  * The daemon (serve/daemon.h) is a thin socket front-end over this
  * class; tests drive the engine directly.
  */
@@ -57,7 +61,8 @@ struct ServeConfig
     /// Reject arrivals beyond this many in-flight requests (bounded
     /// memory; a real server sheds load long before this).
     std::size_t maxQueue = 1 << 16;
-    /// Time each decision (CLOCK_MONOTONIC) into the histogram.
+    /// Time one decision in DecisionLog::kTimingStride
+    /// (CLOCK_MONOTONIC) into the histogram.
     bool timeDecisions = true;
 };
 
@@ -77,14 +82,6 @@ struct ServeDecision
 class ServeEngine
 {
   public:
-    /**
-     * Largest accepted jump of an event's `t` past the engine clock, in
-     * update periods. advanceTo() runs every periodic update the jump
-     * crosses (skipping them would drop PI feedback steps), so the bound
-     * caps one event's catch-up work; 1e7 idle periods take ~0.1 s.
-     */
-    static constexpr double kMaxGapPeriods = 1e7;
-
     ServeEngine(const DvfsModel &dvfs, const ServeConfig &config);
     ~ServeEngine();
 
@@ -113,6 +110,7 @@ class ServeEngine
     /// @{
     std::size_t queueDepth() const { return arrivals_.size() - head_; }
     const DecisionLog &decisionLog() const { return log_; }
+    /// The timed decisions' latencies (one in kTimingStride).
     const LatencyHistogram &decisionLatency() const { return latency_; }
     uint64_t transitions() const { return transitions_; }
     uint64_t tableRebuilds() const { return exact_->tableRebuilds(); }

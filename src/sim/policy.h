@@ -65,6 +65,15 @@ class DvfsPolicy
     virtual double nextPeriodicUpdate() const { return kNever; }
 
     /**
+     * Most update periods a periodic clock may have to step through,
+     * idle ones included: a run whose last arrival lies further out is
+     * refused (simulate), and so is a serve event that jumps further
+     * past the engine clock (ServeEngine). 1e7 idle periods take
+     * ~0.1 s in the serve engine and ~0.3 s in a Rubik simulation.
+     */
+    static constexpr double kMaxGapPeriods = 1e7;
+
+    /**
      * The error a periodic clock raises once adding `period` at
      * `clock` leaves the clock where it was (the period is below half
      * an ulp of the clock), so that further steps would spin forever:

@@ -1,7 +1,9 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
+#include <stdexcept>
 
 #include "stats/percentile.h"
 #include "util/error.h"
@@ -101,12 +103,25 @@ simulateLoop(const Trace &trace, Policy &policy, const DvfsModel &dvfs,
     // through idle gaps too, and its first update falls one period in.
     // When that period is below half an ulp of the last arrival time,
     // the steps stall before the run can end (DvfsPolicy::catchUp
-    // throws there), so fail now instead of after ~1e16 steps.
+    // throws there), so fail now instead of after ~1e16 steps. Short
+    // of that, a run is held to the number of periods a serve event
+    // may cross, so a tiny load fails at once instead of stepping for
+    // minutes or years.
     const double period = policy.nextPeriodicUpdate();
     if (period < DvfsPolicy::kNever && !trace.empty()) {
         const double last = trace.back().arrivalTime;
         if (last + period == last)
             throw DvfsPolicy::stalledClock(period, last);
+        if (last > DvfsPolicy::kMaxGapPeriods * period) {
+            char what[200];
+            std::snprintf(what, sizeof(what),
+                          "last arrival at %g s lies %.3g update periods "
+                          "of %g s out, more than %g (is the load too "
+                          "low?)",
+                          last, last / period, period,
+                          DvfsPolicy::kMaxGapPeriods);
+            throw std::runtime_error(what);
+        }
     }
 
     SimResult result;

@@ -5,14 +5,14 @@
  * @file
  * Fixed-footprint nanosecond histogram for decision-latency telemetry.
  *
- * The serve daemon times every frequency decision; at >=1 M
- * decisions/s the recorder itself must cost a handful of ns and no
- * allocation. Samples land in 64 power-of-two buckets (bucket b counts
- * latencies in [2^(b-1), 2^b) ns), so add() is a count-leading-zeros
- * plus an increment, and percentiles come from a cumulative walk with
- * linear interpolation inside the winning bucket. The histogram is a
- * summary, not a sample store: memory is O(1) regardless of how long
- * the daemon runs.
+ * The serve daemon times a sample of its frequency decisions; at
+ * >=1 M decisions/s the recorder itself must cost a handful of ns and
+ * no allocation. Samples land in 64 power-of-two buckets (bucket b
+ * counts latencies in [2^(b-1), 2^b) ns), so add() is a
+ * count-leading-zeros plus an increment, and percentiles come from a
+ * cumulative walk with linear interpolation inside the winning bucket.
+ * The histogram is a summary, not a sample store: memory is O(1)
+ * regardless of how long the daemon runs.
  */
 
 #include <algorithm>

@@ -18,6 +18,14 @@
 #                    longest trace first and finish out of index order)
 #                    and through the orchestrator's batch children,
 #                    each against sweep_rubik_fast.csv.
+#   rubik_decisions  PROGRAM is rubik_cli. The chained decision hashes
+#                    of rubik, rubik-nofb and boost over the five apps
+#                    at loads 0.3 and 0.7, against
+#                    rubik_decisions_fast.csv: work the controllers
+#                    skip must never move a decision.
+#   cli_oneshot      PROGRAM is rubik_cli. A one-shot Rubik run at
+#                    loads 0.3 and 0.6 with thermal modeling off,
+#                    against the pre-thermal cli_oneshot_fast.csv.
 #   bench            PROGRAM is a bench binary, run at full size
 #                    (--csv --jobs 4) against NAME.csv, where NAME is
 #                    PROGRAM's file name.
@@ -84,6 +92,23 @@ sweep_rubik)
         --backend subprocess --shards 4 --jobs 1
     cmp "$golden/sweep_rubik_fast.csv" "$work/rubik_orch.csv" \
         || fail "orchestrated rubik sweep diverged from golden"
+    ;;
+rubik_decisions)
+    # A run that fails prints no rows, so the cmp catches it too.
+    for app in masstree moses shore specjbb xapian; do
+        for policy in rubik rubik-nofb boost; do
+            "$program" --app "$app" --loads 0.3,0.7 --policy "$policy" \
+                --requests 4000 --seed 42 --decision-hash --csv
+        done
+    done | awk 'NR == 1 || !/^app,/' > "$work/rubik_decisions.csv"
+    cmp "$golden/rubik_decisions_fast.csv" "$work/rubik_decisions.csv" \
+        || fail "Rubik decisions diverged from golden"
+    ;;
+cli_oneshot)
+    "$program" --loads 0.3,0.6 --policy rubik --requests 2000 --seed 42 \
+        --jobs 4 --csv > "$work/oneshot.csv"
+    cmp "$golden/cli_oneshot_fast.csv" "$work/oneshot.csv" \
+        || fail "thermal-off one-shot run diverged from legacy golden"
     ;;
 bench | bench_fast)
     name=$(basename "$program")

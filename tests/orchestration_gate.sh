@@ -9,7 +9,8 @@
 #   1. an injected crash at cells 2, 9 and 17, and a true SIGKILL of
 #      the coordinator once cells are ledgered, each on the local and
 #      the subprocess backend, must --resume to the exact bytes and
-#      never publish a CSV;
+#      never publish a CSV; the SIGKILLed coordinator's batch children
+#      must be gone within 5 s;
 #   2. a hung first batch, at the default (guided) batch sizes, is
 #      stolen after its lease and the CSV stays byte-identical;
 #   3. with no retry budget, a hung batch (killed at its lease) and a
@@ -75,9 +76,10 @@ for backend in local subprocess; do
         resume_identical "$@"
     done
 
-    # A true SIGKILL of the coordinator once cells are ledgered. It
-    # leads a session of its own, so the batch children it leaves
-    # behind (one of them hung) are killed with it afterwards.
+    # A true SIGKILL of the coordinator once cells are ledgered. Its
+    # batch children (one of them hung) must die with it; it leads a
+    # session of its own, so any that do not are found, and killed
+    # afterwards.
     rm -f orch.csv orch.csv.ledger
     setsid "$cli" sweep --spec grid.spec "$@" --out orch.csv \
         --fault hang,cell=12 2> /dev/null &
@@ -94,6 +96,16 @@ for backend in local subprocess; do
     done
     kill -KILL "$pid"
     wait "$pid" 2> /dev/null || true
+    i=0
+    while pgrep -s "$pid" > /dev/null; do
+        i=$((i + 1))
+        [ "$i" -le 50 ] || {
+            pkill -KILL -s "$pid" || true
+            fail "batch children outlived the SIGKILLed coordinator" \
+                "by 5 s ($backend)"
+        }
+        sleep 0.1
+    done
     pkill -KILL -s "$pid" || true
     [ ! -e orch.csv ] || fail "SIGKILLed sweep published a CSV ($backend)"
     resume_identical "$@"

@@ -404,26 +404,38 @@ TEST(RunFlagsCli, TinyLoadsExitOneInsteadOfSpinning)
     if (cli.empty())
         GTEST_SKIP() << "RUBIK_CLI not set or missing";
     // At load 1e-300 Rubik's 100 ms update period no longer advances
-    // its clock. The one-shot run and a one-cell sweep exit 1 naming
-    // the period; `timeout` turns a run that spins into exit 124
-    // instead of a hung test.
+    // its clock; at 1e-9 the 200 arrivals lie ~4e8 periods out, ~16 s
+    // of stepping through idle periods. The one-shot run and a one-cell
+    // sweep exit 1 at once naming the period; `timeout` turns a run
+    // that spins into exit 124 instead of a hung test.
     const std::string base =
         "/tmp/rubik_runner_test_" + std::to_string(::getpid());
     const std::string spec = base + "_tiny.spec";
     const std::string err = base + "_tiny.stderr";
-    std::ofstream(spec) << "apps = masstree\nloads = 1e-300\n"
-                           "policies = rubik\nrequests = 200\n";
-    for (const std::string &args :
-         {std::string(" --app masstree --load 1e-300 --requests 200"),
-          " sweep --spec " + spec}) {
-        SCOPED_TRACE(args);
-        EXPECT_EQ(exitCode("timeout 60 '" + cli + "'" + args +
-                           " > /dev/null 2> " + err),
-                  1);
-        const std::string text = readFile(err);
-        EXPECT_NE(text.find("update period 0.1 s no longer advances"),
-                  std::string::npos)
-            << text;
+    const std::pair<const char *, const char *> cases[] = {
+        {"1e-300", "update period 0.1 s no longer advances"},
+        {"1e-9", "lies 4.2e+08 update periods of 0.1 s out, more than "
+                 "1e+07"},
+    };
+    for (const auto &[load, message] : cases) {
+        std::ofstream(spec) << "apps = masstree\nloads = " << load
+                            << "\npolicies = rubik\nrequests = 200\n";
+        for (const std::string &args :
+             {" --app masstree --load " + std::string(load) +
+                  " --requests 200",
+              " sweep --spec " + spec}) {
+            SCOPED_TRACE(args);
+            const auto t0 = std::chrono::steady_clock::now();
+            EXPECT_EQ(exitCode("timeout 60 '" + cli + "'" + args +
+                               " > /dev/null 2> " + err),
+                      1);
+            EXPECT_LT(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count(),
+                      1.0);
+            const std::string text = readFile(err);
+            EXPECT_NE(text.find(message), std::string::npos) << text;
+        }
     }
     std::remove(spec.c_str());
     std::remove(err.c_str());

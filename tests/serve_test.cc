@@ -5,10 +5,11 @@
  * decision-log accounting), rejection of hostile events (non-finite,
  * negative, backwards or too far ahead) without any state change,
  * decision identity between the engine and a hand-driven exact
- * controller fed the same event stream, the LatencyHistogram, the
- * protocol's number grammar and preformatted replies, and — when
- * RUBIK_CLI points at the built binary — the daemon end to end: start,
- * ping, replay producing a decision hash byte-identical to the
+ * controller fed the same event stream, the LatencyHistogram and the
+ * sampled decision timing, the protocol's number grammar, the one-pass
+ * a/c line parse against split-then-parse, preformatted replies, and
+ * — when RUBIK_CLI points at the built binary — the daemon end to end:
+ * start, ping, replay producing a decision hash byte-identical to the
  * one-shot CLI's, well-formed --stats, hostile protocol lines, the
  * non-blocking I/O (pipelined bursts, a client that never reads, EOF,
  * the line cap, processing that stops at `shutdown`), and a SIGTERM
@@ -219,15 +220,74 @@ TEST(ServeEngine, DecisionTimingLandsInHistogram)
     ServeConfig cfg = testConfig();
     cfg.timeDecisions = true;
     ServeEngine engine(dvfs, cfg);
+    ServeEngine untimed(dvfs, testConfig());
     for (const Event &e : makeStream(100, 3)) {
-        if (e.arrival)
-            engine.onArrival(e.t);
-        else
-            engine.onCompletion(e.t, e.cycles, e.mem);
+        for (ServeEngine *s : {&engine, &untimed}) {
+            if (e.arrival)
+                s->onArrival(e.t);
+            else
+                s->onCompletion(e.t, e.cycles, e.mem);
+        }
     }
-    EXPECT_EQ(engine.decisionLatency().count(),
-              engine.decisionLog().count);
+    // One decision in kTimingStride is timed, starting with the first;
+    // the count and the hash still cover every decision.
+    const uint64_t decisions = engine.decisionLog().count;
+    const uint64_t timed = (decisions + DecisionLog::kTimingStride - 1) /
+                           DecisionLog::kTimingStride;
+    EXPECT_EQ(decisions, 200u);
+    EXPECT_EQ(engine.decisionLatency().count(), timed);
     EXPECT_GT(engine.decisionLatency().maxNs(), 0u);
+    EXPECT_NE(engine.statsJson().find("\"timed_decisions\":" +
+                                      std::to_string(timed) + ","),
+              std::string::npos)
+        << engine.statsJson();
+    // Timing moves no decision; without it the histogram stays empty.
+    EXPECT_EQ(untimed.decisionLog().count, decisions);
+    EXPECT_EQ(untimed.decisionLog().hash, engine.decisionLog().hash);
+    EXPECT_EQ(untimed.decisionLatency().count(), 0u);
+    EXPECT_NE(untimed.statsJson().find(
+                  "\"timed_decisions\":0,\"latency_ns\":{\"p50\":0,"),
+              std::string::npos)
+        << untimed.statsJson();
+}
+
+/// Alternates a fast decision with one that sleeps, as a serve
+/// client's arrivals and completions alternate.
+struct AlternatingPolicy : DvfsPolicy
+{
+    static constexpr auto kSlow = std::chrono::microseconds(300);
+
+    double selectFrequency(const CoreView &) override
+    {
+        if (calls++ % 2 == 1)
+            std::this_thread::sleep_for(kSlow);
+        return 2.0e9;
+    }
+
+    uint64_t calls = 0;
+};
+
+TEST(DecisionRecording, StrideTimesBothKindsOfAnAlternatingStream)
+{
+    AlternatingPolicy inner;
+    DecisionLog log;
+    LatencyHistogram latency;
+    log.latency = &latency;
+    DecisionRecordingPolicy recorder(inner, log);
+    const uint64_t decisions = 20 * DecisionLog::kTimingStride;
+    for (uint64_t i = 0; i < decisions; ++i)
+        recorder.selectFrequency(CoreView{});
+    EXPECT_EQ(log.count, decisions);
+    ASSERT_EQ(latency.count(), 20u);
+    // The stride is odd, so the timed decisions alternate between the
+    // fast kind and the slow one: ten of each.
+    const std::size_t slowBucket = LatencyHistogram::bucketOf(
+        std::chrono::nanoseconds(AlternatingPolicy::kSlow).count());
+    uint64_t slow = 0;
+    for (std::size_t b = slowBucket; b < LatencyHistogram::kBuckets; ++b)
+        slow += latency.counts()[b];
+    EXPECT_GE(slow, 10u);
+    EXPECT_LE(slow, 15u); // a fast decision is never that slow 5 times
 }
 
 TEST(ServeEngine, StatsJsonIsWellFormed)
@@ -441,7 +501,7 @@ TEST_F(ServeEngineInput, HugeTimestampGapIsRejected)
     // `a 1e12` used to run ~1e13 periodic catch-up iterations.
     const double period = testConfig().updatePeriod;
     const double past_limit =
-        now + ServeEngine::kMaxGapPeriods * period * 1.01;
+        now + DvfsPolicy::kMaxGapPeriods * period * 1.01;
     expectRejected(engine.onArrival(1e12), "timestamp gap too large");
     expectRejected(engine.onArrival(past_limit), "timestamp gap too large");
     expectRejected(engine.onCompletion(past_limit, 1e5, 1e-5),
@@ -464,34 +524,43 @@ bitsOf(double v)
     return bits;
 }
 
+/// The protocol's number grammar, token by token.
+struct GrammarCase
+{
+    const char *token;
+    bool accepted;
+    uint64_t bits; ///< When accepted.
+};
+
+const GrammarCase kGrammar[] = {
+    {"1", true, 0x3ff0000000000000},
+    {"-0", true, 0x8000000000000000},
+    {".5", true, 0x3fe0000000000000},
+    {"5.", true, 0x4014000000000000},
+    {"1E5", true, 0x40f86a0000000000},
+    {"1e+5", true, 0x40f86a0000000000},
+    {"12345678901234567890123", true, 0x4484ea15b273b38a},
+    // Parsed, then refused by the engine as non-finite.
+    {"inf", true, 0x7ff0000000000000},
+    {"-INFINITY", true, 0xfff0000000000000},
+    {"nan", true, 0x7ff8000000000000},
+    {"1e400", false, 0},  // overflows
+    {"2e-324", false, 0}, // rounds to zero
+    // A subnormal: strtod flagged ERANGE, from_chars accepts it.
+    {"1e-310", true, 0x000012688b70e62b},
+    {"+1", false, 0},
+    {"0x10", false, 0},
+    {"1e", false, 0},
+    {"1_0", false, 0},
+    {"1..2", false, 0},
+    {"1e5e5", false, 0},
+    {"-", false, 0},
+    {"", false, 0},
+};
+
 TEST(ServeProtocol, NumberGrammarPinsEachToken)
 {
-    struct Case
-    {
-        const char *token;
-        bool accepted;
-        uint64_t bits; ///< When accepted.
-    };
-    const Case cases[] = {
-        {"1", true, 0x3ff0000000000000},
-        {"-0", true, 0x8000000000000000},
-        {".5", true, 0x3fe0000000000000},
-        {"5.", true, 0x4014000000000000},
-        {"1E5", true, 0x40f86a0000000000},
-        // Parsed, then refused by the engine as non-finite.
-        {"inf", true, 0x7ff0000000000000},
-        {"nan", true, 0x7ff8000000000000},
-        {"1e400", false, 0},  // overflows
-        {"2e-324", false, 0}, // rounds to zero
-        // A subnormal: strtod flagged ERANGE, from_chars accepts it.
-        {"1e-310", true, 0x000012688b70e62b},
-        {"+1", false, 0},
-        {"0x10", false, 0},
-        {"1e", false, 0},
-        {"1_0", false, 0},
-        {"", false, 0},
-    };
-    for (const Case &c : cases) {
+    for (const GrammarCase &c : kGrammar) {
         double v = 0.0;
         EXPECT_EQ(parseProtocolNumber(c.token, &v), c.accepted)
             << "'" << c.token << "'";
@@ -541,6 +610,166 @@ TEST(ServeProtocol, DecisionRepliesMatchSnprintf)
         std::string out = "x";
         replies.append(hz, out);
         EXPECT_EQ(out, std::string("x") + want) << hz;
+    }
+}
+
+/**
+ * The reference for parseEventLine: split the line at spaces as the
+ * daemon's splitTokens does (at most four tokens kept, a fifth
+ * counted), then read each number token whole with
+ * parseProtocolNumber.
+ */
+EventLine
+tokenizeThenParse(std::string_view line)
+{
+    constexpr std::size_t kMax = 4;
+    std::string_view at[kMax];
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < line.size();) {
+        while (i < line.size() && line[i] == ' ')
+            ++i;
+        std::size_t j = i;
+        while (j < line.size() && line[j] != ' ')
+            ++j;
+        if (j > i) {
+            if (count == kMax) {
+                ++count;
+                break;
+            }
+            at[count++] = line.substr(i, j - i);
+        }
+        i = j;
+    }
+    EventLine ev;
+    if (count == 0 || (at[0] != "a" && at[0] != "c"))
+        return ev;
+    ev.kind = at[0][0];
+    if (ev.kind == 'a') {
+        ev.ok = count >= 2 && count <= 4 &&
+                parseProtocolNumber(at[1], &ev.value[0]) &&
+                (count < 3 || parseProtocolNumber(at[2], &ev.value[1])) &&
+                (count < 4 || parseProtocolNumber(at[3], &ev.value[2]));
+    } else {
+        ev.ok = count == 4 && parseProtocolNumber(at[1], &ev.value[0]) &&
+                parseProtocolNumber(at[2], &ev.value[1]) &&
+                parseProtocolNumber(at[3], &ev.value[2]);
+    }
+    return ev;
+}
+
+/// A parse outcome as text: the command, then each value's bits when
+/// the line is ok, or "usage" when it is not.
+std::string
+describe(const EventLine &ev)
+{
+    std::string text = std::to_string(ev.kind);
+    if (!ev.ok)
+        return text + " usage";
+    for (double v : ev.value)
+        text += " " + std::to_string(bitsOf(v));
+    return text;
+}
+
+TEST(ServeProtocol, OnePassEventParseMatchesTokenizeThenParse)
+{
+    std::vector<std::string> lines;
+    // Every token of the number grammar in every a/c position.
+    for (const GrammarCase &c : kGrammar) {
+        const std::string x = c.token;
+        lines.push_back("a " + x);
+        lines.push_back("a 1 " + x);
+        lines.push_back("a 1 0 " + x);
+        lines.push_back("c " + x + " 2 3");
+        lines.push_back("c 1 " + x + " 3");
+        lines.push_back("c 1 2 " + x);
+    }
+
+    // Edge cases of spacing, token count and number syntax.
+    const std::string edges[] = {
+        "",
+        "a   1   2   3   ",
+        "a 1",
+        "c  1  2  3  ",
+        "a  1",
+        "c 1 nan(x_1) 3",
+        "   a 1",
+        "a 1   ",
+        "a 1 2 3 4 5",
+        "c 1 2 3",
+        "c 1 2 3 4",
+        "c 1 2",
+        "a 1 2 3 4",
+        "a 1 2 3",
+        "a 1 0 -1\r",
+        "a\t1",
+        "a \t1",
+        "a 1\t",
+        "\ta 1",
+        "a 1\r",
+        "c 1 2 3\r",
+        "a 1 \r",
+        std::string("a 1\0", 4),
+        "a 0x10",
+        "a 0X1p3",
+        "a inf",
+        "a nan( )",
+        "a 1e400",
+        "a 2e-324",
+        "a 1e-310",
+        "a 1..2",
+        "a 1e5e5",
+        "a 1,2",
+        "a",
+        "a ",
+        "c",
+        "c ",
+        "ab 1",
+        "a1",
+        "A 1",
+        "   ",
+        "ping",
+        "a -1 -0 -1",
+        "a 1 0 1e20",
+        "c 1e-310 2e-310 0",
+        std::string("a\0 1", 4),
+        "a .5 5. 1E5",
+    };
+    EXPECT_EQ(std::size(edges), 47u);
+    lines.insert(lines.end(), std::begin(edges), std::end(edges));
+
+    // Seeded random mutations of trace lines: characters inserted,
+    // deleted or replaced from an alphabet of the grammar's pieces,
+    // spaces, tabs, CR and NUL.
+    const std::string alphabet("0123456789 .eE-+xXpPnaifINF()_\t\r\0,", 35);
+    Rng rng(20151207);
+    char text[128];
+    for (int i = 0; i < 100000; ++i) {
+        const double t = rng.uniform(0.0, 100.0);
+        if (i % 2 == 0) {
+            const int hint = static_cast<int>(rng.uniformInt(12)) - 1;
+            std::snprintf(text, sizeof text, "a %.17g 0 %d", t, hint);
+        } else {
+            std::snprintf(text, sizeof text, "c %.9g %g %.17g", t,
+                          rng.lognormal(13.0, 0.3),
+                          rng.lognormal(-9.0, 0.3));
+        }
+        std::string line = text;
+        for (uint64_t edits = 1 + rng.uniformInt(3); edits > 0; --edits) {
+            const std::size_t at = rng.uniformInt(line.size() + 1);
+            const char ch = alphabet[rng.uniformInt(alphabet.size())];
+            const uint64_t op = rng.uniformInt(3);
+            if (op == 0)
+                line.insert(at, 1, ch);
+            else if (at < line.size())
+                line.replace(at, 1, op == 1 ? "" : std::string(1, ch));
+        }
+        lines.push_back(line);
+    }
+
+    for (const std::string &line : lines) {
+        ASSERT_EQ(describe(parseEventLine(line)),
+                  describe(tokenizeThenParse(line)))
+            << "'" << line << "'";
     }
 }
 
@@ -685,6 +914,18 @@ jsonStringField(const std::string &json, const std::string &key)
     return end == std::string::npos ? "" : json.substr(start, end - start);
 }
 
+/// The raw text of `"key":value` in a one-line JSON reply.
+std::string
+jsonRawField(const std::string &json, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = json.find(needle);
+    if (at == std::string::npos)
+        return "";
+    const std::size_t start = at + needle.size();
+    return json.substr(start, json.find_first_of(",}", start) - start);
+}
+
 TEST_F(ServeDaemonCli, ReplayMatchesOneShotAndShutsDownOnSigterm)
 {
     const std::string tracePath = scratch.path + "/t.rtrace";
@@ -721,6 +962,13 @@ TEST_F(ServeDaemonCli, ReplayMatchesOneShotAndShutsDownOnSigterm)
     ASSERT_EQ(reply.compare(0, 1, "{"), 0) << reply;
     EXPECT_EQ(jsonStringField(reply, "decision_hash"), wantHash)
         << reply;
+    // One decision in kTimingStride is timed, the first among them.
+    const uint64_t decisions =
+        std::stoull(jsonRawField(reply, "decisions"));
+    EXPECT_EQ(jsonRawField(reply, "timed_decisions"),
+              std::to_string((decisions + DecisionLog::kTimingStride - 1) /
+                             DecisionLog::kTimingStride))
+        << reply;
 
     // 4. Live events answer with frequencies; errors answer with err.
     EXPECT_EQ(serveQuery(socketPath, "a 0.001").compare(0, 2, "f "), 0);
@@ -741,8 +989,11 @@ TEST_F(ServeDaemonCli, ReplayMatchesOneShotAndShutsDownOnSigterm)
     ASSERT_FALSE(stats.empty());
     EXPECT_EQ(stats.front(), '{');
     EXPECT_EQ(stats.back(), '}');
-    EXPECT_NE(stats.find("\"decisions\":"), std::string::npos);
+    EXPECT_EQ(jsonRawField(stats, "decisions"), "2") << stats;
     EXPECT_NE(stats.find("\"decision_hash\":"), std::string::npos);
+    // The first decision was timed.
+    EXPECT_EQ(jsonRawField(stats, "timed_decisions"), "1") << stats;
+    EXPECT_NE(stats.find("\"latency_ns\":{\"p50\":"), std::string::npos);
 
     // 6. SIGTERM: clean exit 0, socket removed.
     ASSERT_EQ(::kill(daemonPid, SIGTERM), 0);
@@ -798,6 +1049,21 @@ TEST_F(ServeDaemonCli, BadNumericFlagsExitOneNamingTheFlag)
     ASSERT_TRUE(waitExitOrKill(daemonPid, 30.0, &status));
     daemonPid = -1;
     EXPECT_TRUE(commandSucceeded(status)) << describeWaitStatus(status);
+}
+
+TEST_F(ServeDaemonCli, NoTimingLeavesTheHistogramEmpty)
+{
+    startDaemon("--no-timing");
+    EXPECT_EQ(serveQuery(socketPath, "a 0.001").compare(0, 2, "f "), 0);
+    EXPECT_EQ(serveQuery(socketPath, "c 0.002 5e5 1e-4")
+                  .compare(0, 2, "f "),
+              0);
+    const std::string stats = serveQuery(socketPath, "stats");
+    EXPECT_EQ(jsonRawField(stats, "decisions"), "2") << stats;
+    EXPECT_NE(stats.find("\"timed_decisions\":0,\"latency_ns\":{\"p50\":0,"
+                         "\"p99\":0,\"max\":0,\"mean\":0}"),
+              std::string::npos)
+        << stats;
 }
 
 TEST_F(ServeDaemonCli, ShutdownCommandExitsCleanly)
@@ -1139,18 +1405,6 @@ TEST_F(ServeDaemonCli, HalfClosedClientGetsEveryReply)
     EXPECT_EQ(got.size(), want.size());
     EXPECT_TRUE(got == want);
     EXPECT_EQ(serveQuery(socketPath, "ping", 10.0), "ok");
-}
-
-/// The raw text of `"key":value` in a one-line JSON reply.
-std::string
-jsonRawField(const std::string &json, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = json.find(needle);
-    if (at == std::string::npos)
-        return "";
-    const std::size_t start = at + needle.size();
-    return json.substr(start, json.find_first_of(",}", start) - start);
 }
 
 /**

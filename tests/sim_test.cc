@@ -10,6 +10,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -377,30 +378,40 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Simulate, TinyLoadsFailInsteadOfSpinning)
 {
     // At load 1e-300 the arrivals lie ~1e298 s out, where no update
-    // period advances a clock. Every run with a periodic clock throws
-    // at once, naming its period; the replays have no clock and run.
+    // period advances a clock; at 1e-10 they lie ~1e8 s out, more than
+    // DvfsPolicy::kMaxGapPeriods periods of every periodic policy
+    // (Pegasus's is 1 s). Every run with a periodic clock throws at
+    // once, naming its period; the replays have no clock and run.
     const DvfsModel dvfs = DvfsModel::haswell(4 * kUs);
     const PowerModel power(dvfs);
-    const Trace trace =
-        generateLoadTrace(makeApp(AppId::Masstree), 1e-300, 50,
-                          dvfs.nominalFrequency(), 42);
-    PolicyRunRequest req;
-    req.trace = &trace;
-    req.bound = 1e-3;
-    req.dvfs = &dvfs;
-    req.power = &power;
-    for (const char *policy : {"rubik", "rubik-nofb", "boost", "pegasus"}) {
-        SCOPED_TRACE(policy);
-        try {
-            runPolicy(policy, req);
-            ADD_FAILURE() << "expected std::runtime_error";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find("no longer advances"),
-                      std::string::npos)
-                << e.what();
+    const std::pair<double, const char *> cases[] = {
+        {1e-300, "no longer advances"},
+        {1e-10, "update periods of"},
+    };
+    for (const auto &[load, message] : cases) {
+        const Trace trace =
+            generateLoadTrace(makeApp(AppId::Masstree), load, 50,
+                              dvfs.nominalFrequency(), 42);
+        PolicyRunRequest req;
+        req.trace = &trace;
+        req.bound = 1e-3;
+        req.dvfs = &dvfs;
+        req.power = &power;
+        for (const char *policy :
+             {"rubik", "rubik-nofb", "boost", "pegasus"}) {
+            SCOPED_TRACE(std::string(policy) + " at load " +
+                         std::to_string(load));
+            try {
+                runPolicy(policy, req);
+                ADD_FAILURE() << "expected std::runtime_error";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find(message),
+                          std::string::npos)
+                    << e.what();
+            }
         }
+        EXPECT_NO_THROW(runPolicy("fixed", req));
     }
-    EXPECT_NO_THROW(runPolicy("fixed", req));
 }
 
 /// Exposes the periodic policies' catch-up.
