@@ -36,11 +36,14 @@ namespace rubik {
 struct DecisionLog {
     /**
      * When `latency` is set, one decision in this many is timed,
-     * starting with the first. Odd, so a stream that alternates two
-     * kinds of event (a serve client's arrivals and completions) gets
-     * both kinds timed.
+     * starting with the first. Prime, so a stream whose decision cost
+     * repeats with any period up to 16 gets every phase of it timed:
+     * both kinds of an alternating stream (a serve client's arrivals
+     * and completions), and every residue of a period-3 one, where a
+     * stride of 15 timed only one (the heavy decisions of perfbench's
+     * seed-42 stream).
      */
-    static constexpr uint32_t kTimingStride = 15;
+    static constexpr uint32_t kTimingStride = 17;
 
     uint64_t count = 0;
     /// Chained fnv1a64 over each decision's double bits, in order.

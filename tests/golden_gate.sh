@@ -31,9 +31,13 @@
 #                    PROGRAM's file name.
 #   bench_fast       The same bench at --fast, against NAME_fast.csv.
 #
-# A bench gate writes its CSV into OUT_DIR (default: the current
-# directory) and deletes it once it matches, so only a CSV that
-# diverged stays there for inspection.
+# Every gate runs its routes (worker counts, the orchestrator) in a
+# temporary directory and byte-compares them with each other first:
+# routes that disagree fail the gate and keep nothing. Output that all
+# routes agree on but that diverges from the golden stays in OUT_DIR
+# (default: the current directory) under the golden's file name, for
+# inspection and for tools/regen_goldens, which copies it over the
+# golden. So regeneration never accepts a nondeterministic output.
 #
 # Both sweep grids run loads 0.3 and 0.7, so every latency bound
 # generates its own 50%-load trace; a grid with load 0.5 hands that
@@ -56,6 +60,23 @@ fail() {
     exit 1
 }
 
+# verdict GOLDEN FILE...: the FILEs (one per route) must be identical,
+# and match the committed GOLDEN; what diverges from it stays in OUT_DIR.
+verdict() {
+    name=$1
+    shift
+    rm -f "$out/$name"
+    for file in "$@"; do
+        cmp "$1" "$file" || fail "routes disagree:" \
+            "$(basename "$1") and $(basename "$file")"
+    done
+    if ! cmp "$golden/$name" "$1"; then
+        mkdir -p "$out"
+        cp "$1" "$out/$name"
+        fail "$name diverged from golden (kept $out/$name)"
+    fi
+}
+
 case $gate in
 sweep_baselines)
     printf '%s\n' \
@@ -65,14 +86,12 @@ sweep_baselines)
         'seeds = 42' \
         'requests = 4000' > "$work/baselines.spec"
     "$program" sweep --spec "$work/baselines.spec" --jobs 4 \
-        > "$work/baselines.csv"
-    cmp "$golden/sweep_baselines_fast.csv" "$work/baselines.csv" \
-        || fail "baseline policies diverged from golden"
+        > "$work/in_process.csv"
     "$program" sweep --spec "$work/baselines.spec" \
-        --out "$work/baselines_orch.csv" --schedule dynamic \
+        --out "$work/orchestrated.csv" --schedule dynamic \
         --backend subprocess --shards 4 --jobs 1
-    cmp "$golden/sweep_baselines_fast.csv" "$work/baselines_orch.csv" \
-        || fail "orchestrated baselines diverged from golden"
+    verdict sweep_baselines_fast.csv "$work/in_process.csv" \
+        "$work/orchestrated.csv"
     ;;
 sweep_rubik)
     printf '%s\n' \
@@ -83,15 +102,13 @@ sweep_rubik)
         'requests = 4000' > "$work/rubik.spec"
     for jobs in 1 4; do
         "$program" sweep --spec "$work/rubik.spec" --jobs "$jobs" \
-            > "$work/rubik.csv"
-        cmp "$golden/sweep_rubik_fast.csv" "$work/rubik.csv" \
-            || fail "rubik sweep (--jobs $jobs) diverged from golden"
+            > "$work/jobs$jobs.csv"
     done
     "$program" sweep --spec "$work/rubik.spec" \
-        --out "$work/rubik_orch.csv" --schedule dynamic \
+        --out "$work/orchestrated.csv" --schedule dynamic \
         --backend subprocess --shards 4 --jobs 1
-    cmp "$golden/sweep_rubik_fast.csv" "$work/rubik_orch.csv" \
-        || fail "orchestrated rubik sweep diverged from golden"
+    verdict sweep_rubik_fast.csv "$work/jobs1.csv" "$work/jobs4.csv" \
+        "$work/orchestrated.csv"
     ;;
 rubik_decisions)
     # A run that fails prints no rows, so the cmp catches it too.
@@ -101,14 +118,12 @@ rubik_decisions)
                 --requests 4000 --seed 42 --decision-hash --csv
         done
     done | awk 'NR == 1 || !/^app,/' > "$work/rubik_decisions.csv"
-    cmp "$golden/rubik_decisions_fast.csv" "$work/rubik_decisions.csv" \
-        || fail "Rubik decisions diverged from golden"
+    verdict rubik_decisions_fast.csv "$work/rubik_decisions.csv"
     ;;
 cli_oneshot)
     "$program" --loads 0.3,0.6 --policy rubik --requests 2000 --seed 42 \
         --jobs 4 --csv > "$work/oneshot.csv"
-    cmp "$golden/cli_oneshot_fast.csv" "$work/oneshot.csv" \
-        || fail "thermal-off one-shot run diverged from legacy golden"
+    verdict cli_oneshot_fast.csv "$work/oneshot.csv"
     ;;
 bench | bench_fast)
     name=$(basename "$program")
@@ -117,11 +132,8 @@ bench | bench_fast)
         name=${name}_fast
         set -- --fast "$@"
     fi
-    mkdir -p "$out"
-    "$program" "$@" > "$out/$name.csv"
-    cmp "$golden/$name.csv" "$out/$name.csv" \
-        || fail "$name.csv diverged from golden (kept $out/$name.csv)"
-    rm -f "$out/$name.csv"
+    "$program" "$@" > "$work/$name.csv"
+    verdict "$name.csv" "$work/$name.csv"
     ;;
 *)
     fail "unknown gate"

@@ -6,7 +6,8 @@
  * work. Also the shared OptionsParser: registration hygiene, typed
  * numbers and counts, and the run flags (--seed/--requests/--jobs),
  * both in-process and, when RUBIK_CLI points at the built binary,
- * through the one-shot CLI and `trace gen`.
+ * through the one-shot CLI and `trace gen`, and the binary's ELF
+ * headers against the link CMake chose for it (RUBIK_CLI_LINK).
  */
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -26,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include <elf.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -688,6 +691,49 @@ TEST(RunFlagsCli, RubikJobsIsParsedStrictly)
                   0);
     }
     std::remove(err.c_str());
+}
+
+// The link tools/CMakeLists.txt chose for rubik_cli (RUBIK_CLI_LINK,
+// set by CTest). A static PIE starts without the dynamic loader, and
+// must keep what a binary that parses socket input needs: a load base
+// the kernel randomizes (ET_DYN, where -static gives a fixed ET_EXEC),
+// read-only relocations and a non-executable stack.
+
+TEST(RubikCliLink, ElfHeadersMatchTheChosenLink)
+{
+    const std::string cli = cliPath();
+    const char *link = std::getenv("RUBIK_CLI_LINK");
+    if (cli.empty() || !link)
+        GTEST_SKIP() << "RUBIK_CLI or RUBIK_CLI_LINK not set";
+    std::ifstream in(cli, std::ios::binary);
+    Elf64_Ehdr header{};
+    ASSERT_TRUE(in.read(reinterpret_cast<char *>(&header), sizeof header));
+    ASSERT_EQ(std::memcmp(header.e_ident, ELFMAG, SELFMAG), 0);
+    if (header.e_ident[EI_CLASS] != ELFCLASS64)
+        GTEST_SKIP() << "not a 64-bit ELF file";
+    ASSERT_EQ(header.e_phentsize, sizeof(Elf64_Phdr));
+    std::vector<Elf64_Phdr> segments(header.e_phnum);
+    in.seekg(static_cast<std::streamoff>(header.e_phoff));
+    ASSERT_TRUE(in.read(reinterpret_cast<char *>(segments.data()),
+                        segments.size() * sizeof(Elf64_Phdr)));
+    const auto segment = [&](uint32_t type) -> const Elf64_Phdr * {
+        for (const Elf64_Phdr &s : segments)
+            if (s.p_type == type)
+                return &s;
+        return nullptr;
+    };
+
+    if (std::string(link) == "dynamic") {
+        EXPECT_NE(segment(PT_INTERP), nullptr);
+        return;
+    }
+    ASSERT_STREQ(link, "static-pie");
+    EXPECT_EQ(header.e_type, ET_DYN) << "not position-independent";
+    EXPECT_EQ(segment(PT_INTERP), nullptr) << "names a dynamic loader";
+    EXPECT_NE(segment(PT_GNU_RELRO), nullptr);
+    const Elf64_Phdr *stack = segment(PT_GNU_STACK);
+    ASSERT_NE(stack, nullptr);
+    EXPECT_EQ(stack->p_flags & PF_X, 0u) << "executable stack";
 }
 
 TEST(ExperimentRunner, RunsAllJobsInSubmissionOrder)

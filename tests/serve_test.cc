@@ -30,6 +30,7 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -251,43 +252,75 @@ TEST(ServeEngine, DecisionTimingLandsInHistogram)
         << untimed.statsJson();
 }
 
-/// Alternates a fast decision with one that sleeps, as a serve
-/// client's arrivals and completions alternate.
-struct AlternatingPolicy : DvfsPolicy
+/// Sleeps on every `period`-th decision, starting with decision
+/// `phase`: a stream whose decision cost repeats with its index, as a
+/// serve client's alternating arrivals and completions do (period 2).
+struct PeriodicPolicy : DvfsPolicy
 {
     static constexpr auto kSlow = std::chrono::microseconds(300);
 
+    PeriodicPolicy(uint64_t period, uint64_t phase)
+        : period(period), phase(phase)
+    {
+    }
+
     double selectFrequency(const CoreView &) override
     {
-        if (calls++ % 2 == 1)
+        if (calls++ % period == phase)
             std::this_thread::sleep_for(kSlow);
         return 2.0e9;
     }
 
+    uint64_t period, phase;
     uint64_t calls = 0;
 };
 
-TEST(DecisionRecording, StrideTimesBothKindsOfAnAlternatingStream)
+/// Makes `timed` strides of decisions through a timed recorder and
+/// returns how many of the timed decisions were slow.
+uint64_t
+slowTimedDecisions(PeriodicPolicy &inner, uint64_t timed)
 {
-    AlternatingPolicy inner;
     DecisionLog log;
     LatencyHistogram latency;
     log.latency = &latency;
     DecisionRecordingPolicy recorder(inner, log);
-    const uint64_t decisions = 20 * DecisionLog::kTimingStride;
+    const uint64_t decisions = timed * DecisionLog::kTimingStride;
     for (uint64_t i = 0; i < decisions; ++i)
         recorder.selectFrequency(CoreView{});
     EXPECT_EQ(log.count, decisions);
-    ASSERT_EQ(latency.count(), 20u);
-    // The stride is odd, so the timed decisions alternate between the
-    // fast kind and the slow one: ten of each.
+    EXPECT_EQ(latency.count(), timed);
     const std::size_t slowBucket = LatencyHistogram::bucketOf(
-        std::chrono::nanoseconds(AlternatingPolicy::kSlow).count());
+        std::chrono::nanoseconds(PeriodicPolicy::kSlow).count());
     uint64_t slow = 0;
     for (std::size_t b = slowBucket; b < LatencyHistogram::kBuckets; ++b)
         slow += latency.counts()[b];
+    return slow;
+}
+
+TEST(DecisionRecording, StrideTimesBothKindsOfAnAlternatingStream)
+{
+    PeriodicPolicy inner(2, 1);
+    // The stride is odd, so the timed decisions alternate between the
+    // fast kind and the slow one: ten of each.
+    const uint64_t slow = slowTimedDecisions(inner, 20);
     EXPECT_GE(slow, 10u);
     EXPECT_LE(slow, 15u); // a fast decision is never that slow 5 times
+}
+
+TEST(DecisionRecording, StrideTimesEveryPhaseOfAPeriodThreeStream)
+{
+    // The stride shares no factor with a short period, so the timed
+    // decisions visit every phase of it instead of sampling one.
+    for (uint32_t period = 2; period <= 16; ++period)
+        EXPECT_EQ(std::gcd(DecisionLog::kTimingStride, period), 1u)
+            << "period " << period;
+    // Every third decision is slow, the first among them: a third of
+    // the 30 timed decisions are. A stride that is a multiple of 3
+    // times only slow ones.
+    PeriodicPolicy inner(3, 0);
+    const uint64_t slow = slowTimedDecisions(inner, 30);
+    EXPECT_GE(slow, 10u);
+    EXPECT_LE(slow, 15u);
 }
 
 TEST(ServeEngine, StatsJsonIsWellFormed)

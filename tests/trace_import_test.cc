@@ -16,6 +16,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <sys/wait.h>
 
 #include "sim/trace.h"
@@ -230,18 +231,26 @@ TEST(TraceImportCli, ImportAndRejectionExitCodes)
     EXPECT_EQ(loadTraceBinary(out).size(), 2u);
 
     // A malformed dump exits nonzero and names the offending line on
-    // stderr; nothing is written.
-    const std::string bad = dir.path + "/bad.csv";
-    std::ofstream(bad) << kHeader << "0.001,nan,0.0001\n";
-    const std::string bad_out = dir.path + "/bad.rtrace";
-    const std::string err = dir.path + "/err.txt";
-    EXPECT_NE(runCommand("'" + std::string(cli) +
-                         "' trace import --in '" + bad + "' --out '" +
-                         bad_out + "' 2> '" + err + "'"),
-              0);
-    EXPECT_FALSE(fs::exists(bad_out));
-    EXPECT_NE(readFile(err).find(":2:"), std::string::npos)
-        << "stderr lacks the offending line number";
+    // stderr; nothing is written. A NaN field, and a timestamp that
+    // goes backwards.
+    const std::pair<std::string, std::string> bads[] = {
+        {"0.001,nan,0.0001\n", ":2:"},
+        {"0.002,240000,0.0001\n0.001,240000,0.0001\n", ":3:"},
+    };
+    for (const auto &[rows, line] : bads) {
+        SCOPED_TRACE(rows);
+        const std::string bad = dir.path + "/bad.csv";
+        std::ofstream(bad) << kHeader << rows;
+        const std::string bad_out = dir.path + "/bad.rtrace";
+        const std::string err = dir.path + "/err.txt";
+        EXPECT_NE(runCommand("'" + std::string(cli) +
+                             "' trace import --in '" + bad + "' --out '" +
+                             bad_out + "' 2> '" + err + "'"),
+                  0);
+        EXPECT_FALSE(fs::exists(bad_out));
+        EXPECT_NE(readFile(err).find(line), std::string::npos)
+            << "stderr lacks the offending line number";
+    }
 }
 
 } // namespace
